@@ -10,7 +10,7 @@ own reconstruction identity before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NotElliptic, NotParabolic, NotSL2
@@ -47,13 +47,20 @@ HYPERBOLIC = "hyperbolic"
 
 @dataclass(frozen=True)
 class MatClass:
-    """Trichotomy verdict with the per-kind GL(2,Z) conjugacy invariants."""
+    """Trichotomy verdict with the per-kind GL(2,Z) conjugacy invariants.
+
+    ``conjugator`` is the reduction's witness, not an invariant, so it is
+    left out of equality, repr and JSON: the one from cutting_cycle for a
+    hyperbolic m, and w with w @ (sign*m) @ w^-1 == (1 0; +-shift 1) for
+    a parabolic m.
+    """
 
     kind: str
     sign: int | None = None
     trace: int | None = None
     shift: int | None = None
     cycle: Cycle | None = None
+    conjugator: Mat2 | None = field(default=None, compare=False, repr=False)
 
     def to_json_obj(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -98,10 +105,10 @@ def classify(m: Mat2) -> MatClass:
     if -2 < t < 2:
         return MatClass(ELLIPTIC, trace=t)
     if t == 2 or t == -2:
-        k, sign = parabolic_signed_shift(m)
-        return MatClass(PARABOLIC, sign=sign, shift=abs(k))
-    cyc, sign, _ = cutting_cycle(m)
-    return MatClass(HYPERBOLIC, sign=sign, cycle=cyc)
+        sign, w, k = _parabolic_reduce(m)
+        return MatClass(PARABOLIC, sign=sign, shift=abs(k), conjugator=w)
+    cyc, sign, conj = cutting_cycle(m)
+    return MatClass(HYPERBOLIC, sign=sign, cycle=cyc, conjugator=conj)
 
 
 # Stabilizer elements of the corner points of the fundamental domain

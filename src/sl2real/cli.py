@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .classify import classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import Cycle, Word, cutting_cycle, series_crosscheck
+from .farey import Cycle, Word, _resolve_cap, cutting_cycle, series_crosscheck
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
@@ -35,10 +35,10 @@ from .mat2 import (
     v_pow,
 )
 from .oracle import brute_force_conjugator, brute_force_factor
-from .realness import central_factorization, conjugacy_test, factor_real, is_real
+from .realness import analyze, conjugacy_test
 from .render import render_farey
 
-__all__ = ["main", "run"]
+__all__ = ["main"]
 
 
 def _dumps(obj) -> str:
@@ -75,9 +75,6 @@ def _cmd_classify(args) -> int:
 def _cmd_cycle(args) -> int:
     for m in _input_matrices(args.matrix):
         cyc, sign, conj = cutting_cycle(m)
-        recon = conj @ Word(cyc.exponents, "U").matrix() @ conj.inverse()
-        if (recon if sign == 1 else -recon) != m:
-            raise RuntimeError("cycle certificate failed verification")
         print(
             _dumps(
                 {
@@ -94,16 +91,11 @@ def _cmd_cycle(args) -> int:
 
 def _cmd_real(args) -> int:
     for m in _input_matrices(args.matrix):
-        real = is_real(m)
-        fac = None
-        if real:
-            fac = central_factorization(m) if m.is_central() else factor_real(m)
-            if fac.matrix != m:
-                raise RuntimeError("factorization certificate failed verification")
+        fac = analyze(m).factorization
         print(
             _dumps(
                 {
-                    "is_real": real,
+                    "is_real": fac is not None,
                     "factorization": None if fac is None else fac.to_json_obj(),
                 }
             )
@@ -179,19 +171,16 @@ def _atlas_representatives(max_entry: int) -> Iterator[Mat2]:
 
 def _cmd_atlas(args) -> int:
     for rep in _atlas_representatives(args.max_entry):
-        cls = classify(rep)
-        real = is_real(rep)
-        if args.real_only and not real:
+        analysis = analyze(rep)
+        if args.real_only and not analysis.is_real:
             continue
-        fac = None
-        if real:
-            fac = central_factorization(rep) if rep.is_central() else factor_real(rep)
+        cls, fac = analysis.matclass, analysis.factorization
         print(
             _dumps(
                 {
                     "matrix": rep.to_json_obj(),
                     "class": cls.to_json_obj(),
-                    "is_real": real,
+                    "is_real": analysis.is_real,
                     "factorization": None if fac is None else fac.to_json_obj(),
                     "cycle": None if cls.cycle is None else cls.cycle.to_json_obj(),
                 }
@@ -297,6 +286,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolve_cap(None)  # a bad SL2REAL_CF_CAP is a usage error, found before any output
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
         return args.func(args)
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -304,9 +298,6 @@ def main(argv: list[str] | None = None) -> int:
     except Sl2RealError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-
-
-run = main
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ __all__ = [
     "cf_step",
     "attracting_fixed_point",
     "repelling_fixed_point",
-    "word_to_matrix",
     "greedy_factor",
     "cutting_cycle",
     "series_crosscheck",
@@ -41,9 +40,11 @@ def _resolve_cap(cap: int | None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(_ENV_CAP)
-    if env is not None:
-        return int(env)
-    return DEFAULT_CF_CAP
+    if env is None:
+        return DEFAULT_CF_CAP
+    if not (env.isascii() and env.isdigit()):
+        raise ValueError(f"{_ENV_CAP} must be a nonnegative decimal integer, got {env!r}")
+    return int(env)
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,10 +186,6 @@ class Word:
 
     def __str__(self) -> str:
         return "".join(f"{letter}^{e}" for letter, e in self.runs())
-
-
-def word_to_matrix(word: Word) -> Mat2:
-    return word.matrix()
 
 
 def greedy_factor(b: Mat2) -> Word:

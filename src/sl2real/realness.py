@@ -4,14 +4,14 @@ A matrix m in SL(2,Z) is called real here when m = c_plus @ c_minus for
 two orientation-reversing linear involutions.  Central and |trace| <= 2
 matrices are always real, with explicit table factorizations carried
 through the canonical-form conjugators.  A hyperbolic matrix is real
-exactly when its cutting cycle splits, after some rotation, into two
-palindromic blocks of odd length; the factorization is then assembled
-from the reflection factors
+exactly when its cutting cycle splits into two palindromic blocks of
+odd length; the factorization is then assembled from the reflection
+factors
 
     position even:  (1 -e; 0 -1)      position odd:  (1 0; -e -1)
 
 whose interleaved mirror signs cancel pairwise against the U/V runs.
-Every returned factorization is re-verified exactly.
+:func:`analyze` alone classifies and factors, verifying each result.
 """
 
 from __future__ import annotations
@@ -22,13 +22,12 @@ from .classify import (
     CENTRAL,
     ELLIPTIC,
     PARABOLIC,
+    MatClass,
     classify,
     elliptic_canonicalize,
-    parabolic_canonicalize,
-    parabolic_signed_shift,
 )
-from .errors import CentralInput, NotARealStructure, NotReal, NotSL2
-from .farey import Cycle, Word, cutting_cycle
+from .errors import CentralInput, NotARealStructure, NotReal
+from .farey import Cycle
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
@@ -46,43 +45,45 @@ from .oracle import brute_force_conjugator
 __all__ = [
     "Split",
     "RealFactorization",
+    "Analysis",
     "WeaklyRealReport",
     "is_odd_bipalindromic",
+    "analyze",
     "factor_real",
     "central_factorization",
     "is_real",
     "conjugacy_test",
     "weakly_real",
-    "weakly_real_equals_real_check",
 ]
 
 
 @dataclass(frozen=True)
 class Split:
-    """A bipalindromic splitting of a cycle: rotate the stored exponents
-    left by `rotation`, then cut after `first_block_len` entries; both
-    blocks are palindromes of odd length."""
+    """Cutting a cycle's stored exponents after `first_block_len`
+    entries leaves two palindromes of odd length."""
 
-    rotation: int
     first_block_len: int
 
     def blocks_of(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        n = len(exponents)
-        rot = (exponents + exponents)[self.rotation : self.rotation + n]
-        return rot[: self.first_block_len], rot[self.first_block_len :]
+        return exponents[: self.first_block_len], exponents[self.first_block_len :]
 
 
 def is_odd_bipalindromic(cycle: Cycle) -> Split | None:
-    """Least (rotation, first block length) odd-bipalindromic split, or None."""
+    """Least odd-bipalindromic split of the stored exponents, or None.
+
+    Rotating first never helps.  Write c for the stored exponents,
+    indexed mod their even length n.  Rotating by r and cutting after an
+    odd f entries gives two palindromes iff c[i] == c[k - i] for all i,
+    where k = 2r + f - 1 (the blocks reflect r+i to r+f-1-i and r+f+j
+    to r+n-1-j).  This k is even, so k mod n lies in 0..n-2, and the
+    same reflection cuts c itself after (k mod n) + 1 entries, an odd
+    number.  So one O(n^2) scan at rotation 0 decides realness.
+    """
     exps = cycle.exponents
-    n = len(exps)
-    dbl = exps + exps
-    for r in range(n):
-        rot = dbl[r : r + n]
-        for first in range(1, n, 2):
-            b1, b2 = rot[:first], rot[first:]
-            if b1 == b1[::-1] and b2 == b2[::-1]:
-                return Split(r, first)
+    for first in range(1, len(exps), 2):
+        b1, b2 = exps[:first], exps[first:]
+        if b1 == b1[::-1] and b2 == b2[::-1]:
+            return Split(first)
     return None
 
 
@@ -140,6 +141,55 @@ def _finish(m: Mat2, c_plus: Mat2, c_minus: Mat2) -> RealFactorization:
     return fac
 
 
+@dataclass(frozen=True)
+class Analysis:
+    """One matrix, analysed once: its class and, when it is real, a
+    verified factorization (None exactly when it is not real)."""
+
+    matclass: MatClass
+    factorization: RealFactorization | None
+
+    @property
+    def is_real(self) -> bool:
+        return self.factorization is not None
+
+
+def analyze(m: Mat2) -> Analysis:
+    """Classify m and factor it when it is real; NotSL2 if det m != 1.
+
+    The factorization reuses the conjugator that classify found.
+    """
+    cls = classify(m)
+    if cls.kind == CENTRAL:
+        return Analysis(cls, central_factorization(m))
+    if cls.kind == ELLIPTIC:
+        form = elliptic_canonicalize(m)
+        j1, j2 = _ELLIPTIC_SPLITS[form.representative]
+        conj = form.conjugator
+        return Analysis(cls, _finish(m, conj @ j1 @ conj.inverse(), conj @ j2 @ conj.inverse()))
+    if cls.kind == PARABOLIC:
+        # w (sign m) w^-1 = (1 0; k 1) = (1 0; k -1) diag(1,-1), so the
+        # signed mirror w^-1 diag(1,-1) w is a right factor of m
+        w = cls.conjugator
+        c_minus = w.inverse() @ (REFL_DIAG if cls.sign == 1 else -REFL_DIAG) @ w
+        return Analysis(cls, _finish(m, m @ c_minus, c_minus))
+    split = is_odd_bipalindromic(cls.cycle)
+    if split is None:
+        return Analysis(cls, None)
+    exps, conj = cls.cycle.exponents, cls.conjugator
+    c1 = IDENTITY
+    for i in range(split.first_block_len):
+        c1 = c1 @ _reflection_factor(i, exps[i])
+    c2 = IDENTITY
+    for i in range(split.first_block_len, len(exps)):
+        c2 = c2 @ _reflection_factor(i, exps[i])
+    c1 = conj @ c1 @ conj.inverse()
+    c2 = conj @ c2 @ conj.inverse()
+    if cls.sign == -1:
+        c1 = -c1
+    return Analysis(cls, _finish(m, c1, c2))
+
+
 def factor_real(m: Mat2) -> RealFactorization:
     """Explicit factorization m = c_plus @ c_minus, or NotReal.
 
@@ -147,47 +197,13 @@ def factor_real(m: Mat2) -> RealFactorization:
     degenerate splittings) and NotReal for hyperbolic matrices whose
     cycle admits no odd-bipalindromic split.
     """
-    if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
     if m.is_central():
         raise CentralInput("use central_factorization for +-identity")
-    t = m.trace
-    if -2 < t < 2:
-        form = elliptic_canonicalize(m)
-        j1, j2 = _ELLIPTIC_SPLITS[form.representative]
-        conj = form.conjugator
-        return _finish(m, conj @ j1 @ conj.inverse(), conj @ j2 @ conj.inverse())
-    if abs(t) == 2:
-        form = parabolic_canonicalize(m)
-        n = form.representative.c
-        j1 = Mat2(1, 0, n, -1)
-        j2 = REFL_DIAG if form.sign == 1 else -REFL_DIAG
-        conj = form.conjugator
-        return _finish(m, conj @ j1 @ conj.inverse(), conj @ j2 @ conj.inverse())
-
-    cyc, sign, conj = cutting_cycle(m)
-    split = is_odd_bipalindromic(cyc)
-    if split is None:
+    analysis = analyze(m)
+    if analysis.factorization is None:
+        cyc = analysis.matclass.cycle
         raise NotReal(f"cutting cycle {list(cyc.canonical)} is not odd-bipalindromic")
-    exps = cyc.exponents
-    r = split.rotation
-    if r:
-        conj = conj @ Word(exps[:r], "U").matrix()
-        if r % 2:
-            # odd rotations swap the roles of U and V; (0 1; 1 0) swaps back
-            conj = conj @ REFL_SWAP
-    rotated = (exps + exps)[r : r + len(exps)]
-    c1 = IDENTITY
-    for i in range(split.first_block_len):
-        c1 = c1 @ _reflection_factor(i, rotated[i])
-    c2 = IDENTITY
-    for i in range(split.first_block_len, len(rotated)):
-        c2 = c2 @ _reflection_factor(i, rotated[i])
-    c1 = conj @ c1 @ conj.inverse()
-    c2 = conj @ c2 @ conj.inverse()
-    if sign == -1:
-        c1 = -c1
-    return _finish(m, c1, c2)
+    return analysis.factorization
 
 
 def central_factorization(m: Mat2) -> RealFactorization:
@@ -201,14 +217,7 @@ def central_factorization(m: Mat2) -> RealFactorization:
 
 def is_real(m: Mat2) -> bool:
     """Does m factor as a product of two linear real structures?"""
-    if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
-    if m.is_central():
-        return True
-    if -2 <= m.trace <= 2:
-        return True
-    cyc, _, _ = cutting_cycle(m)
-    return is_odd_bipalindromic(cyc) is not None
+    return analyze(m).is_real
 
 
 def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
@@ -231,23 +240,21 @@ def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
     if cx.kind == ELLIPTIC:
         if cx.trace != cy.trace:
             return False
-        if group == "gl":
-            return True
-        return (
-            elliptic_canonicalize(x).conjugator.det
-            == elliptic_canonicalize(y).conjugator.det
+        return group == "gl" or (
+            elliptic_canonicalize(x).conjugator.det == elliptic_canonicalize(y).conjugator.det
         )
     if cx.kind == PARABOLIC:
-        if group == "gl":
-            return (cx.shift, cx.sign) == (cy.shift, cy.sign)
-        return parabolic_signed_shift(x) == parabolic_signed_shift(y)
+        if (cx.shift, cx.sign) != (cy.shift, cy.sign):
+            return False
+        # classify's w takes sign*m to (1 0; k 1), so w m w^-1 has lower-left
+        # entry sign*k; with the signs equal, SL conjugacy is equality of k
+        wx, wy = cx.conjugator, cy.conjugator
+        return group == "gl" or (wx @ x @ wx.inverse()).c == (wy @ y @ wy.inverse()).c
     if cx.sign != cy.sign:
         return False
-    ex, _, _ = cutting_cycle(x)
-    ey, _, _ = cutting_cycle(y)
     if group == "gl":
-        return ex == ey
-    return ex.equal_up_to_even_rotation(ey)
+        return cx.cycle == cy.cycle
+    return cx.cycle.equal_up_to_even_rotation(cy.cycle)
 
 
 @dataclass(frozen=True)
@@ -284,24 +291,18 @@ class WeaklyRealReport:
 
 
 def weakly_real(m: Mat2, bound: int) -> WeaklyRealReport:
-    real = is_real(m)
+    fac = analyze(m).factorization
+    real = fac is not None
     witness = brute_force_conjugator(m, bound)
     inverse_conjugator = None
     consistent = True
     note = ""
     if real:
-        fac = central_factorization(m) if m.is_central() else factor_real(m)
-        c_plus = fac.c_plus
         # m = c+ c- with involutions forces c+ m c+^-1 = c- c+ = m^-1
-        if c_plus @ m @ c_plus.inverse() != m.inverse():
-            raise RuntimeError(f"left involution fails to invert {m}")
-        inverse_conjugator = c_plus
+        inverse_conjugator = fac.c_plus
         if witness is None:
             note = "bound insufficient for a witness"
     elif witness is not None:
         consistent = False
         note = "witness found for a non-real matrix"
     return WeaklyRealReport(m, bound, real, witness, inverse_conjugator, consistent, note)
-
-
-weakly_real_equals_real_check = weakly_real

@@ -20,6 +20,7 @@ from sl2real import (
     NotElliptic,
     NotParabolic,
     NotSL2,
+    Word,
     classify,
     elliptic_canonicalize,
     parabolic_canonicalize,
@@ -73,6 +74,23 @@ def test_classify_hyperbolic():
         "sign": 1,
         "cycle": ["1", "1"],
     }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_classify_conjugator_is_a_witness_not_an_invariant(seed):
+    rng = random.Random(seed)
+    g = random_unimodular(rng)
+    for m in (Mat2(15, 4, 11, 3), Mat2(-1, 0, 3, -1)):
+        c, d = classify(m), classify(g @ m @ g.inverse())
+        assert c == d and hash(c) == hash(d)
+        assert "conjugator" not in repr(c) and "conjugator" not in c.to_json_obj()
+    w = classify(Mat2(15, 4, 11, 3)).conjugator
+    assert w @ Word((1, 2, 1, 3), "U").matrix() @ w.inverse() == Mat2(15, 4, 11, 3)
+    m = g @ Mat2(-1, 0, 3, -1) @ g.inverse()
+    w = classify(m).conjugator
+    shifted = w @ -m @ w.inverse()  # sign -1
+    assert (shifted.a, shifted.b, abs(shifted.c), shifted.d) == (1, 0, 3, 1)
 
 
 def test_classify_rejects_non_sl2():

@@ -1,12 +1,15 @@
 """End-to-end command line behaviour."""
 
+import hashlib
 import io
 import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from sl2real import Mat2, conjugacy_test
+import sl2real.farey as farey
+import sl2real.realness as realness
+from sl2real import Mat2, Word, conjugacy_test
 from sl2real.cli import main
 
 
@@ -166,6 +169,94 @@ def test_atlas_cycle_fields(capsys):
             assert r["cycle"] == r["class"]["cycle"]
         else:
             assert r["cycle"] is None
+
+
+def test_atlas_max_entry_3_is_pinned(capsys):
+    code, out, _ = run(capsys, "atlas", "--max-entry", "3")
+    assert code == 0 and out.count("\n") == 331
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == "7355034be662446d05448ec540207a033aa3f52ecccd97b181ea8a8089b6dbbf"
+
+
+def _count_gauss_orbits(monkeypatch):
+    calls = []
+    walk = farey._gauss_orbit
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(farey, "_gauss_orbit", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, hyperbolic_inputs",
+    [
+        (["classify", "15,4;11,3"], 1),
+        (["cycle", "15,4;11,3"], 1),
+        (["real", "15,4;11,3"], 1),
+        (["real", "12,5;7,3"], 1),
+        (["real", "2,1;1,1"], 1),
+        (["conjugate", "15,4;11,3", "3,11;4,15"], 2),
+        (["conjugate", "15,4;11,3", "3,11;4,15", "--group", "sl"], 2),
+    ],
+)
+def test_each_hyperbolic_input_walks_one_orbit(capsys, monkeypatch, argv, hyperbolic_inputs):
+    calls = _count_gauss_orbits(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == hyperbolic_inputs
+
+
+def test_atlas_walks_one_orbit_per_hyperbolic_record(capsys, monkeypatch):
+    calls = _count_gauss_orbits(monkeypatch)
+    records = run_json(capsys, "atlas", "--max-entry", "2")
+    hyperbolic = [r for r in records if r["class"]["kind"] == "hyperbolic"]
+    assert len(hyperbolic) == 18
+    assert len(calls) == len(hyperbolic)
+
+
+def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
+    # each wrong factor is still a real structure, so only the final
+    # product check can catch the corruption
+    factor = realness._reflection_factor
+    monkeypatch.setattr(realness, "_reflection_factor", lambda i, e: factor(i, e + 1))
+    with pytest.raises(RuntimeError, match="factorization verification failed"):
+        main(["real", "15,4;11,3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
+    # rotating the peeled word by one run keeps the cycle but leaves the
+    # conjugator one run short
+    peel = farey.greedy_factor
+
+    def rotated(b):
+        word = peel(b)
+        other = "V" if word.starts_with == "U" else "U"
+        return Word(word.exponents[1:] + word.exponents[:1], other)
+
+    monkeypatch.setattr(farey, "greedy_factor", rotated)
+    with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
+        main(["cycle", "15,4;11,3"])
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "", "1.5", " 7"])
+def test_bad_cf_cap_is_a_usage_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("SL2REAL_CF_CAP", cap)
+    code, out, err = run(capsys, "classify", "2,1;1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: SL2REAL_CF_CAP ") and err.count("\n") == 1
+
+
+def test_cf_cap_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("SL2REAL_CF_CAP", "0")
+    code, out, err = run(capsys, "classify", "2,1;1,1")
+    assert code == 3 and "ReductionOverflow" in err
+    monkeypatch.setenv("SL2REAL_CF_CAP", "10")
+    (obj,) = run_json(capsys, "classify", "2,1;1,1")
+    assert obj["cycle"] == ["1", "1"]
 
 
 def test_svg_stdout(capsys):

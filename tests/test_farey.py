@@ -24,7 +24,6 @@ from sl2real import (
     greedy_factor,
     repelling_fixed_point,
     series_crosscheck,
-    word_to_matrix,
 )
 
 from conftest import random_hyperbolic, random_unimodular, random_word
@@ -204,7 +203,7 @@ def test_word_matrix_pinned():
     assert Word((1, 1), "U").matrix() == Mat2(2, 1, 1, 1)
     assert Word((1, 1), "V").matrix() == Mat2(1, 1, 1, 2)
     assert Word((1, 2, 1, 3), "U").matrix() == Mat2(15, 4, 11, 3)
-    assert word_to_matrix(Word((2, 2), "U")) == Mat2(5, 2, 2, 1)
+    assert Word((2, 2), "U").matrix() == Mat2(5, 2, 2, 1)
 
 
 def test_word_validation():

@@ -1,6 +1,7 @@
 """Factorization into two real structures and conjugacy testing."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,9 @@ from sl2real import (
     NotSL2,
     RealFactorization,
     Split,
+    analyze,
     central_factorization,
+    classify,
     conjugacy_test,
     factor_real,
     is_odd_bipalindromic,
@@ -44,9 +47,9 @@ from sl2real import Word
 
 
 def test_odd_bipalindromic_pinned():
-    assert is_odd_bipalindromic(Cycle((1, 2, 1, 3))) == Split(0, 3)
-    assert is_odd_bipalindromic(Cycle((1, 1))) == Split(0, 1)
-    assert is_odd_bipalindromic(Cycle((2, 2))) == Split(0, 1)
+    assert is_odd_bipalindromic(Cycle((1, 2, 1, 3))) == Split(3)
+    assert is_odd_bipalindromic(Cycle((1, 1))) == Split(1)
+    assert is_odd_bipalindromic(Cycle((2, 2))) == Split(1)
     assert is_odd_bipalindromic(Cycle((1, 1, 2, 2))) is None
 
 
@@ -62,10 +65,74 @@ def test_generated_cycles_are_recognized(seed):
     cyc = random_odd_bipalindromic_cycle(rng)
     split = is_odd_bipalindromic(cyc)
     assert split is not None
-    rotated = cyc.exponents[split.rotation :] + cyc.exponents[: split.rotation]
-    b1, b2 = split.blocks_of(rotated)
+    b1, b2 = split.blocks_of(cyc.exponents)
     assert b1 == b1[::-1] and b2 == b2[::-1]
     assert len(b1) % 2 == 1 and len(b2) % 2 == 1
+
+
+def _split_at_any_rotation(exps):
+    """Reference search: least (rotation, first block length) over all
+    rotations, the cubic scan that is_odd_bipalindromic replaced."""
+    n = len(exps)
+    dbl = exps + exps
+    for r in range(n):
+        rot = dbl[r : r + n]
+        for first in range(1, n, 2):
+            b1, b2 = rot[:first], rot[first:]
+            if b1 == b1[::-1] and b2 == b2[::-1]:
+                return r, first
+    return None
+
+
+def _assert_matches_reference(exps):
+    split = is_odd_bipalindromic(Cycle(exps))
+    reference = _split_at_any_rotation(exps)
+    if reference is None:
+        assert split is None
+        return
+    # a split at any rotation implies one at rotation 0, so the least
+    # reference split is the unrotated one the scan finds
+    assert reference == (0, split.first_block_len)
+    b1, b2 = split.blocks_of(exps)
+    assert b1 == b1[::-1] and b2 == b2[::-1]
+    assert len(b1) % 2 == 1 and len(b2) % 2 == 1
+
+
+_EXPONENT = st.integers(min_value=1, max_value=3)
+_EVEN_LENGTH_WORDS = st.integers(min_value=1, max_value=10).flatmap(
+    lambda half: st.lists(_EXPONENT, min_size=2 * half, max_size=2 * half)
+)
+_ODD_PALINDROMES = st.tuples(st.lists(_EXPONENT, max_size=6), _EXPONENT).map(
+    lambda t: t[0] + [t[1]] + t[0][::-1]
+)
+
+
+def _rotated_concatenation(parts):
+    first, second, shift = parts
+    word = first + second
+    shift %= len(word)
+    return word[shift:] + word[:shift]
+
+
+# two odd palindromes, then rotated by any amount
+_ROTATED_BIPALINDROMES = st.tuples(
+    _ODD_PALINDROMES, _ODD_PALINDROMES, st.integers(min_value=0, max_value=30)
+).map(_rotated_concatenation)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_EVEN_LENGTH_WORDS, _ROTATED_BIPALINDROMES))
+def test_split_scan_matches_all_rotations(exps):
+    _assert_matches_reference(tuple(exps))
+
+
+def test_split_scan_matches_all_rotations_exhaustively():
+    count = 0
+    for n in range(2, 9, 2):
+        for exps in product((1, 2, 3), repeat=n):
+            _assert_matches_reference(exps)
+            count += 1
+    assert count == 7380
 
 
 # -------------------------------------------------- factorization data
@@ -88,6 +155,34 @@ def test_real_factorization_json():
         "kind_plus": "diagonal",
         "kind_minus": "exchange",
     }
+
+
+# ----------------------------------------------------------- analyze
+
+
+def test_analyze_pinned():
+    for m in (IDENTITY, NEG_IDENTITY, ROT_PI, -ROT_2PI3, Mat2(15, 4, 11, 3)):
+        a = analyze(m)
+        assert a.matclass == classify(m)
+        assert a.is_real and a.factorization.matrix == m
+    a = analyze(Mat2(12, 5, 7, 3))
+    assert a.matclass == classify(Mat2(12, 5, 7, 3))
+    assert not a.is_real and a.factorization is None
+    with pytest.raises(NotSL2):
+        analyze(REFL_DIAG)
+
+
+def test_analyze_parabolic_pinned():
+    # every sign of trace and of the unipotent entry
+    cases = {
+        Mat2(1, 0, -2, 1): (Mat2(1, 0, -2, -1), Mat2(1, 0, 0, -1)),
+        Mat2(-1, 0, 3, -1): (Mat2(1, 0, -3, -1), Mat2(-1, 0, 0, 1)),
+        Mat2(-1, -4, 0, -1): (Mat2(-1, 4, 0, 1), Mat2(1, 0, 0, -1)),
+        Mat2(5, -4, 9, -7): (Mat2(-13, 8, -21, 13), Mat2(7, -4, 12, -7)),
+    }
+    for m, pair in cases.items():
+        f = analyze(m).factorization
+        assert (f.c_plus, f.c_minus) == pair
 
 
 # ------------------------------------------------------- factor_real
