@@ -60,7 +60,7 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
                 continue
             try:
                 yield _parse_stdin_line(line)
-            except (json.JSONDecodeError, MatrixParseError) as exc:
+            except ValueError as exc:  # JSONDecodeError, MatrixParseError, int/str limit
                 raise MatrixParseError(f"bad input line {line!r}: {exc}") from None
     else:
         yield Mat2.from_text(arg)

@@ -12,6 +12,7 @@ appear only in ``Surd.__float__`` for display and sanity checks.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from math import gcd, isqrt, sqrt
 
@@ -38,13 +39,22 @@ _ENV_CAP = "SL2REAL_CF_CAP"
 
 def _resolve_cap(cap: int | None) -> int:
     if cap is not None:
+        if isinstance(cap, bool) or not isinstance(cap, int):
+            raise ValueError(f"cap must be a nonnegative int, got {cap!r}")
+        if cap < 0:
+            raise ValueError("cap must be a nonnegative int, got a negative one")
         return cap
     env = os.environ.get(_ENV_CAP)
     if env is None:
         return DEFAULT_CF_CAP
     if not (env.isascii() and env.isdigit()):
         raise ValueError(f"{_ENV_CAP} must be a nonnegative decimal integer, got {env!r}")
-    return int(env)
+    try:
+        return int(env)
+    except ValueError:  # the int/str conversion limit
+        raise ValueError(
+            f"{_ENV_CAP} is limited to {sys.get_int_max_str_digits()} digits, got {len(env)}"
+        ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,7 +203,12 @@ def greedy_factor(b: Mat2) -> Word:
 
     Peels U while the first row dominates the second entrywise and V in
     the opposite case; the branches are mutually exclusive away from the
-    identity because equal rows would force det 0.  Raises
+    identity because equal rows would force det 0.  A whole run is
+    peeled at once: U^k can come off exactly while a >= k c and
+    b >= k d, so k is a floor quotient and the loop is the Euclidean
+    algorithm on the rows, O(runs) big-int steps.  Entries stay
+    nonnegative with det 1, so a and d are at least 1; c == 0 forces
+    a == d == 1, and then the run U^b ends at the identity.  Raises
     :class:`NotFactorable` when b is not a nonempty positive word.
     """
     if b.det != 1:
@@ -203,25 +218,22 @@ def greedy_factor(b: Mat2) -> Word:
     if b == IDENTITY:
         raise NotFactorable("identity is the empty word")
     a, bb, c, d = b.a, b.b, b.c, b.d
-    letters = []
+    starts_with = "U" if a >= c and bb >= d else "V"
+    exponents = []
+    # each run is maximal, so the letters alternate
     while (a, bb, c, d) != (1, 0, 0, 1):
         if a >= c and bb >= d:
-            letters.append("U")
-            a -= c
-            bb -= d
+            k = bb // d if c == 0 else min(a // c, bb // d)
+            a -= k * c
+            bb -= k * d
         elif c >= a and d >= bb:
-            letters.append("V")
-            c -= a
-            d -= bb
+            k = c // a if bb == 0 else min(c // a, d // bb)
+            c -= k * a
+            d -= k * bb
         else:
             raise NotFactorable(f"{b} is not a positive word in U and V")
-    runs: list[list] = []
-    for letter in letters:
-        if runs and runs[-1][0] == letter:
-            runs[-1][1] += 1
-        else:
-            runs.append([letter, 1])
-    return Word(tuple(r[1] for r in runs), runs[0][0])
+        exponents.append(k)
+    return Word(tuple(exponents), starts_with)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,23 +293,55 @@ class Cycle:
 
 
 def _gauss_orbit(x: Surd, cap: int) -> tuple[list[int], int]:
-    """CF digits of x until the (p, q) state repeats.
+    """CF digits of x through one full period: digits[entry:] is the period.
 
-    All states share the same d, so (p, q) determines the state;
-    digits[entry:] is one full period of the expansion.
+    The walk holds each state x_i = (p + sqrt(d)) / q as plain ints
+    (p, q, q_prev) with q * q_prev == d - p^2, where q_prev is the
+    previous state's denominator (one division finds x's own).  With
+    a = floor(x_i) the next state is 1 / (x_i - a) = (p1 + sqrt(d)) / q1
+    for p1 = a q - p and q1 = (d - p1^2) / q.  Since
+    d - p1^2 = (d - p^2) + (p - p1)(p + p1) and p + p1 = a q, the
+    quotient is q1 = q_prev + a (p - p1).  So a step multiplies by the
+    digit a and never divides d - p1^2, which is twice as long as q.
+    The floor a = (p + s) // q uses s = isqrt(d), computed once, and
+    divides numbers of about the same length, so a step costs linear
+    big-int work unless the digit itself is large.
+
+    (p, q) fixes the state's value, because sqrt(d) is irrational.  By
+    Galois's theorem a quadratic irrational has a purely periodic
+    expansion iff it is reduced: x > 1 and -1 < x' < 0, with
+    x' = (p - sqrt(d)) / q.  In integers that reads 0 < p <= s and
+    s - p < q <= s + p (x + x' > 0 forces p > 0, and x > x' forces
+    q > 0).  So the period enters at the first reduced state, which is
+    the first state the walk meets twice, and the walk stops when that
+    state comes back; no pre-period state is kept.  The invariant is
+    re-checked exactly on the closing state, whose entries are below
+    2 sqrt(d).
+
+    Raises :class:`ReductionOverflow` when the pre-period and the period
+    together take more than ``cap`` digits.
     """
-    seen: dict[tuple[int, int], int] = {}
+    d = x.d
+    s = isqrt(d)
+    p, q = x.p, x.q
+    q_prev = (d - p * p) // q  # exact by the Surd invariant
     digits: list[int] = []
-    current = x
+    entry = None
     while True:
-        key = (current.p, current.q)
-        if key in seen:
-            return digits, seen[key]
+        if entry is None:
+            if 0 < p <= s and s - p < q <= s + p:
+                entry, p_entry, q_entry = len(digits), p, q
+        elif p == p_entry and q == q_entry:
+            if q * q_prev != d - p * p:
+                raise RuntimeError("Gauss orbit invariant q * q_prev == d - p^2 failed")
+            return digits, entry
         if len(digits) >= cap:
             raise ReductionOverflow(f"continued fraction exceeded {cap} steps")
-        seen[key] = len(digits)
-        digit, current = cf_step(current)
-        digits.append(digit)
+        # s < sqrt(d) < s + 1 strictly, so these integer quotients are exact
+        a = (p + s) // q if q > 0 else (p + s + 1) // q
+        p1 = a * q - p
+        p, q, q_prev = p1, q_prev + a * (p - p1), q
+        digits.append(a)
 
 
 def cutting_cycle(m: Mat2, cap: int | None = None) -> tuple[Cycle, int, Mat2]:
@@ -323,9 +367,11 @@ def cutting_cycle(m: Mat2, cap: int | None = None) -> tuple[Cycle, int, Mat2]:
     digits, entry = _gauss_orbit(attracting_fixed_point(m), _resolve_cap(cap))
     if entry % 2:
         entry += 1
-    conj = IDENTITY
+    # the product of the digit matrices (a 1; 1 0), kept as plain ints
+    ca, cb, cc, cd = 1, 0, 0, 1
     for a in digits[:entry]:
-        conj = conj @ Mat2(a, 1, 1, 0)
+        ca, cb, cc, cd = ca * a + cb, ca, cc * a + cd, cc
+    conj = Mat2(ca, cb, cc, cd)
     body = conj.inverse() @ m @ conj
     word = greedy_factor(body if sign == 1 else -body)
 

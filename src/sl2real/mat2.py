@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import MatrixParseError, NotARealStructure, NotUnimodular
@@ -113,7 +114,14 @@ class Mat2:
             raise MatrixParseError(
                 f"expected 'a,b;c,d' with integer entries, got {text!r}"
             )
-        return cls(*(int(group) for group in match.groups()))
+        try:
+            return cls(*(int(group) for group in match.groups()))
+        except ValueError:
+            # the interpreter's int/str conversion limit (4,300 digits by
+            # default) is the input size cap
+            raise MatrixParseError(
+                f"matrix entries are limited to {sys.get_int_max_str_digits()} digits"
+            ) from None
 
     def to_text(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"

@@ -128,6 +128,32 @@ def test_stdin_bad_line(capsys, monkeypatch):
     assert code == 2
 
 
+_HUGE = "1" + "0" * 4400  # over the interpreter's 4,300-digit int/str limit
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        None,  # the compact form as an argument
+        f'"{_HUGE},1;0,1"\n',
+        f"[[{_HUGE},1],[0,1]]\n",
+        f'[["{_HUGE}","1"],["0","1"]]\n',
+    ],
+    ids=["argv", "stdin-compact", "stdin-ints", "stdin-strings"],
+)
+def test_oversize_entry_is_a_usage_error(capsys, monkeypatch, stdin):
+    if stdin is None:
+        code, out, err = run(capsys, "classify", f"{_HUGE},1;0,1")
+        expected = ""
+    else:
+        # the stream answers the good line, then stops at the oversize one
+        monkeypatch.setattr("sys.stdin", io.StringIO("[[2,1],[1,1]]\n" + stdin))
+        code, out, err = run(capsys, "classify", "-")
+        expected = '{"kind":"hyperbolic","sign":1,"cycle":["1","1"]}\n'
+    assert code == 2 and out == expected
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_atlas_deterministic_and_complete(capsys):
     code, out1, _ = run(capsys, "atlas", "--max-entry", "1")
     assert code == 0
@@ -242,7 +268,9 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
-@pytest.mark.parametrize("cap", ["abc", "-5", "", "1.5", " 7"])
+@pytest.mark.parametrize(
+    "cap", ["abc", "-5", "", "1.5", " 7", pytest.param("9" * 5000, id="5000-digits")]
+)
 def test_bad_cf_cap_is_a_usage_error(capsys, monkeypatch, cap):
     monkeypatch.setenv("SL2REAL_CF_CAP", cap)
     code, out, err = run(capsys, "classify", "2,1;1,1")

@@ -2,6 +2,10 @@
 
 import math
 import random
+import signal
+import time
+from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,13 +22,17 @@ from sl2real import (
     ReductionOverflow,
     Surd,
     Word,
+    analyze,
     attracting_fixed_point,
     cf_step,
     cutting_cycle,
     greedy_factor,
     repelling_fixed_point,
     series_crosscheck,
+    u_pow,
+    v_pow,
 )
+from sl2real.farey import _gauss_orbit, _resolve_cap
 
 from conftest import random_hyperbolic, random_unimodular, random_word
 
@@ -427,3 +435,193 @@ def test_series_crosscheck_powers(seed, k):
     rep = series_crosscheck(m**k)
     assert rep.consistent
     assert rep.repetition >= 1
+
+
+# ---------------------------------------- the fast loops and their references
+
+
+def _gauss_orbit_reference(x, cap):
+    """Letter-for-letter walk with validated surds until a state repeats."""
+    seen = {}
+    digits = []
+    while (x.p, x.q) not in seen:
+        if len(digits) >= cap:
+            raise ReductionOverflow(f"continued fraction exceeded {cap} steps")
+        seen[(x.p, x.q)] = len(digits)
+        digit, x = cf_step(x)
+        digits.append(digit)
+    return digits, seen[(x.p, x.q)]
+
+
+def _greedy_factor_reference(b):
+    """Peel one letter per step, then merge the letters into runs."""
+    if b.det != 1:
+        raise NotFactorable(f"det {b.det} != 1")
+    if min(b.a, b.b, b.c, b.d) < 0:
+        raise NotFactorable(f"{b} has a negative entry")
+    if b == IDENTITY:
+        raise NotFactorable("identity is the empty word")
+    a, bb, c, d = b.a, b.b, b.c, b.d
+    letters = []
+    while (a, bb, c, d) != (1, 0, 0, 1):
+        if a >= c and bb >= d:
+            letters.append("U")
+            a, bb = a - c, bb - d
+        elif c >= a and d >= bb:
+            letters.append("V")
+            c, d = c - a, d - bb
+        else:
+            raise NotFactorable(f"{b} is not a positive word in U and V")
+    runs = []
+    for letter in letters:
+        if runs and runs[-1][0] == letter:
+            runs[-1][1] += 1
+        else:
+            runs.append([letter, 1])
+    return Word(tuple(e for _, e in runs), runs[0][0])
+
+
+def _orbit_or_overflow(walk, x, cap):
+    try:
+        return walk(x, cap)
+    except ReductionOverflow:
+        return "overflow"
+
+
+@settings(max_examples=300, deadline=None)
+@given(surd_data, st.integers(min_value=0, max_value=40))
+def test_gauss_orbit_matches_reference_on_surds(data, cap):
+    # q of either sign, and x anywhere on the line
+    p, d, q = data
+    if math.isqrt(d) ** 2 == d:
+        return
+    x = Surd.make(p, d, q)
+    assert _gauss_orbit(x, 10**6) == _gauss_orbit_reference(x, 10**6)
+    assert _orbit_or_overflow(_gauss_orbit, x, cap) == _orbit_or_overflow(
+        _gauss_orbit_reference, x, cap
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_gauss_orbit_matches_reference_on_fixed_points(seed):
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_exp=50, conj_steps=12)  # either trace sign
+    for x in (attracting_fixed_point(m), repelling_fixed_point(m)):
+        assert _gauss_orbit(x, 10**6) == _gauss_orbit_reference(x, 10**6)
+
+
+def test_gauss_orbit_matches_reference_exhaustively():
+    # both fixed points of every hyperbolic matrix with entries in [-30, 30]
+    count = 0
+    for a, b, c in product(range(-30, 31), repeat=3):
+        if a == 0:
+            if b * c != -1:
+                continue
+            ds = range(-30, 31)
+        elif (1 + b * c) % a == 0 and abs((1 + b * c) // a) <= 30:
+            ds = ((1 + b * c) // a,)
+        else:
+            continue
+        for d in ds:
+            if (a + d) ** 2 <= 4:
+                continue
+            count += 1
+            x = attracting_fixed_point(Mat2(a, b, c, d))
+            for y in (x, x.conjugate()):
+                assert _gauss_orbit(y, 10**6) == _gauss_orbit_reference(y, 10**6)
+    assert count == 7832
+
+
+# exponents spread over the decades up to 10^6
+big_exponent = st.integers(min_value=0, max_value=6).flatmap(
+    lambda k: st.integers(min_value=1, max_value=10**k)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(big_exponent, min_size=1, max_size=6), st.sampled_from("UV"))
+def test_greedy_factor_matches_one_letter_peel(exponents, first):
+    w = Word(tuple(exponents), first)
+    assert greedy_factor(w.matrix()) == _greedy_factor_reference(w.matrix()) == w
+
+
+def _factor_or_error(peel, m):
+    try:
+        return peel(m)
+    except NotFactorable as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.tuples(*[st.integers(min_value=-3, max_value=40)] * 4),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_greedy_factor_rejects_like_one_letter_peel(entries, seed):
+    # raw matrices (mostly det != 1) and det-1 matrices of any sign
+    rng = random.Random(seed)
+    for m in (Mat2(*entries), random_unimodular(rng, rng.randint(0, 6))):
+        assert _factor_or_error(greedy_factor, m) == _factor_or_error(
+            _greedy_factor_reference, m
+        )
+
+
+def test_explicit_cap_is_validated():
+    m = Mat2(2, 1, 1, 1)
+    for bad in (-5, -1, True, 1.5, "10", [3]):
+        with pytest.raises(ValueError, match="cap"):
+            cutting_cycle(m, cap=bad)
+        with pytest.raises(ValueError, match="cap"):
+            series_crosscheck(m, cap=bad)
+    assert _resolve_cap(0) == 0 and _resolve_cap(7) == 7
+
+
+# ------------------------------------------------------- scale gates
+
+
+class _Timeout(Exception):
+    pass
+
+
+@contextmanager
+def _budget(seconds):
+    """Fail if the block takes `seconds` or longer; interrupt it at 5x."""
+
+    def expire(signum, frame):
+        raise _Timeout(f"interrupted after {5 * seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
+
+
+def test_huge_exponent_cycle_is_fast():
+    k = 10**9
+    m = u_pow(k) @ v_pow(1)  # (k+1 k; 1 1), the README's U^k V
+    with _budget(1.0):
+        cyc, sign, conj = cutting_cycle(m)
+    assert (cyc.exponents, sign) == ((k, 1), 1)
+    _check_certificate(m, cyc, sign, conj)
+
+
+def test_ten_thousand_digit_conjugate_is_fast():
+    rng = random.Random(10**4)
+    g = IDENTITY
+    while g.max_abs_entry().bit_length() < 16_700:  # about 5,000 digits
+        e = rng.choice((-1, 1)) * rng.randint(1, 9)
+        g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
+    w = Word((1, 2, 1, 3), "U")  # real: blocks (1, 2, 1) and (3)
+    m = g @ w.matrix() @ g.inverse()
+    assert m.max_abs_entry().bit_length() > 33_220  # over 10^4 digits
+    with _budget(1.0):
+        result = analyze(m)
+    assert result.matclass.cycle == Cycle(w.exponents)
+    assert result.is_real
