@@ -96,7 +96,7 @@ def _checked(m: Mat2, form: CanonicalForm) -> CanonicalForm:
 
 def classify(m: Mat2) -> MatClass:
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     if m == IDENTITY:
         return MatClass(CENTRAL, sign=1)
     if m == NEG_IDENTITY:
@@ -140,7 +140,7 @@ def elliptic_canonicalize(m: Mat2) -> CanonicalForm:
     point.  All arithmetic is on the integer triple (x, y, q).
     """
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     t = m.trace
     if not -2 < t < 2:
         raise NotElliptic(f"trace {t} is not elliptic")
@@ -189,7 +189,7 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
     """(sign, w, k) with w @ (sign*m) @ w^-1 == (1 0; k 1), w in SL(2,Z)."""
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     t = m.trace
     if abs(t) != 2 or m.is_central():
         raise NotParabolic(f"{m} is not parabolic")

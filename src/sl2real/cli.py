@@ -3,7 +3,7 @@
 JSON on stdout, one object per input; diagnostics on stderr.  Exit
 status 0 on success (including negative verdicts like a non-real
 matrix), 2 on argument or matrix syntax errors, 3 on domain errors
-(wrong determinant, wrong trace kind, overflow caps).
+(wrong determinant, wrong trace kind, too deep a figure).
 
 Matrix arguments use the compact "a,b;c,d" grammar.  The subcommands
 classify, cycle, real, and series-check also accept "-" to stream
@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .classify import classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import Cycle, Word, _resolve_cap, cutting_cycle, series_crosscheck
+from .farey import Cycle, Word, cutting_cycle, series_crosscheck
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
@@ -285,11 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_escape_matrix_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        _resolve_cap(None)  # a bad SL2REAL_CF_CAP is a usage error, found before any output
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except MatrixParseError as exc:

@@ -48,10 +48,6 @@ class CentralInput(Sl2RealError):
     """Operation is undefined on +-identity."""
 
 
-class ReductionOverflow(Sl2RealError):
-    """Continued-fraction orbit exceeded the configured step cap."""
-
-
 class DepthTooLarge(Sl2RealError):
     """Requested tessellation depth is outside the supported range."""
 

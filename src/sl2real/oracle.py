@@ -55,7 +55,7 @@ def brute_force_factor(m: Mat2, bound: int) -> tuple[Mat2, Mat2] | None:
     bound * (max |m| + 1).
     """
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     cap = bound * (m.max_abs_entry() + 1)
     for j1 in enumerate_involutions(bound):
         j2 = j1 @ m  # j1 is its own inverse
@@ -182,7 +182,7 @@ def integer_kernel(m: Mat2) -> LatticeBasis:
     Q^-1 m Q = m^-1.
     """
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     rows = _commutation_rows(m, m.inverse())
     return LatticeBasis(tuple(integer_column_kernel(rows)))
 
@@ -228,7 +228,7 @@ def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:
     no such Q exists within the bound.
     """
     if m.det != 1:
-        raise NotSL2(f"det {m.det} != 1")
+        raise NotSL2("det != 1")
     basis = integer_kernel(m)
     if basis.rank == 0:
         return None

@@ -5,6 +5,9 @@ reproducible from the seed alone.
 """
 
 import random
+import signal
+import time
+from contextlib import contextmanager
 
 from sl2real import Cycle, Mat2, Word, u_pow, v_pow
 
@@ -55,3 +58,26 @@ def random_odd_bipalindromic_cycle(
     exps = random_palindrome(rng, first, max_exp)
     exps += random_palindrome(rng, second, max_exp)
     return Cycle(tuple(exps))
+
+
+class _Timeout(Exception):
+    pass
+
+
+@contextmanager
+def budget(seconds):
+    """Fail if the block takes `seconds` or longer; interrupt it at 5x."""
+
+    def expire(signum, frame):
+        raise _Timeout(f"interrupted after {5 * seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"

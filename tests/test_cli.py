@@ -1,16 +1,21 @@
 """End-to-end command line behaviour."""
 
+import contextlib
 import hashlib
 import io
 import json
+import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sl2real.farey as farey
 import sl2real.realness as realness
 from sl2real import Mat2, Word, conjugacy_test
 from sl2real.cli import main
+
+from conftest import budget, random_odd_bipalindromic_cycle, random_word
 
 
 def run(capsys, *argv):
@@ -154,6 +159,115 @@ def test_oversize_entry_is_a_usage_error(capsys, monkeypatch, stdin):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_BIG_DET = f"1{'0' * 3000},1;1,1{'0' * 3000}"  # det has 6,001 digits
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", _BIG_DET],
+        ["cycle", _BIG_DET],
+        ["real", _BIG_DET],
+        ["series-check", _BIG_DET],
+        ["conjugate", _BIG_DET, "2,1;1,1"],
+        ["oracle", _BIG_DET, "--bound", "1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_det_too_long_to_print_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: NotSL2") and err.count("\n") == 1
+
+
+# ------------------------------------------- certificates in plain ints
+
+
+def _ints(obj):
+    (a, b), (c, d) = obj
+    return int(a), int(b), int(c), int(d)
+
+
+def _mul(x, y):
+    return (
+        x[0] * y[0] + x[1] * y[2],
+        x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2],
+        x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _check_cycle_record(obj, m):
+    """sign * C W C^-1 == m, W the U-first word of the record's runs."""
+    w = (1, 0, 0, 1)
+    for i, e in enumerate(int(e) for e in obj["word"]):
+        w = _mul(w, (1, e, 0, 1) if i % 2 == 0 else (1, 0, e, 1))
+    ca, cb, cc, cd = c = _ints(obj["conjugator"])
+    assert ca * cd - cb * cc == 1
+    sign = obj["sign"]
+    assert tuple(sign * x for x in _mul(_mul(c, w), (cd, -cb, -cc, ca))) == m
+
+
+def _check_factorization(fac, m):
+    """c_plus c_minus == m, each factor an involution of det -1."""
+    c_plus, c_minus = _ints(fac["c_plus"]), _ints(fac["c_minus"])
+    for a, b, c, d in (c_plus, c_minus):
+        assert a * d - b * c == -1 and _mul((a, b, c, d), (a, b, c, d)) == (1, 0, 0, 1)
+    assert _mul(c_plus, c_minus) == m
+
+
+def test_ten_thousand_run_word_answers_in_budget(capsys):
+    # 2,091-digit entries; the cycle has 10,002 runs
+    m = Word((1,) * 10001 + (2,), "U").matrix()
+    entries = (m.a, m.b, m.c, m.d)
+    arg = f"{m.a},{m.b};{m.c},{m.d}"
+    for command in ("classify", "cycle", "real", "series-check"):
+        with budget(5.0):
+            (obj,) = run_json(capsys, command, arg)
+        if command == "cycle":
+            _check_cycle_record(obj, entries)
+        elif command == "real":
+            assert obj["is_real"] is True  # blocks (1, ..., 1) and (2)
+            _check_factorization(obj["factorization"], entries)
+        elif command == "series-check":
+            assert obj["consistent"] is True
+        else:
+            assert len(obj["cycle"]) == 10002
+
+
+def _run_json_uncaptured(*argv):
+    # capsys is function scoped, so a hypothesis test captures by hand
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code == 0 and err.getvalue() == ""
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans(), st.sampled_from((1, -1)))
+def test_thousand_digit_conjugates_round_trip(seed, real, sign):
+    rng = random.Random(seed)
+    g = (1, 0, 0, 1)
+    while max(map(abs, g)).bit_length() < 3_330:  # over 10^3 digits
+        e = rng.choice((-1, 1)) * rng.randint(1, 9)
+        g = _mul(g, (1, e, 0, 1) if rng.random() < 0.5 else (1, 0, e, 1))
+    exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng).exponents
+    w = Word(exps, "U").matrix()
+    ga, gb, gc, gd = g
+    m = tuple(sign * x for x in _mul(_mul(g, (w.a, w.b, w.c, w.d)), (gd, -gb, -gc, ga)))
+    arg = ",".join(map(str, m[:2])) + ";" + ",".join(map(str, m[2:]))
+    (obj,) = _run_json_uncaptured("cycle", arg)
+    _check_cycle_record(obj, m)
+    (obj,) = _run_json_uncaptured("real", arg)
+    if real:
+        assert obj["is_real"] is True
+    if obj["is_real"]:
+        _check_factorization(obj["factorization"], m)
+    else:
+        assert obj["factorization"] is None
+
+
 def test_atlas_deterministic_and_complete(capsys):
     code, out1, _ = run(capsys, "atlas", "--max-entry", "1")
     assert code == 0
@@ -266,25 +380,6 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
         main(["cycle", "15,4;11,3"])
     assert capsys.readouterr().out == ""
-
-
-@pytest.mark.parametrize(
-    "cap", ["abc", "-5", "", "1.5", " 7", pytest.param("9" * 5000, id="5000-digits")]
-)
-def test_bad_cf_cap_is_a_usage_error(capsys, monkeypatch, cap):
-    monkeypatch.setenv("SL2REAL_CF_CAP", cap)
-    code, out, err = run(capsys, "classify", "2,1;1,1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: SL2REAL_CF_CAP ") and err.count("\n") == 1
-
-
-def test_cf_cap_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SL2REAL_CF_CAP", "0")
-    code, out, err = run(capsys, "classify", "2,1;1,1")
-    assert code == 3 and "ReductionOverflow" in err
-    monkeypatch.setenv("SL2REAL_CF_CAP", "10")
-    (obj,) = run_json(capsys, "classify", "2,1;1,1")
-    assert obj["cycle"] == ["1", "1"]
 
 
 def test_svg_stdout(capsys):

@@ -2,9 +2,6 @@
 
 import math
 import random
-import signal
-import time
-from contextlib import contextmanager
 from itertools import product
 
 import pytest
@@ -19,7 +16,6 @@ from sl2real import (
     NotFactorable,
     NotHyperbolic,
     NotSL2,
-    ReductionOverflow,
     Surd,
     Word,
     analyze,
@@ -32,9 +28,9 @@ from sl2real import (
     u_pow,
     v_pow,
 )
-from sl2real.farey import _gauss_orbit, _resolve_cap
+from sl2real.farey import _gauss_orbit
 
-from conftest import random_hyperbolic, random_unimodular, random_word
+from conftest import budget, random_hyperbolic, random_unimodular, random_word
 
 GOLDEN = Surd(1, 5, 2)
 
@@ -376,20 +372,6 @@ def test_cutting_cycle_of_inverse_reverses(seed):
     assert inv_sign == sign
 
 
-def test_reduction_cap():
-    with pytest.raises(ReductionOverflow):
-        cutting_cycle(Mat2(15, 4, 11, 3), cap=0)
-
-
-def test_reduction_cap_env(monkeypatch):
-    monkeypatch.setenv("SL2REAL_CF_CAP", "2")
-    with pytest.raises(ReductionOverflow):
-        cutting_cycle(Mat2(15, 4, 11, 3))
-    monkeypatch.setenv("SL2REAL_CF_CAP", "100")
-    cyc, _, _ = cutting_cycle(Mat2(15, 4, 11, 3))
-    assert cyc == Cycle((1, 2, 1, 3))
-
-
 # ----------------------------------------------------- series reports
 
 
@@ -440,17 +422,21 @@ def test_series_crosscheck_powers(seed, k):
 # ---------------------------------------- the fast loops and their references
 
 
-def _gauss_orbit_reference(x, cap):
+def _gauss_orbit_reference(x):
     """Letter-for-letter walk with validated surds until a state repeats."""
     seen = {}
     digits = []
     while (x.p, x.q) not in seen:
-        if len(digits) >= cap:
-            raise ReductionOverflow(f"continued fraction exceeded {cap} steps")
         seen[(x.p, x.q)] = len(digits)
         digit, x = cf_step(x)
         digits.append(digit)
     return digits, seen[(x.p, x.q)]
+
+
+def _walk_bound(m):
+    """_gauss_orbit's bound on the pre-period plus the period, for m's fixed points."""
+    phi = (1 + math.sqrt(5)) / 2
+    return math.log(2 * abs(m.c), phi) + math.log(abs(m.trace), phi) + 3
 
 
 def _greedy_factor_reference(b):
@@ -481,25 +467,15 @@ def _greedy_factor_reference(b):
     return Word(tuple(e for _, e in runs), runs[0][0])
 
 
-def _orbit_or_overflow(walk, x, cap):
-    try:
-        return walk(x, cap)
-    except ReductionOverflow:
-        return "overflow"
-
-
 @settings(max_examples=300, deadline=None)
-@given(surd_data, st.integers(min_value=0, max_value=40))
-def test_gauss_orbit_matches_reference_on_surds(data, cap):
+@given(surd_data)
+def test_gauss_orbit_matches_reference_on_surds(data):
     # q of either sign, and x anywhere on the line
     p, d, q = data
     if math.isqrt(d) ** 2 == d:
         return
     x = Surd.make(p, d, q)
-    assert _gauss_orbit(x, 10**6) == _gauss_orbit_reference(x, 10**6)
-    assert _orbit_or_overflow(_gauss_orbit, x, cap) == _orbit_or_overflow(
-        _gauss_orbit_reference, x, cap
-    )
+    assert _gauss_orbit(x) == _gauss_orbit_reference(x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,7 +484,9 @@ def test_gauss_orbit_matches_reference_on_fixed_points(seed):
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_exp=50, conj_steps=12)  # either trace sign
     for x in (attracting_fixed_point(m), repelling_fixed_point(m)):
-        assert _gauss_orbit(x, 10**6) == _gauss_orbit_reference(x, 10**6)
+        digits, entry = _gauss_orbit(x)
+        assert (digits, entry) == _gauss_orbit_reference(x)
+        assert len(digits) <= _walk_bound(m)
 
 
 def test_gauss_orbit_matches_reference_exhaustively():
@@ -527,9 +505,12 @@ def test_gauss_orbit_matches_reference_exhaustively():
             if (a + d) ** 2 <= 4:
                 continue
             count += 1
-            x = attracting_fixed_point(Mat2(a, b, c, d))
+            m = Mat2(a, b, c, d)
+            x = attracting_fixed_point(m)
             for y in (x, x.conjugate()):
-                assert _gauss_orbit(y, 10**6) == _gauss_orbit_reference(y, 10**6)
+                digits, entry = _gauss_orbit(y)
+                assert (digits, entry) == _gauss_orbit_reference(y)
+                assert len(digits) <= _walk_bound(m)
     assert count == 7832
 
 
@@ -567,46 +548,13 @@ def test_greedy_factor_rejects_like_one_letter_peel(entries, seed):
         )
 
 
-def test_explicit_cap_is_validated():
-    m = Mat2(2, 1, 1, 1)
-    for bad in (-5, -1, True, 1.5, "10", [3]):
-        with pytest.raises(ValueError, match="cap"):
-            cutting_cycle(m, cap=bad)
-        with pytest.raises(ValueError, match="cap"):
-            series_crosscheck(m, cap=bad)
-    assert _resolve_cap(0) == 0 and _resolve_cap(7) == 7
-
-
 # ------------------------------------------------------- scale gates
-
-
-class _Timeout(Exception):
-    pass
-
-
-@contextmanager
-def _budget(seconds):
-    """Fail if the block takes `seconds` or longer; interrupt it at 5x."""
-
-    def expire(signum, frame):
-        raise _Timeout(f"interrupted after {5 * seconds}s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5 * seconds)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-    elapsed = time.perf_counter() - start
-    assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
 def test_huge_exponent_cycle_is_fast():
     k = 10**9
     m = u_pow(k) @ v_pow(1)  # (k+1 k; 1 1), the README's U^k V
-    with _budget(1.0):
+    with budget(1.0):
         cyc, sign, conj = cutting_cycle(m)
     assert (cyc.exponents, sign) == ((k, 1), 1)
     _check_certificate(m, cyc, sign, conj)
@@ -621,7 +569,7 @@ def test_ten_thousand_digit_conjugate_is_fast():
     w = Word((1, 2, 1, 3), "U")  # real: blocks (1, 2, 1) and (3)
     m = g @ w.matrix() @ g.inverse()
     assert m.max_abs_entry().bit_length() > 33_220  # over 10^4 digits
-    with _budget(1.0):
+    with budget(1.0):
         result = analyze(m)
     assert result.matclass.cycle == Cycle(w.exponents)
     assert result.is_real
