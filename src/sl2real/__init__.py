@@ -18,22 +18,16 @@ from .classify import (
     ELLIPTIC,
     HYPERBOLIC,
     PARABOLIC,
-    CanonicalForm,
     MatClass,
     classify,
-    elliptic_canonicalize,
-    parabolic_canonicalize,
-    parabolic_signed_shift,
 )
 from .errors import (
     CentralInput,
     DepthTooLarge,
     MatrixParseError,
     NotARealStructure,
-    NotElliptic,
     NotFactorable,
     NotHyperbolic,
-    NotParabolic,
     NotReal,
     NotSL2,
     NotUnimodular,
@@ -102,7 +96,6 @@ __all__ = [
     "Analysis",
     "AxisOverlay",
     "CENTRAL",
-    "CanonicalForm",
     "CentralInput",
     "Cycle",
     "DepthTooLarge",
@@ -117,10 +110,8 @@ __all__ = [
     "MatrixParseError",
     "NEG_IDENTITY",
     "NotARealStructure",
-    "NotElliptic",
     "NotFactorable",
     "NotHyperbolic",
-    "NotParabolic",
     "NotReal",
     "NotSL2",
     "NotUnimodular",
@@ -148,7 +139,6 @@ __all__ = [
     "classify",
     "conjugacy_test",
     "cutting_cycle",
-    "elliptic_canonicalize",
     "enumerate_involutions",
     "factor_real",
     "farey_figure",
@@ -157,8 +147,6 @@ __all__ = [
     "is_odd_bipalindromic",
     "is_real",
     "is_real_structure",
-    "parabolic_canonicalize",
-    "parabolic_signed_shift",
     "real_structure_kind",
     "render_farey",
     "render_svg",

@@ -1,11 +1,11 @@
-"""Trace trichotomy and canonical forms with explicit conjugators.
+"""Trace trichotomy with explicit conjugators.
 
 Every non-central element of SL(2,Z) is elliptic (|tr| < 2), parabolic
-(|tr| = 2), or hyperbolic (|tr| > 2).  For the first two kinds this
-module produces a canonical representative together with a GL(2,Z)
-conjugator realizing it; hyperbolic invariants are delegated to
-:func:`sl2real.farey.cutting_cycle`.  Canonical forms re-verify their
-own reconstruction identity before being returned.
+(|tr| = 2), or hyperbolic (|tr| > 2).  :func:`classify` reduces each
+kind once, to a canonical representative fixed by its invariants, and
+keeps the conjugator that realizes the reduction; hyperbolic reduction
+is delegated to :func:`sl2real.farey.cutting_cycle`.  Every conjugator
+is checked against its identity where it is built.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
-from .errors import NotElliptic, NotParabolic, NotSL2
+from .errors import NotSL2
 from .farey import Cycle, cutting_cycle
 from .mat2 import (
     IDENTITY,
@@ -23,7 +23,6 @@ from .mat2 import (
     ROT_2PI3,
     ROT_PI,
     Mat2,
-    v_pow,
 )
 
 __all__ = [
@@ -32,11 +31,7 @@ __all__ = [
     "PARABOLIC",
     "HYPERBOLIC",
     "MatClass",
-    "CanonicalForm",
     "classify",
-    "elliptic_canonicalize",
-    "parabolic_canonicalize",
-    "parabolic_signed_shift",
 ]
 
 CENTRAL = "central"
@@ -50,9 +45,14 @@ class MatClass:
     """Trichotomy verdict with the per-kind GL(2,Z) conjugacy invariants.
 
     ``conjugator`` is the reduction's witness, not an invariant, so it is
-    left out of equality, repr and JSON: the one from cutting_cycle for a
-    hyperbolic m, and w with w @ (sign*m) @ w^-1 == (1 0; +-shift 1) for
-    a parabolic m.
+    left out of equality, repr and JSON.  It is None for a central m;
+    otherwise it is the c below, with k = +-shift and W the positive
+    word in U, V with exponents ``cycle.exponents``, starting with U:
+
+        elliptic    c @ R @ c^-1 == m for the rotation R of trace t
+                    (ROT_PI, ROT_2PI3, -ROT_2PI3); det c is +-1
+        parabolic   c @ (sign*m) @ c^-1 == (1 0; k 1); c in SL(2,Z)
+        hyperbolic  sign * c @ W @ c^-1 == m; c in SL(2,Z)
     """
 
     kind: str
@@ -75,26 +75,14 @@ class MatClass:
         return out
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
-    """Certificate m == sign * conjugator @ representative @ conjugator^-1."""
-
-    representative: Mat2
-    conjugator: Mat2
-    sign: int
-
-    def reconstruct(self) -> Mat2:
-        out = self.conjugator @ self.representative @ self.conjugator.inverse()
-        return out if self.sign == 1 else -out
-
-
-def _checked(m: Mat2, form: CanonicalForm) -> CanonicalForm:
-    if form.reconstruct() != m:
-        raise RuntimeError(f"canonical form verification failed for {m}")
-    return form
-
-
 def classify(m: Mat2) -> MatClass:
+    """Kind, invariants and conjugator of m; NotSL2 if det m != 1.
+
+    Each non-central kind is reduced once, and the identity its
+    conjugator certifies (see MatClass) is checked where the conjugator
+    is built: here for elliptic and parabolic m, in cutting_cycle for
+    hyperbolic m.
+    """
     if m.det != 1:
         raise NotSL2("det != 1")
     if m == IDENTITY:
@@ -103,7 +91,7 @@ def classify(m: Mat2) -> MatClass:
         return MatClass(CENTRAL, sign=-1)
     t = m.trace
     if -2 < t < 2:
-        return MatClass(ELLIPTIC, trace=t)
+        return MatClass(ELLIPTIC, trace=t, conjugator=_elliptic_conjugator(m, t))
     if t == 2 or t == -2:
         sign, w, k = _parabolic_reduce(m)
         return MatClass(PARABOLIC, sign=sign, shift=abs(k), conjugator=w)
@@ -111,27 +99,28 @@ def classify(m: Mat2) -> MatClass:
     return MatClass(HYPERBOLIC, sign=sign, cycle=cyc, conjugator=conj)
 
 
-# Stabilizer elements of the corner points of the fundamental domain
-# (i and the two sixth roots of unity on the unit circle), keyed by
-# entries.  Value (rep, mover) satisfies key == mover @ rep @ mover^-1;
-# each entry was checked by hand multiplication.
-_NEG_ROT_2PI3 = -ROT_2PI3
-_STABILIZER_TABLE: dict[tuple[int, int, int, int], tuple[Mat2, Mat2]] = {
-    (0, 1, -1, 0): (ROT_PI, IDENTITY),
-    (0, -1, 1, 0): (ROT_PI, REFL_DIAG),
-    (0, 1, -1, 1): (ROT_2PI3, IDENTITY),
-    (1, -1, 1, 0): (ROT_2PI3, REFL_SWAP),
-    (0, -1, 1, 1): (ROT_2PI3, REFL_DIAG),
-    (1, 1, -1, 0): (ROT_2PI3, Mat2(0, -1, 1, 0)),
-    (0, -1, 1, -1): (_NEG_ROT_2PI3, IDENTITY),
-    (-1, 1, -1, 0): (_NEG_ROT_2PI3, REFL_SWAP),
-    (-1, -1, 1, 0): (_NEG_ROT_2PI3, ROT_PI),
-    (0, 1, -1, -1): (_NEG_ROT_2PI3, REFL_DIAG),
+# The elliptic representative of each trace, and the stabilizer elements
+# of the corner points of the fundamental domain (i and the two sixth
+# roots of unity on the unit circle), keyed by entries.  Each value
+# mover satisfies key == mover @ rep @ mover^-1, rep the representative
+# of the key's trace.
+_ELLIPTIC_REPS: dict[int, Mat2] = {0: ROT_PI, 1: ROT_2PI3, -1: -ROT_2PI3}
+_STABILIZER_TABLE: dict[tuple[int, int, int, int], Mat2] = {
+    (0, 1, -1, 0): IDENTITY,
+    (0, -1, 1, 0): REFL_DIAG,
+    (0, 1, -1, 1): IDENTITY,
+    (1, -1, 1, 0): REFL_SWAP,
+    (0, -1, 1, 1): REFL_DIAG,
+    (1, 1, -1, 0): Mat2(0, -1, 1, 0),
+    (0, -1, 1, -1): IDENTITY,
+    (-1, 1, -1, 0): REFL_SWAP,
+    (-1, -1, 1, 0): ROT_PI,
+    (0, 1, -1, -1): REFL_DIAG,
 }
 
 
-def elliptic_canonicalize(m: Mat2) -> CanonicalForm:
-    """Reduce an elliptic matrix to its trace-determined representative.
+def _elliptic_conjugator(m: Mat2, t: int) -> Mat2:
+    """c with c @ _ELLIPTIC_REPS[t] @ c^-1 == m, for m elliptic of trace t.
 
     The fixed point (x + y*i*sqrt(4 - t^2)) / q in the upper half plane
     is driven into the fundamental domain by the classical
@@ -139,11 +128,6 @@ def elliptic_canonicalize(m: Mat2) -> CanonicalForm:
     reduced matrix then lies in the finite stabilizer table of a corner
     point.  All arithmetic is on the integer triple (x, y, q).
     """
-    if m.det != 1:
-        raise NotSL2("det != 1")
-    t = m.trace
-    if not -2 < t < 2:
-        raise NotElliptic(f"trace {t} is not elliptic")
     dd = 4 - t * t
     # c == 0 would force |trace| = 2, so the fixed point is finite
     if m.c > 0:
@@ -167,10 +151,13 @@ def elliptic_canonicalize(m: Mat2) -> CanonicalForm:
 
     reduced = g @ m @ g.inverse()
     try:
-        rep, mover = _STABILIZER_TABLE[(reduced.a, reduced.b, reduced.c, reduced.d)]
+        mover = _STABILIZER_TABLE[(reduced.a, reduced.b, reduced.c, reduced.d)]
     except KeyError:
-        raise RuntimeError(f"elliptic reduction left the stabilizer table: {reduced}")
-    return _checked(m, CanonicalForm(rep, g.inverse() @ mover, 1))
+        raise RuntimeError("elliptic reduction left the stabilizer table")
+    conj = g.inverse() @ mover
+    if conj @ _ELLIPTIC_REPS[t] @ conj.inverse() != m:
+        raise RuntimeError("elliptic reduction verification failed")
+    return conj
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -187,13 +174,9 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
-    """(sign, w, k) with w @ (sign*m) @ w^-1 == (1 0; k 1), w in SL(2,Z)."""
-    if m.det != 1:
-        raise NotSL2("det != 1")
-    t = m.trace
-    if abs(t) != 2 or m.is_central():
-        raise NotParabolic(f"{m} is not parabolic")
-    sign = t // 2
+    """(sign, w, k) with w @ (sign*m) @ w^-1 == (1 0; k 1), w in SL(2,Z),
+    for m in SL(2,Z) non-central of trace 2*sign."""
+    sign = m.trace // 2
     b = m if sign == 1 else -m
     if b.c == 0:
         # fixed point is infinity; rotate it onto 0
@@ -211,27 +194,5 @@ def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
         w = Mat2(q, -p, gamma, delta)
     shifted = w @ b @ w.inverse()
     if (shifted.a, shifted.b, shifted.d) != (1, 0, 1):
-        raise RuntimeError(f"parabolic reduction failed for {m}")
+        raise RuntimeError("parabolic reduction failed")
     return sign, w, shifted.c
-
-
-def parabolic_signed_shift(m: Mat2) -> tuple[int, int]:
-    """(k, sign): the SL(2,Z)-level invariant pair of a parabolic matrix.
-
-    k is the lower-left entry after conjugating sign*m to unipotent
-    lower-triangular form; its absolute value is the GL-level shift,
-    while its sign separates the two SL classes merged by det -1
-    conjugation.
-    """
-    sign, _, k = _parabolic_reduce(m)
-    return k, sign
-
-
-def parabolic_canonicalize(m: Mat2) -> CanonicalForm:
-    sign, w, k = _parabolic_reduce(m)
-    conj = w.inverse()
-    n = k
-    if k < 0:
-        conj = conj @ REFL_DIAG
-        n = -k
-    return _checked(m, CanonicalForm(v_pow(n), conj, sign))

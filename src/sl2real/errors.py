@@ -20,14 +20,6 @@ class NotSL2(Sl2RealError):
     """Matrix determinant is not +1."""
 
 
-class NotElliptic(Sl2RealError):
-    """Operation requires |trace| < 2."""
-
-
-class NotParabolic(Sl2RealError):
-    """Operation requires |trace| = 2 and a non-central matrix."""
-
-
 class NotHyperbolic(Sl2RealError):
     """Operation requires |trace| > 2."""
 

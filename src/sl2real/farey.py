@@ -186,9 +186,9 @@ def greedy_factor(b: Mat2) -> Word:
     :class:`NotFactorable` when b is not a nonempty positive word.
     """
     if b.det != 1:
-        raise NotFactorable(f"det {b.det} != 1")
+        raise NotFactorable("det != 1")
     if min(b.a, b.b, b.c, b.d) < 0:
-        raise NotFactorable(f"{b} has a negative entry")
+        raise NotFactorable("matrix has a negative entry")
     if b == IDENTITY:
         raise NotFactorable("identity is the empty word")
     a, bb, c, d = b.a, b.b, b.c, b.d
@@ -205,7 +205,7 @@ def greedy_factor(b: Mat2) -> Word:
             c -= k * a
             d -= k * bb
         else:
-            raise NotFactorable(f"{b} is not a positive word in U and V")
+            raise NotFactorable("matrix is not a positive word in U and V")
         exponents.append(k)
     return Word(tuple(exponents), starts_with)
 
@@ -387,7 +387,7 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     if sign == -1:
         reconstructed = -reconstructed
     if reconstructed != m:
-        raise RuntimeError(f"cutting-cycle verification failed for {m}")
+        raise RuntimeError("cutting-cycle verification failed")
     return Cycle(exps), sign, conj
 
 

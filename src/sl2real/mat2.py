@@ -92,7 +92,7 @@ class Mat2:
             return Mat2(self.d, -self.b, -self.c, self.a)
         if self.det == -1:
             return Mat2(-self.d, self.b, self.c, -self.a)
-        raise NotUnimodular(f"det {self.det} is not invertible over the integers")
+        raise NotUnimodular("det is not invertible over the integers")
 
     def is_central(self) -> bool:
         return self == IDENTITY or self == NEG_IDENTITY
@@ -165,7 +165,8 @@ NEG_IDENTITY = Mat2(-1, 0, 0, -1)
 U = Mat2(1, 1, 0, 1)
 V = Mat2(1, 0, 1, 1)
 
-# finite-order and reflection constants used by canonical forms
+# finite-order and reflection constants: the elliptic representatives
+# of classify, and the two kinds of real structure
 ROT_PI = Mat2(0, 1, -1, 0)
 ROT_2PI3 = Mat2(0, 1, -1, 1)
 REFL_DIAG = Mat2(1, 0, 0, -1)
@@ -200,7 +201,7 @@ class RealStructureKind(enum.Enum):
 
 def real_structure_kind(j: Mat2) -> RealStructureKind:
     if not is_real_structure(j):
-        raise NotARealStructure(f"{j} is not a linear real structure")
+        raise NotARealStructure("matrix is not a linear real structure")
     if j.a % 2 == 1 and j.d % 2 == 1 and j.b % 2 == 0 and j.c % 2 == 0:
         return RealStructureKind.DIAGONAL
     return RealStructureKind.EXCHANGE

@@ -3,7 +3,7 @@
 A matrix m in SL(2,Z) is called real here when m = c_plus @ c_minus for
 two orientation-reversing linear involutions.  Central and |trace| <= 2
 matrices are always real, with explicit table factorizations carried
-through the canonical-form conjugators.  A hyperbolic matrix is real
+through the conjugators that classify finds.  A hyperbolic matrix is real
 exactly when its cutting cycle splits into two palindromic blocks of
 odd length; the factorization is then assembled from the reflection
 factors
@@ -18,14 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import (
-    CENTRAL,
-    ELLIPTIC,
-    PARABOLIC,
-    MatClass,
-    classify,
-    elliptic_canonicalize,
-)
+from .classify import CENTRAL, ELLIPTIC, PARABOLIC, MatClass, classify
 from .errors import CentralInput, NotARealStructure, NotReal
 from .farey import Cycle
 from .mat2 import (
@@ -33,8 +26,6 @@ from .mat2 import (
     NEG_IDENTITY,
     REFL_DIAG,
     REFL_SWAP,
-    ROT_2PI3,
-    ROT_PI,
     Mat2,
     RealStructureKind,
     is_real_structure,
@@ -97,7 +88,7 @@ class RealFactorization:
     def __post_init__(self) -> None:
         for j in (self.c_plus, self.c_minus):
             if not is_real_structure(j):
-                raise NotARealStructure(f"{j} is not a linear real structure")
+                raise NotARealStructure("matrix is not a linear real structure")
 
     @property
     def matrix(self) -> Mat2:
@@ -127,17 +118,18 @@ def _reflection_factor(position: int, e: int) -> Mat2:
     return Mat2(1, 0, -e, -1)
 
 
-_ELLIPTIC_SPLITS: dict[Mat2, tuple[Mat2, Mat2]] = {
-    ROT_PI: (REFL_DIAG, REFL_SWAP),
-    ROT_2PI3: (Mat2(1, 0, 1, -1), REFL_SWAP),
-    -ROT_2PI3: (Mat2(-1, 0, -1, 1), REFL_SWAP),
+# j1 @ j2 is the elliptic representative of each trace (see classify)
+_ELLIPTIC_SPLITS: dict[int, tuple[Mat2, Mat2]] = {
+    0: (REFL_DIAG, REFL_SWAP),
+    1: (Mat2(1, 0, 1, -1), REFL_SWAP),
+    -1: (Mat2(-1, 0, -1, 1), REFL_SWAP),
 }
 
 
 def _finish(m: Mat2, c_plus: Mat2, c_minus: Mat2) -> RealFactorization:
     fac = RealFactorization(c_plus, c_minus)
     if fac.matrix != m:
-        raise RuntimeError(f"factorization verification failed for {m}")
+        raise RuntimeError("factorization verification failed")
     return fac
 
 
@@ -163,9 +155,8 @@ def analyze(m: Mat2) -> Analysis:
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
     if cls.kind == ELLIPTIC:
-        form = elliptic_canonicalize(m)
-        j1, j2 = _ELLIPTIC_SPLITS[form.representative]
-        conj = form.conjugator
+        j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
+        conj = cls.conjugator
         return Analysis(cls, _finish(m, conj @ j1 @ conj.inverse(), conj @ j2 @ conj.inverse()))
     if cls.kind == PARABOLIC:
         # w (sign m) w^-1 = (1 0; k 1) = (1 0; k -1) diag(1,-1), so the
@@ -201,8 +192,7 @@ def factor_real(m: Mat2) -> RealFactorization:
         raise CentralInput("use central_factorization for +-identity")
     analysis = analyze(m)
     if analysis.factorization is None:
-        cyc = analysis.matclass.cycle
-        raise NotReal(f"cutting cycle {list(cyc.canonical)} is not odd-bipalindromic")
+        raise NotReal("cutting cycle is not odd-bipalindromic")
     return analysis.factorization
 
 
@@ -212,7 +202,7 @@ def central_factorization(m: Mat2) -> RealFactorization:
         return RealFactorization(REFL_DIAG, REFL_DIAG)
     if m == NEG_IDENTITY:
         return RealFactorization(-REFL_DIAG, REFL_DIAG)
-    raise CentralInput(f"{m} is not +-identity")
+    raise CentralInput("matrix is not +-identity")
 
 
 def is_real(m: Mat2) -> bool:
@@ -225,10 +215,10 @@ def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
 
     The SL refinement separates exactly the classes merged only by
     det -1 conjugation: even-rotation equality of cycles (hyperbolic),
-    the signed unipotent entry (parabolic), and equality of canonical
-    conjugator determinants (elliptic; the GL centralizer of an elliptic
-    representative contains no det -1 element, so that determinant is
-    well defined).
+    the signed unipotent entry (parabolic), and equality of the
+    determinants of classify's conjugators (elliptic; the GL centralizer
+    of an elliptic representative contains no det -1 element, so that
+    determinant is well defined).
     """
     if group not in ("gl", "sl"):
         raise ValueError(f"group must be 'gl' or 'sl', got {group!r}")
@@ -240,9 +230,7 @@ def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
     if cx.kind == ELLIPTIC:
         if cx.trace != cy.trace:
             return False
-        return group == "gl" or (
-            elliptic_canonicalize(x).conjugator.det == elliptic_canonicalize(y).conjugator.det
-        )
+        return group == "gl" or cx.conjugator.det == cy.conjugator.det
     if cx.kind == PARABOLIC:
         if (cx.shift, cx.sign) != (cy.shift, cy.sign):
             return False

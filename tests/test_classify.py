@@ -1,4 +1,4 @@
-"""Trace trichotomy and canonical forms."""
+"""Trace trichotomy and the conjugators that certify it."""
 
 import random
 
@@ -17,20 +17,17 @@ from sl2real import (
     U,
     Cycle,
     Mat2,
-    NotElliptic,
-    NotParabolic,
     NotSL2,
     Word,
     classify,
-    elliptic_canonicalize,
-    parabolic_canonicalize,
-    parabolic_signed_shift,
     v_pow,
 )
+from sl2real.classify import _STABILIZER_TABLE
 
 from conftest import random_unimodular
 
 ELLIPTIC_REPS = (ROT_PI, ROT_2PI3, -ROT_2PI3)
+ELLIPTIC_REP = {rep.trace: rep for rep in ELLIPTIC_REPS}
 
 
 def test_classify_central():
@@ -101,30 +98,27 @@ def test_classify_rejects_non_sl2():
 
 
 # ------------------------------------------------------------ elliptic
+# classify's conjugator c carries the representative of m's trace to m
+
+
+def test_stabilizer_table():
+    assert len(_STABILIZER_TABLE) == 10
+    for key, mover in _STABILIZER_TABLE.items():
+        m = Mat2(*key)
+        assert m == mover @ ELLIPTIC_REP[m.trace] @ mover.inverse()
 
 
 def test_elliptic_canonicalize_pinned():
-    form = elliptic_canonicalize(Mat2(0, -1, 1, 0))
-    assert form.representative == ROT_PI
-    assert form.conjugator == Mat2(1, 0, 0, -1)
-    assert form.sign == 1
-    assert form.reconstruct() == Mat2(0, -1, 1, 0)
+    m = Mat2(0, -1, 1, 0)
+    c = classify(m).conjugator
+    assert c == Mat2(1, 0, 0, -1)
+    assert c @ ROT_PI @ c.inverse() == m
 
 
 def test_elliptic_canonicalize_fixes_representatives():
     for rep in ELLIPTIC_REPS:
-        form = elliptic_canonicalize(rep)
-        assert form.representative == rep
-        assert form.reconstruct() == rep
-
-
-def test_elliptic_canonicalize_errors():
-    with pytest.raises(NotElliptic):
-        elliptic_canonicalize(U)
-    with pytest.raises(NotElliptic):
-        elliptic_canonicalize(IDENTITY)
-    with pytest.raises(NotSL2):
-        elliptic_canonicalize(Mat2(0, 1, 1, 0))
+        c = classify(rep).conjugator
+        assert c @ rep @ c.inverse() == rep
 
 
 @settings(max_examples=150, deadline=None)
@@ -132,11 +126,12 @@ def test_elliptic_canonicalize_errors():
 def test_elliptic_canonicalize_random_conjugates(seed, which):
     rng = random.Random(seed)
     g = random_unimodular(rng, steps=10)
-    m = g @ ELLIPTIC_REPS[which] @ g.inverse()
-    form = elliptic_canonicalize(m)
-    assert form.representative == ELLIPTIC_REPS[which]
-    assert form.conjugator.det in (1, -1)
-    assert form.reconstruct() == m
+    rep = ELLIPTIC_REPS[which]
+    m = g @ rep @ g.inverse()
+    cls = classify(m)
+    assert cls.trace == rep.trace
+    assert cls.conjugator.det in (1, -1)
+    assert cls.conjugator @ rep @ cls.conjugator.inverse() == m
 
 
 def test_elliptic_orders():
@@ -153,39 +148,38 @@ def test_elliptic_orders():
 
 
 # ----------------------------------------------------------- parabolic
+# classify's conjugator w takes sign*m to (1 0; k 1), k the signed shift
+
+
+def _signed_shift(m):
+    cls = classify(m)
+    w = cls.conjugator
+    shifted = w @ (m if cls.sign == 1 else -m) @ w.inverse()
+    assert w.det == 1 and shifted == v_pow(shifted.c)
+    assert abs(shifted.c) == cls.shift
+    return shifted.c, cls.sign
 
 
 def test_parabolic_canonicalize_pinned():
-    form = parabolic_canonicalize(Mat2(1, 0, 3, 1))
-    assert form.representative == v_pow(3)
-    assert form.conjugator == IDENTITY
-    assert form.sign == 1
+    cls = classify(Mat2(1, 0, 3, 1))
+    assert (cls.sign, cls.shift, cls.conjugator) == (1, 3, IDENTITY)
 
-    form = parabolic_canonicalize(Mat2(-1, 0, -2, -1))
-    assert form.representative == v_pow(2)
-    assert form.sign == -1
-    assert form.reconstruct() == Mat2(-1, 0, -2, -1)
+    m = Mat2(-1, 0, -2, -1)
+    cls = classify(m)
+    w = cls.conjugator
+    assert (cls.sign, cls.shift) == (-1, 2)
+    assert w @ -m @ w.inverse() == v_pow(2)
 
-    form = parabolic_canonicalize(U)
-    assert form.representative == v_pow(1)
-    assert form.conjugator == Mat2(0, -1, -1, 0).inverse()
-    assert form.reconstruct() == U
+    w = classify(U).conjugator
+    assert w == Mat2(0, -1, 1, 0)
+    assert w @ U @ w.inverse() == v_pow(-1)
 
 
 def test_parabolic_signed_shift_pinned():
-    assert parabolic_signed_shift(Mat2(3, -1, 4, -1)) == (1, 1)
-    assert parabolic_signed_shift(Mat2(1, 0, 5, 1)) == (5, 1)
-    assert parabolic_signed_shift(Mat2(1, -3, 0, 1)) == (3, 1)
-    assert parabolic_signed_shift(Mat2(-1, 0, -2, -1)) == (2, -1)
-
-
-def test_parabolic_errors():
-    with pytest.raises(NotParabolic):
-        parabolic_canonicalize(ROT_PI)
-    with pytest.raises(NotParabolic):
-        parabolic_canonicalize(IDENTITY)
-    with pytest.raises(NotSL2):
-        parabolic_signed_shift(Mat2(1, 1, 1, 1))
+    assert _signed_shift(Mat2(3, -1, 4, -1)) == (1, 1)
+    assert _signed_shift(Mat2(1, 0, 5, 1)) == (5, 1)
+    assert _signed_shift(Mat2(1, -3, 0, 1)) == (3, 1)
+    assert _signed_shift(Mat2(-1, 0, -2, -1)) == (2, -1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -199,11 +193,7 @@ def test_parabolic_canonicalize_random_conjugates(seed, n, sign):
     g = random_unimodular(rng, steps=10)
     base = v_pow(n) if sign == 1 else -v_pow(n)
     m = g @ base @ g.inverse()
-    form = parabolic_canonicalize(m)
-    assert form.representative == v_pow(n)
-    assert form.sign == sign
-    assert form.reconstruct() == m
-    assert parabolic_signed_shift(m) == (n, sign)
+    assert _signed_shift(m) == (n, sign)
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,6 +204,6 @@ def test_parabolic_shift_of_inverse_flips_sign(seed, n):
     rng = random.Random(seed)
     g = random_unimodular(rng)
     m = g @ v_pow(n) @ g.inverse()
-    assert parabolic_signed_shift(m) == (n, 1)
-    assert parabolic_signed_shift(m.inverse()) == (-n, 1)
+    assert _signed_shift(m) == (n, 1)
+    assert _signed_shift(m.inverse()) == (-n, 1)
     assert classify(m).shift == classify(m.inverse()).shift == n

@@ -442,9 +442,9 @@ def _walk_bound(m):
 def _greedy_factor_reference(b):
     """Peel one letter per step, then merge the letters into runs."""
     if b.det != 1:
-        raise NotFactorable(f"det {b.det} != 1")
+        raise NotFactorable("det != 1")
     if min(b.a, b.b, b.c, b.d) < 0:
-        raise NotFactorable(f"{b} has a negative entry")
+        raise NotFactorable("matrix has a negative entry")
     if b == IDENTITY:
         raise NotFactorable("identity is the empty word")
     a, bb, c, d = b.a, b.b, b.c, b.d
@@ -457,7 +457,7 @@ def _greedy_factor_reference(b):
             letters.append("V")
             c, d = c - a, d - bb
         else:
-            raise NotFactorable(f"{b} is not a positive word in U and V")
+            raise NotFactorable("matrix is not a positive word in U and V")
     runs = []
     for letter in letters:
         if runs and runs[-1][0] == letter:

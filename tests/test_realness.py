@@ -32,7 +32,10 @@ from sl2real import (
     v_pow,
     weakly_real,
 )
-from sl2real.errors import NotARealStructure
+from sl2real.errors import NotARealStructure, NotFactorable, NotUnimodular
+from sl2real.farey import greedy_factor
+from sl2real.mat2 import real_structure_kind
+from sl2real.oracle import _coefficient_box, _commutation_rows, integer_column_kernel
 
 from conftest import (
     random_hyperbolic,
@@ -348,6 +351,40 @@ def test_conjugacy_sl_inverse_verdict_matches_brute_force():
     assert not found
 
 
+def _sl_witness(x, y, bound):
+    """Some Q with det 1, |entries| <= bound and Q x == y Q, or None,
+    searched on the oracle's integer lattice of Q x == y Q."""
+    basis = integer_column_kernel(_commutation_rows(x, y))
+    if not basis:
+        return None
+    box = _coefficient_box(basis, bound)
+    for coeffs in product(*(range(-r, r + 1) for r in box)):
+        q = Mat2(*(sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)))
+        if q.max_abs_entry() <= bound and q.det == 1:
+            assert q @ x == y @ q
+            return q
+    return None
+
+
+def test_conjugacy_sl_matches_witness_search_exhaustively():
+    # every elliptic and parabolic matrix with entries in [-2, 2]; an SL
+    # verdict must agree with a det +1 witness of entries at most 6
+    small = [
+        m
+        for m in (Mat2(*e) for e in product(range(-2, 3), repeat=4))
+        if m.det == 1 and abs(m.trace) <= 2 and not m.is_central()
+    ]
+    assert len(small) == 42
+    pairs = [(x, y) for x in small for y in small if conjugacy_test(x, y, "gl")]
+    assert len(pairs) == 292
+    sl = 0
+    for x, y in pairs:
+        verdict = conjugacy_test(x, y, "sl")
+        assert verdict == (_sl_witness(x, y, 6) is not None), (x, y)
+        sl += verdict
+    assert sl == 146
+
+
 def test_conjugacy_kinds_and_groups():
     assert conjugacy_test(ROT_PI, ROT_PI, "sl")
     assert not conjugacy_test(ROT_2PI3, -ROT_2PI3, "gl")
@@ -397,3 +434,34 @@ def test_weakly_real_json_shape():
         "note",
     }
     assert obj["is_real"] is True and obj["consistent"] is True
+
+
+# ------------------------------------------------- unprintable inputs
+
+BIG = 10**4400  # past the int/str conversion limit
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: greedy_factor(Mat2(BIG, 0, 0, 1)), NotFactorable),
+        (lambda: greedy_factor(Mat2(1, -BIG, 0, 1)), NotFactorable),
+        (lambda: Mat2(2 * BIG, 0, 0, 1).inverse(), NotUnimodular),
+        (lambda: central_factorization(Mat2(1, BIG, 0, 1)), CentralInput),
+        (lambda: RealFactorization(Mat2(1, BIG, 0, 1), REFL_DIAG), NotARealStructure),
+        (lambda: real_structure_kind(Mat2(1, BIG, 0, 1)), NotARealStructure),
+        (lambda: factor_real(Word((BIG, 1, 2, 3), "U").matrix()), NotReal),
+    ],
+    ids=[
+        "greedy_factor-det",
+        "greedy_factor-negative",
+        "inverse",
+        "central_factorization",
+        "RealFactorization",
+        "real_structure_kind",
+        "factor_real",
+    ],
+)
+def test_errors_on_huge_entries_do_not_print_them(call, error):
+    with pytest.raises(error):
+        call()
