@@ -19,12 +19,11 @@ import argparse
 import json
 import re
 import sys
-from itertools import product
 from typing import Iterator
 
 from .classify import classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import Cycle, Word, cutting_cycle, series_crosscheck
+from .farey import Word, cutting_cycle, series_crosscheck
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
@@ -150,6 +149,25 @@ def _cmd_series_check(args) -> int:
     return 0
 
 
+def _necklaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Necklaces (least rotations) of length n over 1..k, in lexicographic
+    order, by Fredricksen-Kessler-Maiorana in constant amortized time each
+    (Ruskey, Savage and Wang, J. Algorithms 13, 1992): the next prenecklace
+    raises the last entry below k, at position p, and repeats the first p
+    entries; it is a necklace when its period p divides n."""
+    a, p = [1] * n, 1
+    while True:
+        if n % p == 0:
+            yield tuple(a)
+        p = n
+        while p and a[p - 1] == k:
+            p -= 1
+        if not p:
+            return
+        a[p - 1] += 1
+        a = (a[:p] * (n // p + 1))[:n]
+
+
 def _atlas_representatives(max_entry: int) -> Iterator[Mat2]:
     yield IDENTITY
     yield NEG_IDENTITY
@@ -160,10 +178,7 @@ def _atlas_representatives(max_entry: int) -> Iterator[Mat2]:
         yield v_pow(n)
         yield -v_pow(n)
     for length in range(2, 2 * max_entry + 1, 2):
-        for exps in product(range(1, max_entry + 1), repeat=length):
-            cyc = Cycle(exps)
-            if cyc.canonical != exps:
-                continue  # one representative per cyclic word
+        for exps in _necklaces(length, max_entry):  # one per cyclic word
             w = Word(exps, "U").matrix()
             yield w
             yield -w

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt, sqrt
 
 from .errors import NotFactorable, NotHyperbolic, NotSL2
-from .mat2 import IDENTITY, Mat2, u_pow, v_pow
+from .mat2 import IDENTITY, Mat2, _unchecked_mat2
 
 __all__ = [
     "Surd",
@@ -163,13 +163,22 @@ class Word:
         return tuple(out)
 
     def matrix(self) -> Mat2:
-        result = IDENTITY
-        for letter, e in self.runs():
-            result = result @ (u_pow(e) if letter == "U" else v_pow(e))
-        return result
+        return _unchecked_mat2(*_times_word(1, 0, 0, 1, self.exponents, self.starts_with == "U"))
 
     def __str__(self) -> str:
         return "".join(f"{letter}^{e}" for letter, e in self.runs())
+
+
+def _times_word(a: int, b: int, c: int, d: int, exponents, u_first: bool = True) -> tuple:
+    """(a b; c d) times the alternating word of these runs (any int
+    exponents), on plain ints."""
+    for e in exponents:
+        if u_first:
+            b, d = a * e + b, c * e + d  # times U^e = (1 e; 0 1)
+        else:
+            a, c = a + b * e, c + d * e  # times V^e = (1 0; e 1)
+        u_first = not u_first
+    return a, b, c, d
 
 
 def greedy_factor(b: Mat2) -> Word:
@@ -236,10 +245,11 @@ class Cycle:
 
     @property
     def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation, found by doubling and scanning."""
-        n = len(self.exponents)
-        dbl = self.exponents + self.exponents
-        return min(dbl[i : i + n] for i in range(n))
+        """Lexicographically least rotation, found on first use and kept."""
+        least = self.__dict__.get("_canonical")
+        if least is None:
+            least = self.__dict__["_canonical"] = _least_rotation(self.exponents)
+        return least
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cycle):
@@ -264,6 +274,13 @@ class Cycle:
 
     def __str__(self) -> str:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
+
+
+def _least_rotation(exponents: tuple[int, ...]) -> tuple[int, ...]:
+    """Lexicographically least rotation, found by doubling and scanning."""
+    n = len(exponents)
+    dbl = exponents + exponents
+    return min(dbl[i : i + n] for i in range(n))
 
 
 def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
@@ -353,40 +370,41 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     digits, entry = _gauss_orbit(attracting_fixed_point(m))
     if entry % 2:
         entry += 1
-    # the product of the digit matrices (a 1; 1 0), kept as plain ints
+    # the product of the digit matrices (a 1; 1 0), kept as plain ints;
+    # its det is 1, since entry is even
     ca, cb, cc, cd = 1, 0, 0, 1
     for a in digits[:entry]:
         ca, cb, cc, cd = ca * a + cb, ca, cc * a + cd, cc
-    conj = Mat2(ca, cb, cc, cd)
-    body = conj.inverse() @ m @ conj
+    body = _unchecked_mat2(cd, -cb, -cc, ca) @ m @ _unchecked_mat2(ca, cb, cc, cd)
     word = greedy_factor(body if sign == 1 else -body)
 
-    runs = [list(run) for run in word.runs()]
-    # cyclically, equal first/last letters are a single run: rotate the
-    # last run to the front (conjugation by that run) and merge
-    if len(runs) > 1 and runs[0][0] == runs[-1][0]:
-        letter, e = runs.pop()
-        mover = u_pow(e) if letter == "U" else v_pow(e)
-        conj = conj @ mover.inverse()
-        runs[0][1] += e
-    if runs[0][0] == "V":
-        _, e = runs.pop(0)
-        conj = conj @ v_pow(e)
-        runs.append(["V", e])
-    assert len(runs) % 2 == 0 and runs[0][0] == "U"
+    # Make the word U-first of even length as a cyclic word (being
+    # hyperbolic, it has at least two runs): a first V run moves to the
+    # end, a last U run to the front, and a run merges with its neighbour
+    # of the same letter.  The conjugator takes each move.
+    exps = list(word.exponents)
+    if word.starts_with == "V":
+        e = exps.pop(0)
+        ca, cb, cc, cd = _times_word(ca, cb, cc, cd, (e,), False)
+        if len(exps) % 2:
+            exps.append(e)
+        else:
+            exps[-1] += e
+    elif len(exps) % 2:
+        e = exps.pop()
+        exps[0] += e
+        ca, cb, cc, cd = _times_word(ca, cb, cc, cd, (-e,))
 
-    exps = tuple(e for _, e in runs)
+    exps = tuple(exps)
     n = len(exps)
     dbl = exps + exps
     best = min(range(0, n, 2), key=lambda r: dbl[r : r + n])
-    if best:
-        conj = conj @ Word(exps[:best], "U").matrix()
-        exps = dbl[best : best + n]
+    ca, cb, cc, cd = _times_word(ca, cb, cc, cd, exps[:best])
+    exps = dbl[best : best + n]
 
-    reconstructed = conj @ Word(exps, "U").matrix() @ conj.inverse()
-    if sign == -1:
-        reconstructed = -reconstructed
-    if reconstructed != m:
+    conj = _unchecked_mat2(ca, cb, cc, cd)
+    reconstructed = _unchecked_mat2(*_times_word(ca, cb, cc, cd, exps)) @ conj.inverse()
+    if (reconstructed if sign == 1 else -reconstructed) != m:
         raise RuntimeError("cutting-cycle verification failed")
     return Cycle(exps), sign, conj
 

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import MatrixParseError, NotARealStructure, NotUnimodular
+from .errors import MatrixParseError, NotARealStructure, NotUnimodular, Sl2RealError
 
 __all__ = [
     "Mat2",
@@ -53,7 +53,7 @@ class Mat2:
     def __matmul__(self, other: "Mat2") -> "Mat2":
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(
+        return _unchecked_mat2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
@@ -61,7 +61,7 @@ class Mat2:
         )
 
     def __neg__(self) -> "Mat2":
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return _unchecked_mat2(-self.a, -self.b, -self.c, -self.d)
 
     def __pow__(self, n: int) -> "Mat2":
         if not isinstance(n, int):
@@ -89,9 +89,9 @@ class Mat2:
     def inverse(self) -> "Mat2":
         # only unimodular matrices are invertible over Z
         if self.det == 1:
-            return Mat2(self.d, -self.b, -self.c, self.a)
+            return _unchecked_mat2(self.d, -self.b, -self.c, self.a)
         if self.det == -1:
-            return Mat2(-self.d, self.b, self.c, -self.a)
+            return _unchecked_mat2(-self.d, self.b, self.c, -self.a)
         raise NotUnimodular("det is not invertible over the integers")
 
     def is_central(self) -> bool:
@@ -128,7 +128,11 @@ class Mat2:
 
     def to_json_obj(self) -> list[list[str]]:
         """Rows of decimal strings; strings keep arbitrary precision intact."""
-        return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
+        try:
+            return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
+        except ValueError:  # input is capped at the int/str limit, a certificate is not
+            limit = sys.get_int_max_str_digits()
+            raise Sl2RealError(f"matrix entries over {limit} digits cannot be printed") from None
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "Mat2":
@@ -156,6 +160,14 @@ class Mat2:
 
     def __str__(self) -> str:
         return f"({self.a} {self.b}; {self.c} {self.d})"
+
+
+def _unchecked_mat2(a: int, b: int, c: int, d: int) -> Mat2:
+    """Mat2 without the type checks, for ints computed from checked entries."""
+    m = object.__new__(Mat2)
+    entries = m.__dict__
+    entries["a"], entries["b"], entries["c"], entries["d"] = a, b, c, d
+    return m
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

@@ -28,6 +28,7 @@ from .mat2 import (
     REFL_SWAP,
     Mat2,
     RealStructureKind,
+    _unchecked_mat2,
     is_real_structure,
     real_structure_kind,
 )
@@ -111,11 +112,12 @@ class RealFactorization:
         }
 
 
-def _reflection_factor(position: int, e: int) -> Mat2:
-    # U^e = F * diag(1,-1) at even positions, V^e = diag(1,-1) * F at odd
+def _reflection_factor(position: int, e: int) -> tuple[int, int, int, int]:
+    # entries of F, where U^e = F * diag(1,-1) at even positions and
+    # V^e = diag(1,-1) * F at odd
     if position % 2 == 0:
-        return Mat2(1, -e, 0, -1)
-    return Mat2(1, 0, -e, -1)
+        return 1, -e, 0, -1
+    return 1, 0, -e, -1
 
 
 # j1 @ j2 is the elliptic representative of each trace (see classify)
@@ -167,15 +169,15 @@ def analyze(m: Mat2) -> Analysis:
     split = is_odd_bipalindromic(cls.cycle)
     if split is None:
         return Analysis(cls, None)
-    exps, conj = cls.cycle.exponents, cls.conjugator
-    c1 = IDENTITY
-    for i in range(split.first_block_len):
-        c1 = c1 @ _reflection_factor(i, exps[i])
-    c2 = IDENTITY
-    for i in range(split.first_block_len, len(exps)):
-        c2 = c2 @ _reflection_factor(i, exps[i])
-    c1 = conj @ c1 @ conj.inverse()
-    c2 = conj @ c2 @ conj.inverse()
+    exps, conj, f = cls.cycle.exponents, cls.conjugator, split.first_block_len
+    blocks = []  # conj @ (the block's product of F) @ conj^-1, on plain ints
+    for block in (range(f), range(f, len(exps))):
+        a, b, c, d = conj.a, conj.b, conj.c, conj.d
+        for i in block:
+            fa, fb, fc, fd = _reflection_factor(i, exps[i])
+            a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
+        blocks.append(_unchecked_mat2(a, b, c, d) @ conj.inverse())
+    c1, c2 = blocks
     if cls.sign == -1:
         c1 = -c1
     return Analysis(cls, _finish(m, c1, c2))

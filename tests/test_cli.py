@@ -5,11 +5,14 @@ import hashlib
 import io
 import json
 import random
+import sys
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sl2real.cli as cli
 import sl2real.farey as farey
 import sl2real.realness as realness
 from sl2real import Mat2, Word, conjugacy_test
@@ -316,6 +319,60 @@ def test_atlas_max_entry_3_is_pinned(capsys):
     assert code == 0 and out.count("\n") == 331
     digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
     assert digest == "7355034be662446d05448ec540207a033aa3f52ecccd97b181ea8a8089b6dbbf"
+
+
+def _necklaces_reference(n, k):
+    """Every tuple, kept when it is its own least rotation."""
+    for exps in product(range(1, k + 1), repeat=n):
+        dbl = exps + exps
+        if min(dbl[i : i + n] for i in range(n)) == exps:
+            yield exps
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_necklaces_match_least_rotation_filter(n, k):
+    assert list(cli._necklaces(n, k)) == list(_necklaces_reference(n, k))
+
+
+def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
+    words, cycles = [], []
+    make_word, check_cycle = cli.Word, farey.Cycle.__post_init__
+
+    def counted_word(*args):
+        words.append(args)
+        return make_word(*args)
+
+    def counted_cycle(self):
+        cycles.append(self)
+        check_cycle(self)
+
+    monkeypatch.setattr(cli, "Word", counted_word)
+    monkeypatch.setattr(farey.Cycle, "__post_init__", counted_cycle)
+    code, out, _ = run(capsys, "atlas", "--max-entry", "4")
+    assert code == 0 and out.count("\n") == 18_033
+    # 10 + 70 + 700 + 8,230 necklaces of lengths 2, 4, 6 and 8 over 1..4,
+    # where enumerating every tuple took 69,904 tuples and as many Cycles;
+    # the only Cycles left are the cutting cycles, one per word and sign
+    assert len(words) == 9_010
+    assert len(cycles) == 2 * 9_010
+
+
+_E = 10**300
+_LONG_CERTIFICATE = Word(
+    (_E + 1, 29, _E + 7, _E + 3, 8, _E + 3, _E + 7, 29, _E + 1, 8, 2, 10, 7, 10, 2, 8), "U"
+).matrix()  # 1,810-digit entries; real, with a factor of 5,423 digits
+
+
+def test_certificate_too_long_to_print_is_a_domain_error(capsys):
+    m = _LONG_CERTIFICATE
+    text = f"{m.a},{m.b};{m.c},{m.d}"
+    code, out, err = run(capsys, "real", text)
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert f"{sys.get_int_max_str_digits()} digits" in err
+    code, out, _ = run(capsys, "cycle", text)
+    assert code == 0 and json.loads(out)["verified"] is True
 
 
 def _count_gauss_orbits(monkeypatch):

@@ -28,6 +28,7 @@ from sl2real import (
     u_pow,
     v_pow,
 )
+import sl2real.farey as farey
 from sl2real.farey import _gauss_orbit
 
 from conftest import budget, random_hyperbolic, random_unimodular, random_word
@@ -525,6 +526,56 @@ big_exponent = st.integers(min_value=0, max_value=6).flatmap(
 def test_greedy_factor_matches_one_letter_peel(exponents, first):
     w = Word(tuple(exponents), first)
     assert greedy_factor(w.matrix()) == _greedy_factor_reference(w.matrix()) == w
+
+
+def _word_matrix_reference(w):
+    """One checked u_pow/v_pow factor per run, multiplied left to right."""
+    result = IDENTITY
+    for letter, e in w.runs():
+        result = result @ (u_pow(e) if letter == "U" else v_pow(e))
+    return result
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(big_exponent, min_size=1, max_size=12), st.sampled_from("UV"))
+def test_word_matrix_matches_run_by_run_product(exponents, first):
+    w = Word(tuple(exponents), first)
+    m = w.matrix()
+    assert m == _word_matrix_reference(w)
+    assert type(m) is Mat2 and hash(m) == hash(_word_matrix_reference(w))
+
+
+def _least_rotation_reference(exponents):
+    n = len(exponents)
+    dbl = exponents + exponents
+    return min(dbl[i : i + n] for i in range(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda half: st.lists(st.integers(1, 4), min_size=2 * half, max_size=2 * half)
+    ),
+    st.integers(min_value=0, max_value=15),
+)
+def test_cycle_canonical_is_computed_once(exponents, shift):
+    exponents = tuple(exponents)
+    shift %= len(exponents)
+    rotated = exponents[shift:] + exponents[:shift]
+    calls = []
+    least = farey._least_rotation
+
+    def counted(exps):
+        calls.append(exps)
+        return least(exps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(farey, "_least_rotation", counted)
+        x, y = Cycle(exponents), Cycle(rotated)
+        assert x == y and y == x and hash(x) == hash(y)
+        assert x.to_json_obj() == y.to_json_obj() == [str(e) for e in x.canonical]
+        assert x.canonical == y.canonical == _least_rotation_reference(exponents)
+    assert sorted(calls) == sorted([exponents, rotated])
 
 
 def _factor_or_error(peel, m):

@@ -72,6 +72,29 @@ def test_entries_must_be_int():
         Mat2(True, 0, 0, 1)
 
 
+def test_public_constructors_check_types():
+    with pytest.raises(TypeError):
+        u_pow(1.5)
+    with pytest.raises(TypeError):
+        v_pow(True)
+    with pytest.raises(MatrixParseError):
+        Mat2.from_json_obj([[1.0, 0], [0, 1]])
+
+
+@given(entries, entries, entries, entries, entries, entries, entries, entries)
+def test_unchecked_products_are_plain_mat2(a, b, c, d, e, f, g, h):
+    # products, negatives and inverses skip the type checks; they must
+    # still be indistinguishable from checked matrices
+    x, y = Mat2(a, b, c, d), Mat2(e, f, g, h)
+    results = [x @ y, -x]
+    if x.det in (1, -1):
+        results.append(x.inverse())
+    for m in results:
+        checked = Mat2(m.a, m.b, m.c, m.d)
+        assert type(m) is Mat2 and m == checked and hash(m) == hash(checked)
+        assert repr(m) == repr(checked)
+
+
 def test_central():
     assert IDENTITY.is_central()
     assert NEG_IDENTITY.is_central()
