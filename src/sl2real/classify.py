@@ -160,19 +160,6 @@ def _elliptic_conjugator(m: Mat2, t: int) -> Mat2:
     return conj
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, u, v) with a*u + b*v = g; g > 0 whenever b > 0."""
-    old_r, r = a, b
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        step = old_r // r
-        old_r, r = r, old_r - step * r
-        old_u, u = u, old_u - step * u
-        old_v, v = v, old_v - step * v
-    return old_r, old_u, old_v
-
-
 def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
     """(sign, w, k) with w @ (sign*m) @ w^-1 == (1 0; k 1), w in SL(2,Z),
     for m in SL(2,Z) non-central of trace 2*sign."""
@@ -187,9 +174,7 @@ def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
         p, q = num // g, den // g  # fixed point p/q in lowest terms
         if q < 0:
             p, q = -p, -q
-        gg, u, _ = _ext_gcd(p, q)
-        assert gg == 1
-        gamma = u % q  # minimal nonnegative Bezout coefficient
+        gamma = pow(p, -1, q)  # least nonnegative inverse of p mod q
         delta = (1 - p * gamma) // q
         w = Mat2(q, -p, gamma, delta)
     shifted = w @ b @ w.inverse()

@@ -189,15 +189,15 @@ def _cmd_atlas(args) -> int:
         analysis = analyze(rep)
         if args.real_only and not analysis.is_real:
             continue
-        cls, fac = analysis.matclass, analysis.factorization
+        cls_obj, fac = analysis.matclass.to_json_obj(), analysis.factorization
         print(
             _dumps(
                 {
                     "matrix": rep.to_json_obj(),
-                    "class": cls.to_json_obj(),
+                    "class": cls_obj,
                     "is_real": analysis.is_real,
                     "factorization": None if fac is None else fac.to_json_obj(),
-                    "cycle": None if cls.cycle is None else cls.cycle.to_json_obj(),
+                    "cycle": cls_obj.get("cycle"),
                 }
             )
         )

@@ -356,9 +356,17 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
 
     where W is the alternating U-first word whose run lengths are the
     stored ``cycle.exponents``.  The conjugator is in SL(2,Z): the CF
-    pre-period is forced even (each digit matrix has det -1), and any
+    pre-period is forced even (each digit matrix has det -1), and the
     later rotation of the word is by an even number of runs.  The
     identity is re-verified before returning.
+
+    The digit matrices pair up as (a 1; 1 0)(b 1; 1 0) = U^a V^b, so the
+    even pre-period multiplies out as a word.  The peeled matrix
+    ``body`` fixes the reduced state x_entry, which by Galois's theorem
+    is purely periodic; its stabilizer in SL(2,Z) is generated by -I
+    and the period's word, doubled when the period is odd.  So
+    ``sign * body`` is a positive power of that word: U-first, of even
+    length, and its runs never merge.
     """
     if m.det != 1:
         raise NotSL2("det != 1")
@@ -370,32 +378,10 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     digits, entry = _gauss_orbit(attracting_fixed_point(m))
     if entry % 2:
         entry += 1
-    # the product of the digit matrices (a 1; 1 0), kept as plain ints;
-    # its det is 1, since entry is even
-    ca, cb, cc, cd = 1, 0, 0, 1
-    for a in digits[:entry]:
-        ca, cb, cc, cd = ca * a + cb, ca, cc * a + cd, cc
+    ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry])
     body = _unchecked_mat2(cd, -cb, -cc, ca) @ m @ _unchecked_mat2(ca, cb, cc, cd)
-    word = greedy_factor(body if sign == 1 else -body)
+    exps = greedy_factor(body if sign == 1 else -body).exponents
 
-    # Make the word U-first of even length as a cyclic word (being
-    # hyperbolic, it has at least two runs): a first V run moves to the
-    # end, a last U run to the front, and a run merges with its neighbour
-    # of the same letter.  The conjugator takes each move.
-    exps = list(word.exponents)
-    if word.starts_with == "V":
-        e = exps.pop(0)
-        ca, cb, cc, cd = _times_word(ca, cb, cc, cd, (e,), False)
-        if len(exps) % 2:
-            exps.append(e)
-        else:
-            exps[-1] += e
-    elif len(exps) % 2:
-        e = exps.pop()
-        exps[0] += e
-        ca, cb, cc, cd = _times_word(ca, cb, cc, cd, (-e,))
-
-    exps = tuple(exps)
     n = len(exps)
     dbl = exps + exps
     best = min(range(0, n, 2), key=lambda r: dbl[r : r + n])

@@ -5,12 +5,10 @@ two orientation-reversing linear involutions.  Central and |trace| <= 2
 matrices are always real, with explicit table factorizations carried
 through the conjugators that classify finds.  A hyperbolic matrix is real
 exactly when its cutting cycle splits into two palindromic blocks of
-odd length; the factorization is then assembled from the reflection
-factors
-
-    position even:  (1 -e; 0 -1)      position odd:  (1 0; -e -1)
-
-whose interleaved mirror signs cancel pairwise against the U/V runs.
+odd length.  Writing D = diag(1,-1), each block is then a word times D:
+the split U-first word W1 W2 equals (W1 D)(D W2), with W1 of odd length
+and so ending in U, and W2 starting with V; both are involutions because
+a palindrome's word is conjugated to its inverse by D.
 :func:`analyze` alone classifies and factors, verifying each result.
 """
 
@@ -20,7 +18,7 @@ from dataclasses import dataclass
 
 from .classify import CENTRAL, ELLIPTIC, PARABOLIC, MatClass, classify
 from .errors import CentralInput, NotARealStructure, NotReal
-from .farey import Cycle
+from .farey import Cycle, _times_word
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
@@ -112,14 +110,6 @@ class RealFactorization:
         }
 
 
-def _reflection_factor(position: int, e: int) -> tuple[int, int, int, int]:
-    # entries of F, where U^e = F * diag(1,-1) at even positions and
-    # V^e = diag(1,-1) * F at odd
-    if position % 2 == 0:
-        return 1, -e, 0, -1
-    return 1, 0, -e, -1
-
-
 # j1 @ j2 is the elliptic representative of each trace (see classify)
 _ELLIPTIC_SPLITS: dict[int, tuple[Mat2, Mat2]] = {
     0: (REFL_DIAG, REFL_SWAP),
@@ -169,15 +159,12 @@ def analyze(m: Mat2) -> Analysis:
     split = is_odd_bipalindromic(cls.cycle)
     if split is None:
         return Analysis(cls, None)
-    exps, conj, f = cls.cycle.exponents, cls.conjugator, split.first_block_len
-    blocks = []  # conj @ (the block's product of F) @ conj^-1, on plain ints
-    for block in (range(f), range(f, len(exps))):
-        a, b, c, d = conj.a, conj.b, conj.c, conj.d
-        for i in block:
-            fa, fb, fc, fd = _reflection_factor(i, exps[i])
-            a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
-        blocks.append(_unchecked_mat2(a, b, c, d) @ conj.inverse())
-    c1, c2 = blocks
+    b1, b2 = split.blocks_of(cls.cycle.exponents)
+    conj = cls.conjugator
+    a, b, c, d = _times_word(conj.a, conj.b, conj.c, conj.d, b1)
+    c1 = _unchecked_mat2(a, -b, c, -d) @ conj.inverse()  # conj W1 D conj^-1
+    a, b, c, d = _times_word(conj.a, -conj.b, conj.c, -conj.d, b2, False)
+    c2 = _unchecked_mat2(a, b, c, d) @ conj.inverse()  # conj D W2 conj^-1
     if cls.sign == -1:
         c1 = -c1
     return Analysis(cls, _finish(m, c1, c2))

@@ -118,6 +118,18 @@ def test_oracle_conjugator_empty(capsys):
     assert obj["witness"] is None and obj["verified"] is True
 
 
+def test_oracle_conjugator_witness(capsys):
+    (obj,) = run_json(capsys, "oracle", "2,1;1,1", "--bound", "2", "--mode", "conjugator")
+    assert obj["witness"] == [["-1", "0"], ["1", "1"]] and obj["verified"] is True
+    m, q = Mat2(2, 1, 1, 1), Mat2.from_json_obj(obj["witness"])
+    assert q.det == -1 and q @ m @ q.inverse() == m.inverse()
+
+
+def test_oracle_factor_without_witness(capsys):
+    (obj,) = run_json(capsys, "oracle", "12,5;7,3", "--bound", "3")
+    assert obj["query"] == "factor" and obj["witness"] is None and obj["verified"] is True
+
+
 def test_series_check(capsys):
     (obj,) = run_json(capsys, "series-check", "2,1;1,1")
     assert obj["consistent"] is True and obj["repetition"] == 2
@@ -414,24 +426,29 @@ def test_atlas_walks_one_orbit_per_hyperbolic_record(capsys, monkeypatch):
 
 
 def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
-    # each wrong factor is still a real structure, so only the final
-    # product check can catch the corruption
-    factor = realness._reflection_factor
-    monkeypatch.setattr(realness, "_reflection_factor", lambda i, e: factor(i, e + 1))
-    with pytest.raises(RuntimeError, match="factorization verification failed"):
-        main(["real", "15,4;11,3"])
-    assert capsys.readouterr().out == ""
+    # raising every exponent keeps both blocks palindromes, so each wrong
+    # factor is still a real structure and only the final product check
+    # can catch the corruption
+    times = realness._times_word
+
+    def raised(a, b, c, d, exponents, u_first=True):
+        return times(a, b, c, d, [e + 1 for e in exponents], u_first)
+
+    monkeypatch.setattr(realness, "_times_word", raised)
+    for matrix in ("15,4;11,3", "2,1;1,1", "-5,-2;-2,-1"):
+        with pytest.raises(RuntimeError, match="factorization verification failed"):
+            main(["real", matrix])
+        assert capsys.readouterr().out == ""
 
 
 def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
-    # rotating the peeled word by one run keeps the cycle but leaves the
-    # conjugator one run short
+    # rotating the peeled word by two runs keeps it U-first and even and
+    # keeps the cycle, but leaves the conjugator two runs short
     peel = farey.greedy_factor
 
     def rotated(b):
         word = peel(b)
-        other = "V" if word.starts_with == "U" else "U"
-        return Word(word.exponents[1:] + word.exponents[:1], other)
+        return Word(word.exponents[2:] + word.exponents[:2], word.starts_with)
 
     monkeypatch.setattr(farey, "greedy_factor", rotated)
     with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):

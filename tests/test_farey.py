@@ -490,29 +490,51 @@ def test_gauss_orbit_matches_reference_on_fixed_points(seed):
         assert len(digits) <= _walk_bound(m)
 
 
-def test_gauss_orbit_matches_reference_exhaustively():
-    # both fixed points of every hyperbolic matrix with entries in [-30, 30]
-    count = 0
-    for a, b, c in product(range(-30, 31), repeat=3):
+def _hyperbolics_in_box(r):
+    """Every hyperbolic matrix with entries in [-r, r]."""
+    for a, b, c in product(range(-r, r + 1), repeat=3):
         if a == 0:
             if b * c != -1:
                 continue
-            ds = range(-30, 31)
-        elif (1 + b * c) % a == 0 and abs((1 + b * c) // a) <= 30:
+            ds = range(-r, r + 1)
+        elif (1 + b * c) % a == 0 and abs((1 + b * c) // a) <= r:
             ds = ((1 + b * c) // a,)
         else:
             continue
         for d in ds:
-            if (a + d) ** 2 <= 4:
-                continue
-            count += 1
-            m = Mat2(a, b, c, d)
-            x = attracting_fixed_point(m)
-            for y in (x, x.conjugate()):
-                digits, entry = _gauss_orbit(y)
-                assert (digits, entry) == _gauss_orbit_reference(y)
-                assert len(digits) <= _walk_bound(m)
+            if (a + d) ** 2 > 4:
+                yield Mat2(a, b, c, d)
+
+
+def test_gauss_orbit_matches_reference_exhaustively():
+    # both fixed points of every hyperbolic matrix with entries in [-30, 30]
+    count = 0
+    for m in _hyperbolics_in_box(30):
+        count += 1
+        x = attracting_fixed_point(m)
+        for y in (x, x.conjugate()):
+            digits, entry = _gauss_orbit(y)
+            assert (digits, entry) == _gauss_orbit_reference(y)
+            assert len(digits) <= _walk_bound(m)
     assert count == 7832
+
+
+def test_peeled_word_is_u_first_and_even_exhaustively(monkeypatch):
+    # the peeled matrix is a positive power of the period's word, so
+    # cutting_cycle takes the peeled runs as its cycle without moving any
+    words = []
+    peel = farey.greedy_factor
+
+    def recorded(b):
+        words.append(peel(b))
+        return words[-1]
+
+    monkeypatch.setattr(farey, "greedy_factor", recorded)
+    for m in _hyperbolics_in_box(30):
+        cutting_cycle(m)
+    assert len(words) == 7832
+    for w in words:
+        assert w.starts_with == "U" and len(w.exponents) % 2 == 0
 
 
 # exponents spread over the decades up to 10^6
@@ -526,6 +548,22 @@ big_exponent = st.integers(min_value=0, max_value=6).flatmap(
 def test_greedy_factor_matches_one_letter_peel(exponents, first):
     w = Word(tuple(exponents), first)
     assert greedy_factor(w.matrix()) == _greedy_factor_reference(w.matrix()) == w
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6).flatmap(
+        lambda half: st.lists(
+            st.integers(min_value=-(10**6), max_value=10**6), min_size=2 * half, max_size=2 * half
+        )
+    )
+)
+def test_digit_matrix_pairs_are_u_v_runs(digits):
+    # (a 1; 1 0)(b 1; 1 0) == U^a V^b, for digits of any sign
+    expected = IDENTITY
+    for a in digits:
+        expected = expected @ Mat2(a, 1, 1, 0)
+    assert Mat2(*farey._times_word(1, 0, 0, 1, digits)) == expected
 
 
 def _word_matrix_reference(w):

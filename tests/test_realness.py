@@ -265,6 +265,50 @@ def test_factor_real_on_generated_cycles(seed):
     assert f.c_plus @ m @ f.c_plus.inverse() == m.inverse()
 
 
+def _reflection_factor(position, e):
+    # entries of F, where U^e = F * diag(1,-1) at even positions and
+    # V^e = diag(1,-1) * F at odd
+    if position % 2 == 0:
+        return 1, -e, 0, -1
+    return 1, 0, -e, -1
+
+
+def _factors_reference(m):
+    """(c_plus, c_minus) of a real hyperbolic m, one reflection factor per run."""
+    cls = classify(m)
+    exps, conj = cls.cycle.exponents, cls.conjugator
+    f = is_odd_bipalindromic(cls.cycle).first_block_len
+    blocks = []
+    for block in (range(f), range(f, len(exps))):
+        a, b, c, d = conj.a, conj.b, conj.c, conj.d
+        for i in block:
+            fa, fb, fc, fd = _reflection_factor(i, exps[i])
+            a, b, c, d = a * fa + b * fc, a * fb + b * fd, c * fa + d * fc, c * fb + d * fd
+        blocks.append(Mat2(a, b, c, d) @ conj.inverse())
+    c1, c2 = blocks
+    return (c1 if cls.sign == 1 else -c1), c2
+
+
+# exponents spread over the decades up to 10^6
+big_exponent = st.integers(min_value=0, max_value=6).flatmap(
+    lambda k: st.integers(min_value=1, max_value=10**k)
+)
+palindrome = st.tuples(st.lists(big_exponent, max_size=3), big_exponent).map(
+    lambda t: t[0] + [t[1]] + t[0][::-1]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(palindrome, palindrome, st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_analyze_factors_match_reflection_factor_reference(b1, b2, seed, negate):
+    g = random_unimodular(random.Random(seed))
+    m = g @ Word(tuple(b1 + b2), "U").matrix() @ g.inverse()
+    if negate:
+        m = -m
+    f = analyze(m).factorization
+    assert (f.c_plus, f.c_minus) == _factors_reference(m)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_is_real_is_a_class_function(seed):

@@ -1,9 +1,11 @@
 """Farey tessellation combinatorics and SVG output."""
 
+import random
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sl2real import (
     MAX_DEPTH,
@@ -15,6 +17,8 @@ from sl2real import (
     render_farey,
     render_svg,
 )
+
+from conftest import random_hyperbolic
 
 AXIS_M = Mat2(2, 1, 1, 1)
 
@@ -86,6 +90,17 @@ def test_axis_overlay_depth_one():
 def test_axis_requires_hyperbolic():
     with pytest.raises(NotHyperbolic):
         farey_figure(2, Mat2(1, 1, 0, 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_inverse_axis_swaps_labels(seed):
+    # m^-1 runs along the same axis the other way: one of the two runs
+    # leftward, and every crossed triangle changes sides
+    m = random_hyperbolic(random.Random(seed))
+    forward = dict(farey_figure(7, m).axis.crossings)
+    backward = dict(farey_figure(7, m.inverse()).axis.crossings)
+    assert backward == {tri: "R" if label == "L" else "L" for tri, label in forward.items()}
 
 
 def test_axis_crossing_separation():
