@@ -208,8 +208,12 @@ def _cmd_svg(args) -> int:
     axis = None if args.axis is None else Mat2.from_text(args.axis)
     doc = render_farey(args.depth, axis)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(doc + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(doc + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         print(doc)
     return 0

@@ -4,9 +4,10 @@ The tessellation of the hyperbolic plane by ideal triangles is grown by
 mediant bisection: two boundary fractions m1/n1, m2/n2 are joined by a
 geodesic exactly when m1*n2 - m2*n1 = +-1, and each round inserts the
 mediant of every frontier pair (the right half plus its mirror image).
-All combinatorial claims (endpoints, arc counts, crossing labels) are
-computed in exact integer arithmetic; floating point enters only when
-the finished figure is projected to the disk for SVG output.
+Every decision is exact: endpoints, arc counts, the crossed triangles,
+their labels and their order, and for each drawn geodesic the choice of
+line or arc and its sweep are integer tests.  Floats only print the
+coordinates and radii of the finished SVG.
 
 Fractions are (m, n) pairs in lowest terms with n >= 0; infinity is
 (1, 0).
@@ -15,7 +16,8 @@ Fractions are (m, n) pairs in lowest terms with n >= 0; infinity is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import atan2, pi, sqrt
+from fractions import Fraction
+from math import isqrt
 
 from .errors import DepthTooLarge
 from .farey import Surd, attracting_fixed_point
@@ -42,7 +44,8 @@ class AxisOverlay:
 
     Crossed triangles are listed in travel order from the repelling to
     the attracting fixed point, each labeled "L" or "R" by the side of
-    the axis holding the triangle's lone vertex.
+    the axis holding the triangle's lone vertex.  Order and labels come
+    from exact comparisons of the vertices with the fixed points.
     """
 
     attracting: Surd
@@ -74,40 +77,43 @@ def _is_between(frac: Frac, att: Surd, rep: Surd) -> bool:
     return att.compare_rational(m, n) != rep.compare_rational(m, n)
 
 
-def _travel_key(frac: Frac, att: Surd, rep: Surd) -> float:
-    """|(x - rep)/(x - att)|: 0 at the repelling end, large near the
-    attracting end, 1 at infinity; monotone along the axis."""
+def _rank(frac: Frac, inside: bool, rep: Surd, s: int) -> tuple[int, Fraction]:
+    """Position of a vertex along its boundary arc, from rep toward att.
+
+    Travel from rep to att runs in direction s along the fixed interval.
+    The outer arc leaves rep the other way, passes infinity and comes
+    back to att.
+    """
     m, n = frac
     if n == 0:
-        return 1.0
-    x = m / n
-    denom = x - float(att)
-    if denom == 0.0:
-        return float("inf")
-    return abs((x - float(rep)) / denom)
+        return (1, Fraction(0))
+    x = s * Fraction(m, n)
+    if inside:
+        return (0, x)
+    return (0 if rep.compare_rational(m, n) == s else 2, -x)
 
 
 def _axis_overlay(axis_matrix: Mat2, triangles: tuple[Tri, ...]) -> AxisOverlay:
     att = attracting_fixed_point(axis_matrix)
     rep = att.conjugate()
-    att_right = att.q > 0  # att - rep = 2*sqrt(d)/q
+    s = 1 if att.q > 0 else -1  # att - rep = 2*sqrt(d)/q
     ordered = []
     for tri in triangles:
         between = [_is_between(v, att, rep) for v in tri]
         count = sum(between)
         if count == 0 or count == 3:
             continue
-        lone_between = count == 1
         # boundary points outside the fixed interval sit on the left of
         # rightward travel, inside on the right; mirrored when the axis
         # runs leftward
-        if att_right:
-            label = "L" if not lone_between else "R"
-        else:
-            label = "L" if lone_between else "R"
-        pair = [v for v, b in zip(tri, between) if b != lone_between]
-        key = sum(_travel_key(v, att, rep) for v in pair) / len(pair)
-        ordered.append((key, tri, label))
+        label = "R" if (count == 1) == (s == 1) else "L"
+        # the crossed edges never meet inside the disk, so they run in
+        # the order of their ends along both boundary arcs; the axis
+        # leaves a triangle by the edge joining its latest vertex on
+        # each side
+        inner = max(_rank(v, True, rep, s) for v, b in zip(tri, between) if b)
+        outer = max(_rank(v, False, rep, s) for v, b in zip(tri, between) if not b)
+        ordered.append(((inner, outer), tri, label))
     ordered.sort(key=lambda item: item[0])
     return AxisOverlay(att, rep, tuple((tri, label) for _, tri, label in ordered))
 
@@ -141,59 +147,34 @@ def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
 _TINTS = {"L": "#9ecae1", "R": "#fdae6b"}
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
+def _point(frac: Frac) -> str:
+    """SVG coordinates of a boundary point, y pointing down.
 
-
-def _disk_point(frac: Frac) -> tuple[float, float]:
-    # boundary map x -> (2x/(x^2+1), (x^2-1)/(x^2+1)): 0 south, infinity
-    # north, 1 east
+    The map x -> (2x/(x^2+1), (x^2-1)/(x^2+1)) puts 0 south, infinity
+    north and 1 east.  Any integer point (m, n) of x = m/n will do, and
+    the int divisions cannot overflow.
+    """
     m, n = frac
     s = m * m + n * n
-    return 2 * m * n / s, (m * m - n * n) / s
+    return f"{2 * m * n / s:.6f} {-((m * m - n * n) / s):.6f}"
 
 
-def _disk_point_real(x: float) -> tuple[float, float]:
-    s = x * x + 1
-    return 2 * x / s, (x * x - 1) / s
+def _geodesic(f1: Frac, f2: Frac) -> str:
+    """Path command along the geodesic from f1 to f2.
 
-
-def _segment(p1: tuple[float, float], p2: tuple[float, float], straight: bool) -> str:
-    """Path command from p1 to p2 (math coords; y is flipped for SVG)."""
-    x2s, y2s = p2[0], -p2[1]
-    if straight:
-        return f"L {_fmt(x2s)} {_fmt(y2s)}"
-    det = p1[0] * p2[1] - p1[1] * p2[0]
-    cx, cy = (p2[1] - p1[1]) / det, (p1[0] - p2[0]) / det
-    r = sqrt(max(cx * cx + cy * cy - 1.0, 0.0))
-    scx, scy = cx, -cy
-    a1 = atan2(-p1[1] - scy, p1[0] - scx)
-    a2 = atan2(y2s - scy, x2s - scx)
-    delta = a2 - a1
-    while delta <= -pi:
-        delta += 2 * pi
-    while delta > pi:
-        delta -= 2 * pi
-    sweep = 1 if delta > 0 else 0
-    # a geodesic arc orthogonal to the boundary circle always subtends
-    # less than half of its own circle, so the large-arc flag is 0
-    return f"A {_fmt(r)} {_fmt(r)} 0 0 {sweep} {_fmt(x2s)} {_fmt(y2s)}"
-
-
-def _antipodal(f1: Frac, f2: Frac) -> bool:
-    m1, n1 = f1
-    m2, n2 = f2
-    u1 = (2 * m1 * n1, m1 * m1 - n1 * n1)
-    u2 = (2 * m2 * n2, m2 * m2 - n2 * n2)
-    return u1[0] * u2[1] - u1[1] * u2[0] == 0
-
-
-def _frac_segment(f1: Frac, f2: Frac) -> str:
-    return _segment(_disk_point(f1), _disk_point(f2), _antipodal(f1, f2))
-
-
-def _move_to(p: tuple[float, float]) -> str:
-    return f"M {_fmt(p[0])} {_fmt(-p[1])}"
+    With m_i/n_i = tan(t_i), the ends lie 2*|t1 - t2| apart on the
+    boundary circle, so the arc has radius |tan(t1 - t2)| = |det/k|,
+    1/|k| for Farey neighbours, and subtends less than half its circle
+    (large-arc flag 0).  From radius 10^6 on, and for a diameter (k = 0), the chord is
+    drawn: it bows at most 1/(2r) from the arc, which six decimals hide.
+    """
+    (m1, n1), (m2, n2) = f1, f2
+    k = m1 * m2 + n1 * n2
+    det = m1 * n2 - m2 * n1
+    if abs(det) >= 10**6 * abs(k):
+        return f"L {_point(f2)}"
+    r = f"{abs(det) / abs(k):.6f}"
+    return f"A {r} {r} 0 0 {int(det * k < 0)} {_point(f2)}"
 
 
 def render_svg(fig: FareyFigure) -> str:
@@ -207,10 +188,10 @@ def render_svg(fig: FareyFigure) -> str:
         for tri, label in fig.axis.crossings:
             d = " ".join(
                 [
-                    _move_to(_disk_point(tri[0])),
-                    _frac_segment(tri[0], tri[1]),
-                    _frac_segment(tri[1], tri[2]),
-                    _frac_segment(tri[2], tri[0]),
+                    f"M {_point(tri[0])}",
+                    _geodesic(tri[0], tri[1]),
+                    _geodesic(tri[1], tri[2]),
+                    _geodesic(tri[2], tri[0]),
                     "Z",
                 ]
             )
@@ -219,16 +200,18 @@ def render_svg(fig: FareyFigure) -> str:
                 'fill-opacity="0.8" stroke="none"/>'
             )
     for f1, f2 in fig.arcs:
-        d = f"{_move_to(_disk_point(f1))} {_frac_segment(f1, f2)}"
+        d = f"M {_point(f1)} {_geodesic(f1, f2)}"
         parts.append(
             f'<path class="arc" d="{d}" fill="none" stroke="#404040" '
             'stroke-width="0.004"/>'
         )
     if fig.axis is not None:
-        p1 = _disk_point_real(float(fig.axis.repelling))
-        p2 = _disk_point_real(float(fig.axis.attracting))
-        det = p1[0] * p2[1] - p1[1] * p2[0]
-        d = f"{_move_to(p1)} {_segment(p1, p2, abs(det) < 1e-12)}"
+        att = fig.axis.attracting
+        # the ends (p -+ sqrt(d))/q as integer points, sqrt(d) taken to
+        # 64 bits after the point
+        p, root, q = att.p << 64, isqrt(att.d << 128), att.q << 64
+        rep_end, att_end = (p - root, q), (p + root, q)
+        d = f"M {_point(rep_end)} {_geodesic(rep_end, att_end)}"
         parts.append(
             f'<path class="axis" d="{d}" fill="none" stroke="#d62728" '
             'stroke-width="0.012"/>'

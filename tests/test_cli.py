@@ -473,6 +473,26 @@ def test_svg_to_file(tmp_path, capsys):
     assert classes.count("axis") == 1
 
 
+@pytest.mark.parametrize("e, depth", [(200, 2), (1300, 12)])
+def test_svg_huge_axis(capsys, e, depth):
+    # entries of 401 and 2,601 digits: fixed points far past float range
+    m = Word((10**e, 1, 3, 10**e), "U").matrix()
+    code, out, err = run(capsys, "svg", "--depth", str(depth), "--axis", f"{m.a},{m.b};{m.c},{m.d}")
+    assert code == 0 and err == ""
+    root = ET.fromstring(out)
+    assert "nan" not in out.lower() and "inf" not in out.lower()
+    classes = [el.get("class") for el in root.iter() if el.get("class")]
+    assert classes.count("axis") == 1
+
+
+def test_svg_unwritable_output(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = run(capsys, "svg", "--depth", "2", "-o", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_svg_depth_too_large(capsys):
     code, out, err = run(capsys, "svg", "--depth", "13")
     assert code == 3 and "DepthTooLarge" in err

@@ -3,6 +3,8 @@
 import random
 import re
 import xml.etree.ElementTree as ET
+from itertools import groupby
+from math import atan2, pi, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +15,13 @@ from sl2real import (
     Mat2,
     NotHyperbolic,
     Surd,
+    cutting_cycle,
     farey_figure,
     render_farey,
     render_svg,
 )
+
+from sl2real.render import _geodesic
 
 from conftest import random_hyperbolic
 
@@ -85,6 +90,32 @@ def test_axis_overlay_pinned():
 def test_axis_overlay_depth_one():
     fig = farey_figure(1, AXIS_M)
     assert [label for _, label in fig.axis.crossings] == ["R", "L"]
+
+
+def _label_runs(crossings):
+    return [len(list(run)) for _, run in groupby(label for _, label in crossings)]
+
+
+def test_crossings_pinned_fans():
+    # cycle (2, 2): the axis crosses fans of two triangles in turn
+    labels = [label for _, label in farey_figure(5, Mat2(5, 2, 2, 1)).axis.crossings]
+    assert labels == ["R", "L", "L", "R", "R", "L", "L", "R", "R", "L"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=8, max_value=10))
+def test_crossings_walk_the_cutting_cycle(seed, depth):
+    # the crossed triangles form a path through shared edges, and the
+    # axis crosses a fan of e triangles around each vertex in turn, so
+    # every complete run of labels is the next exponent of the cycle
+    m = random_hyperbolic(random.Random(seed))
+    crossings = farey_figure(depth, m).axis.crossings
+    for (tri, _), (nxt, _) in zip(crossings, crossings[1:]):
+        assert len(set(tri) & set(nxt)) == 2
+    inner = _label_runs(crossings)[1:-1]
+    exps = list(cutting_cycle(m)[0].exponents)
+    periodic = exps * (len(inner) // len(exps) + 2)
+    assert any(periodic[i : i + len(inner)] == inner for i in range(len(exps)))
 
 
 def test_axis_requires_hyperbolic():
@@ -156,3 +187,79 @@ def test_svg_viewbox_and_size():
     doc = render_farey(0)
     assert 'viewBox="-1.05 -1.05 2.1 2.1"' in doc
     assert 'width="600"' in doc
+
+
+# -- geodesics against the float circle fit they replaced ---------------
+
+
+def _disk_point(frac):
+    m, n = frac
+    s = m * m + n * n
+    return 2 * m * n / s, (m * m - n * n) / s
+
+
+def _disk_point_real(x):
+    s = x * x + 1
+    return 2 * x / s, (x * x - 1) / s
+
+
+def _antipodal(f1, f2):
+    m1, n1 = f1
+    m2, n2 = f2
+    u1 = (2 * m1 * n1, m1 * m1 - n1 * n1)
+    u2 = (2 * m2 * n2, m2 * m2 - n2 * n2)
+    return u1[0] * u2[1] - u1[1] * u2[0] == 0
+
+
+def _segment(p1, p2, straight):
+    """(radius, sweep) of the circle through p1, p2 orthogonal to the
+    boundary, fitted in floats; None for a straight segment."""
+    if straight:
+        return None
+    x2s, y2s = p2[0], -p2[1]
+    det = p1[0] * p2[1] - p1[1] * p2[0]
+    cx, cy = (p2[1] - p1[1]) / det, (p1[0] - p2[0]) / det
+    r = sqrt(max(cx * cx + cy * cy - 1.0, 0.0))
+    scx, scy = cx, -cy
+    a1 = atan2(-p1[1] - scy, p1[0] - scx)
+    a2 = atan2(y2s - scy, x2s - scx)
+    delta = a2 - a1
+    while delta <= -pi:
+        delta += 2 * pi
+    while delta > pi:
+        delta -= 2 * pi
+    return r, 1 if delta > 0 else 0
+
+
+def _assert_matches(command, reference):
+    op, *args = command.split()
+    if reference is None:
+        assert op == "L"
+    else:
+        assert op == "A" and args[0] == args[1]
+        assert abs(float(args[0]) - reference[0]) <= 1e-6
+        assert int(args[4]) == reference[1]
+
+
+def test_geodesics_match_float_reference():
+    # every triangle edge is an arc, drawn one way round or the other
+    for u, v in farey_figure(9).arcs:
+        for f1, f2 in ((u, v), (v, u)):
+            ref = _segment(_disk_point(f1), _disk_point(f2), _antipodal(f1, f2))
+            _assert_matches(_geodesic(f1, f2), ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_axis_geodesic_matches_float_reference(seed):
+    fig = farey_figure(0, random_hyperbolic(random.Random(seed)))
+    path = re.search(r'class="axis" d="M \S+ \S+ ([^"]*)"', render_svg(fig)).group(1)
+    p1 = _disk_point_real(float(fig.axis.repelling))
+    p2 = _disk_point_real(float(fig.axis.attracting))
+    det = p1[0] * p2[1] - p1[1] * p2[0]
+    _assert_matches(path, _segment(p1, p2, abs(det) < 1e-12))
+
+
+def test_arc_radius_is_correctly_rounded():
+    # 7*8 + 8*9 = 128 and 1/128 = 0.0078125 is a tie, rounded to even
+    assert _geodesic((7, 8), (8, 9)).startswith("A 0.007812 0.007812 ")
