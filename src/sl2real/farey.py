@@ -12,7 +12,7 @@ appear only in ``Surd.__float__`` for display and sanity checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt
 
 from .errors import NotFactorable, NotHyperbolic, NotSL2
 from .mat2 import IDENTITY, Mat2, _unchecked_mat2
@@ -84,7 +84,11 @@ class Surd:
         return Surd(-self.p, self.d, -self.q)
 
     def __float__(self) -> float:
-        return (self.p + sqrt(self.d)) / self.q
+        # sqrt(d) to k bits after the point, then one correctly rounded
+        # int division; |p + sqrt(d)| >= 1/(2*sqrt(d) + 1) keeps 53 bits
+        # even when p is close to -sqrt(d)
+        k = self.d.bit_length() // 2 + 64
+        return ((self.p << k) + isqrt(self.d << 2 * k)) / (self.q << k)
 
     def floor(self) -> int:
         s = isqrt(self.d)

@@ -61,13 +61,6 @@ class FareyFigure:
     axis: AxisOverlay | None
 
 
-def _mirror(frac: Frac) -> Frac:
-    m, n = frac
-    if n == 0:
-        return (1, 0)
-    return (-m, n)
-
-
 def _is_between(frac: Frac, att: Surd, rep: Surd) -> bool:
     # strictly inside the finite interval with surd endpoints; infinity
     # always lies on the outer arc
@@ -93,12 +86,36 @@ def _rank(frac: Frac, inside: bool, rep: Surd, s: int) -> tuple[int, Fraction]:
     return (0 if rep.compare_rational(m, n) == s else 2, -x)
 
 
-def _axis_overlay(axis_matrix: Mat2, triangles: tuple[Tri, ...]) -> AxisOverlay:
+def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
+    """Crossed triangles in travel order, found by descent.
+
+    A triangle grown under the frontier arc (u, v), and every triangle
+    below it, has its vertices in the closed arc [u, v].  If no fixed
+    point lies in the open arc, they are all on one side of the axis.  So
+    each half is walked down only through arcs holding att or rep, at
+    most two per round: O(depth) exact comparisons in all.
+    """
     att = attracting_fixed_point(axis_matrix)
     rep = att.conjugate()
     s = 1 if att.q > 0 else -1  # att - rep = 2*sqrt(d)/q
+
+    def side(x: Surd, frac: Frac, h: int) -> int:
+        # sign of x - frac in half h, frac mirrored when h = -1
+        m, n = frac
+        return x.compare_rational(h * m, n) if n else -h
+
+    candidates: list[Tri] = []
+    frontier = [((0, 1), (1, 0), 1), ((0, 1), (1, 0), -1)]
+    for _ in range(depth):
+        nxt = []
+        for u, v, h in frontier:
+            if any(side(x, u, h) != side(x, v, h) for x in (att, rep)):
+                w = (u[0] + v[0], u[1] + v[1])
+                candidates.append(tuple((h * m, n) if n else (1, 0) for m, n in (u, w, v)))
+                nxt += [(u, w, h), (w, v, h)]
+        frontier = nxt
     ordered = []
-    for tri in triangles:
+    for tri in candidates:
         between = [_is_between(v, att, rep) for v in tri]
         count = sum(between)
         if count == 0 or count == 3:
@@ -122,23 +139,25 @@ def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
     """Tessellation after `depth` mediant rounds, optionally with an axis.
 
     Arc count is 2^(depth+2) - 3 and triangle count 2^(depth+1) - 2.
+    Each frontier entry carries the mirror images of its ends, so every
+    mirrored vertex is one tuple shared by its arcs and triangles.
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {depth}")
     base = ((0, 1), (1, 0))
     arcs: list[tuple[Frac, Frac]] = [base]
     triangles: list[Tri] = []
-    frontier: list[tuple[Frac, Frac]] = [base]
+    frontier = [base + base]  # 0 and infinity are their own mirrors
     for _ in range(depth):
-        nxt: list[tuple[Frac, Frac]] = []
-        for u, v in frontier:
+        nxt = []
+        for u, v, mu, mv in frontier:
             w = (u[0] + v[0], u[1] + v[1])
-            arcs += [(u, w), (w, v), (_mirror(u), _mirror(w)), (_mirror(w), _mirror(v))]
-            triangles.append((u, w, v))
-            triangles.append((_mirror(u), _mirror(w), _mirror(v)))
-            nxt += [(u, w), (w, v)]
+            mw = (-w[0], w[1])  # w is finite
+            arcs += [(u, w), (w, v), (mu, mw), (mw, mv)]
+            triangles += [(u, w, v), (mu, mw, mv)]
+            nxt += [(u, w, mu, mw), (w, v, mw, mv)]
         frontier = nxt
-    axis = None if axis_matrix is None else _axis_overlay(axis_matrix, tuple(triangles))
+    axis = None if axis_matrix is None else _axis_overlay(axis_matrix, depth)
     return FareyFigure(depth, tuple(arcs), tuple(triangles), axis)
 
 
@@ -159,8 +178,16 @@ def _point(frac: Frac) -> str:
     return f"{2 * m * n / s:.6f} {-((m * m - n * n) / s):.6f}"
 
 
-def _geodesic(f1: Frac, f2: Frac) -> str:
-    """Path command along the geodesic from f1 to f2.
+class _Points(dict):
+    """`_point` strings of one figure, each vertex formatted once."""
+
+    def __missing__(self, frac: Frac) -> str:
+        text = self[frac] = _point(frac)
+        return text
+
+
+def _geodesic(f1: Frac, f2: Frac, end: str) -> str:
+    """Path command along the geodesic from f1 to f2 = `end` in SVG.
 
     With m_i/n_i = tan(t_i), the ends lie 2*|t1 - t2| apart on the
     boundary circle, so the arc has radius |tan(t1 - t2)| = |det/k|,
@@ -172,9 +199,9 @@ def _geodesic(f1: Frac, f2: Frac) -> str:
     k = m1 * m2 + n1 * n2
     det = m1 * n2 - m2 * n1
     if abs(det) >= 10**6 * abs(k):
-        return f"L {_point(f2)}"
+        return f"L {end}"
     r = f"{abs(det) / abs(k):.6f}"
-    return f"A {r} {r} 0 0 {int(det * k < 0)} {_point(f2)}"
+    return f"A {r} {r} 0 0 {int(det * k < 0)} {end}"
 
 
 def render_svg(fig: FareyFigure) -> str:
@@ -184,23 +211,21 @@ def render_svg(fig: FareyFigure) -> str:
         '<circle class="boundary" cx="0" cy="0" r="1" fill="none" '
         'stroke="#202020" stroke-width="0.006"/>',
     ]
+    point = _Points()
     if fig.axis is not None:
         for tri, label in fig.axis.crossings:
-            d = " ".join(
-                [
-                    f"M {_point(tri[0])}",
-                    _geodesic(tri[0], tri[1]),
-                    _geodesic(tri[1], tri[2]),
-                    _geodesic(tri[2], tri[0]),
-                    "Z",
-                ]
+            a, b, c = tri
+            pa, pb, pc = point[a], point[b], point[c]
+            d = (
+                f"M {pa} {_geodesic(a, b, pb)} {_geodesic(b, c, pc)} "
+                f"{_geodesic(c, a, pa)} Z"
             )
             parts.append(
                 f'<path class="tri-{label}" d="{d}" fill="{_TINTS[label]}" '
                 'fill-opacity="0.8" stroke="none"/>'
             )
     for f1, f2 in fig.arcs:
-        d = f"M {_point(f1)} {_geodesic(f1, f2)}"
+        d = f"M {point[f1]} {_geodesic(f1, f2, point[f2])}"
         parts.append(
             f'<path class="arc" d="{d}" fill="none" stroke="#404040" '
             'stroke-width="0.004"/>'
@@ -211,7 +236,7 @@ def render_svg(fig: FareyFigure) -> str:
         # 64 bits after the point
         p, root, q = att.p << 64, isqrt(att.d << 128), att.q << 64
         rep_end, att_end = (p - root, q), (p + root, q)
-        d = f"M {_point(rep_end)} {_geodesic(rep_end, att_end)}"
+        d = f"M {_point(rep_end)} {_geodesic(rep_end, att_end, _point(att_end))}"
         parts.append(
             f'<path class="axis" d="{d}" fill="none" stroke="#d62728" '
             'stroke-width="0.012"/>'

@@ -475,9 +475,11 @@ def test_svg_to_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("e, depth", [(200, 2), (1300, 12)])
 def test_svg_huge_axis(capsys, e, depth):
-    # entries of 401 and 2,601 digits: fixed points far past float range
+    # entries of 401 and 2,601 digits: fixed points far past float range;
+    # the crossings cost O(depth) comparisons, not one per triangle
     m = Word((10**e, 1, 3, 10**e), "U").matrix()
-    code, out, err = run(capsys, "svg", "--depth", str(depth), "--axis", f"{m.a},{m.b};{m.c},{m.d}")
+    with budget(0.5):
+        code, out, err = run(capsys, "svg", "--depth", str(depth), "--axis", f"{m.a},{m.b};{m.c},{m.d}")
     assert code == 0 and err == ""
     root = ET.fromstring(out)
     assert "nan" not in out.lower() and "inf" not in out.lower()

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -107,6 +108,38 @@ def test_surd_floor_matches_float(data):
     # far from an integer the float-based floor is reliable
     if abs(f - round(f)) > 1e-6:
         assert x.floor() == math.floor(f)
+
+
+def test_surd_float_with_discriminant_past_float_range():
+    # d has about 800 digits, the value is 10^200
+    x = attracting_fixed_point(Word((10**200, 1, 3, 10**200), "U").matrix())
+    assert float(x) == 1e200
+    with pytest.raises(OverflowError):
+        float(Surd.make(10**400, 2, 1))  # the value itself is past float range
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=2, max_value=2**2400),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=-(10**30), max_value=10**30).filter(lambda q: q != 0),
+    st.booleans(),
+)
+def test_surd_float_within_two_ulp(d, offset, q, near_root):
+    if math.isqrt(d) ** 2 == d:
+        d += 1
+    # p close to -sqrt(d) makes p + sqrt(d) cancel
+    p = offset - math.isqrt(d) if near_root else offset
+    x = Surd.make(p, d, q)
+    k = x.d.bit_length() + 200
+    exact = Fraction((x.p << k) + math.isqrt(x.d << 2 * k), x.q << k)
+    try:
+        expected = float(exact)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            float(x)
+        return
+    assert abs(float(x) - expected) <= 2 * math.ulp(expected)
 
 
 # ------------------------------------------------- continued fractions

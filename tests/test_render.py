@@ -1,27 +1,31 @@
 """Farey tessellation combinatorics and SVG output."""
 
+import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
-from itertools import groupby
+from itertools import groupby, product
 from math import atan2, pi, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sl2real import (
+    IDENTITY,
     MAX_DEPTH,
     DepthTooLarge,
     Mat2,
     NotHyperbolic,
     Surd,
+    attracting_fixed_point,
     cutting_cycle,
     farey_figure,
     render_farey,
     render_svg,
+    u_pow,
 )
 
-from sl2real.render import _geodesic
+from sl2real.render import _axis_overlay, _geodesic, _is_between, _point, _rank
 
 from conftest import random_hyperbolic
 
@@ -118,6 +122,106 @@ def test_crossings_walk_the_cutting_cycle(seed, depth):
     assert any(periodic[i : i + len(inner)] == inner for i in range(len(exps)))
 
 
+# -- the descent against the scan over every triangle it replaced --------
+
+
+def _mirror(frac):
+    return (1, 0) if frac[1] == 0 else (-frac[0], frac[1])
+
+
+def _farey_by_mirroring(depth):
+    """Arcs and triangles, every mirror image built from its arc."""
+    base = ((0, 1), (1, 0))
+    arcs, triangles, frontier = [base], [], [base]
+    for _ in range(depth):
+        nxt = []
+        for u, v in frontier:
+            w = (u[0] + v[0], u[1] + v[1])
+            arcs += [(u, w), (w, v), (_mirror(u), _mirror(w)), (_mirror(w), _mirror(v))]
+            triangles += [(u, w, v), (_mirror(u), _mirror(w), _mirror(v))]
+            nxt += [(u, w), (w, v)]
+        frontier = nxt
+    return tuple(arcs), tuple(triangles)
+
+
+def _axis_overlay_by_scan(m, triangles):
+    """Crossings by testing every triangle, in travel order."""
+    att = attracting_fixed_point(m)
+    rep = att.conjugate()
+    s = 1 if att.q > 0 else -1
+    ordered = []
+    for tri in triangles:
+        between = [_is_between(v, att, rep) for v in tri]
+        count = sum(between)
+        if count in (0, 3):
+            continue
+        label = "R" if (count == 1) == (s == 1) else "L"
+        inner = max(_rank(v, True, rep, s) for v, b in zip(tri, between) if b)
+        outer = max(_rank(v, False, rep, s) for v, b in zip(tri, between) if not b)
+        ordered.append(((inner, outer), tri, label))
+    ordered.sort(key=lambda item: item[0])
+    return tuple((tri, label) for _, tri, label in ordered)
+
+
+S = Mat2(0, -1, 1, 0)  # x -> -1/x swaps 0 and infinity
+
+
+def test_figure_matches_mirroring_reference():
+    for depth in range(MAX_DEPTH + 1):
+        fig = farey_figure(depth)
+        assert (fig.arcs, fig.triangles) == _farey_by_mirroring(depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=MAX_DEPTH),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_descent_matches_scan(seed, depth, shift, swap, invert):
+    # random_hyperbolic takes both trace signs; the shift and the swap of
+    # 0 with infinity put the ends in either half or one in each
+    m = random_hyperbolic(random.Random(seed))
+    g = u_pow(shift) @ (S if swap else IDENTITY)
+    m = g @ m @ g.inverse()
+    if invert:
+        m = m.inverse()
+    assert _axis_overlay(m, depth).crossings == _axis_overlay_by_scan(m, farey_figure(depth).triangles)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        Mat2(2, 1, 1, 1),  # ends -0.618 and 1.618, one in each half
+        Mat2(10, 99, 1, 10),  # ends -+sqrt(99): the axis passes close to infinity
+        Mat2(10, 1, 99, 10),  # ends -+1/sqrt(99): the axis passes close to 0
+        Mat2(-12, -5, -7, -3),  # trace -15
+        Mat2(1, -2, -2, 5),  # repelling end 2.414, attracting end -0.414
+        Mat2(11, -28, 2, -5),  # ends 3 +- sqrt(2): both right of 0
+        Mat2(-1, -4, 2, 7),  # ends -3 +- sqrt(2): both left of 0
+    ],
+)
+def test_descent_matches_scan_pinned(m):
+    for depth in range(MAX_DEPTH + 1):
+        triangles = farey_figure(depth).triangles
+        for axis in (m, -m, m.inverse(), S @ m @ S.inverse()):
+            assert _axis_overlay(axis, depth).crossings == _axis_overlay_by_scan(axis, triangles)
+
+
+def test_descent_matches_scan_exhaustive():
+    # every hyperbolic element with entries in [-8, 8]
+    triangles = farey_figure(6).triangles
+    count = 0
+    for a, b, c, d in product(range(-8, 9), repeat=4):
+        if a * d - b * c == 1 and abs(a + d) > 2:
+            m = Mat2(a, b, c, d)
+            assert _axis_overlay(m, 6).crossings == _axis_overlay_by_scan(m, triangles)
+            count += 1
+    assert count == 456
+
+
 def test_axis_requires_hyperbolic():
     with pytest.raises(NotHyperbolic):
         farey_figure(2, Mat2(1, 1, 0, 1))
@@ -183,6 +287,20 @@ def test_svg_deterministic():
     assert render_svg(farey_figure(3)) == render_farey(3)
 
 
+@pytest.mark.parametrize(
+    "depth, axis, digest",
+    [
+        (12, Mat2(5, 2, 2, 1), "612feaabded5a6f5886ab6b9fa7a1e7110c584fa13de5410c8a8c78d612dbe13"),
+        (12, Mat2(1, -2, -2, 5), "ff9e5a7213c0433f009420250685de12d9060846fcb8c944e99bf382481287ad"),
+        (9, Mat2(-12, -5, -7, -3), "2a25a28a593f3f3e7acd81cc9e94bc5a7fe86d2e55fb82aedb0bc63a4dac577c"),
+        (12, None, "d9d468ee6702ae3bb8fb62f2fd71beb6dbbe5800e289e875f83f8461f282281b"),
+    ],
+)
+def test_svg_bytes_pinned(depth, axis, digest):
+    doc = render_farey(depth, axis)
+    assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+
+
 def test_svg_viewbox_and_size():
     doc = render_farey(0)
     assert 'viewBox="-1.05 -1.05 2.1 2.1"' in doc
@@ -246,7 +364,7 @@ def test_geodesics_match_float_reference():
     for u, v in farey_figure(9).arcs:
         for f1, f2 in ((u, v), (v, u)):
             ref = _segment(_disk_point(f1), _disk_point(f2), _antipodal(f1, f2))
-            _assert_matches(_geodesic(f1, f2), ref)
+            _assert_matches(_geodesic(f1, f2, _point(f2)), ref)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,4 +380,4 @@ def test_axis_geodesic_matches_float_reference(seed):
 
 def test_arc_radius_is_correctly_rounded():
     # 7*8 + 8*9 = 128 and 1/128 = 0.0078125 is a tie, rounded to even
-    assert _geodesic((7, 8), (8, 9)).startswith("A 0.007812 0.007812 ")
+    assert _geodesic((7, 8), (8, 9), _point((8, 9))).startswith("A 0.007812 0.007812 ")
