@@ -267,11 +267,9 @@ class Cycle:
         return Cycle(tuple(reversed(self.exponents)))
 
     def equal_up_to_even_rotation(self, other: "Cycle") -> bool:
-        n = len(self.exponents)
-        if len(other.exponents) != n:
+        if len(other.exponents) != len(self.exponents):
             return False
-        dbl = self.exponents + self.exponents
-        return any(dbl[r : r + n] == other.exponents for r in range(0, n, 2))
+        return _least_rotation(self.exponents, 2) == _least_rotation(other.exponents, 2)
 
     def to_json_obj(self) -> list[str]:
         return [str(e) for e in self.canonical]
@@ -280,11 +278,49 @@ class Cycle:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
 
-def _least_rotation(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    """Lexicographically least rotation, found by doubling and scanning."""
-    n = len(exponents)
-    dbl = exponents + exponents
-    return min(dbl[i : i + n] for i in range(n))
+def _unchecked_cycle(exponents: tuple[int, ...]) -> Cycle:
+    """Cycle without the checks, for exponents read off a checked period."""
+    cyc = object.__new__(Cycle)
+    cyc.__dict__["exponents"] = exponents
+    return cyc
+
+
+def _least_start(seq, step: int = 1) -> int:
+    """Least r, a multiple of step, at which seq[r:] + seq[:r] is the
+    least of the rotations by multiples of step; len(seq) must be a
+    multiple of step.
+
+    This is the two-pointer minimum-expression scan on the blocks of
+    ``step`` entries, O(len(seq)) comparisons.  Candidates i and j are
+    compared entry by entry; at the first mismatch, k entries in, the
+    rotations at i + t and j + t compare the same way for every whole
+    block t up to the mismatch, so the larger side loses all of those
+    starts at once.  Every start that is passed over is strictly larger
+    than some other, so the least start of the least rotation survives.
+    """
+    n = len(seq)
+    dbl = seq + seq
+    i, j, k = 0, step, 0
+    while i < n and j < n and k < n:
+        a, b = dbl[i + k], dbl[j + k]
+        if a == b:
+            k += 1
+            continue
+        skip = k - k % step + step
+        if a > b:
+            i += skip
+        else:
+            j += skip
+        if i == j:
+            j += step
+        k = 0
+    return min(i, j)
+
+
+def _least_rotation(exponents: tuple[int, ...], step: int = 1) -> tuple[int, ...]:
+    """Least rotation by a multiple of step (see _least_start)."""
+    r = _least_start(exponents, step)
+    return exponents[r:] + exponents[:r]
 
 
 def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
@@ -365,38 +401,42 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     identity is re-verified before returning.
 
     The digit matrices pair up as (a 1; 1 0)(b 1; 1 0) = U^a V^b, so the
-    even pre-period multiplies out as a word.  The peeled matrix
-    ``body`` fixes the reduced state x_entry, which by Galois's theorem
-    is purely periodic; its stabilizer in SL(2,Z) is generated by -I
-    and the period's word, doubled when the period is odd.  So
-    ``sign * body`` is a positive power of that word: U-first, of even
-    length, and its runs never merge.
+    even pre-period c multiplies out as a word.  Then c^-1 m c fixes
+    the reduced state x_entry, which by Galois's theorem is purely
+    periodic; its stabilizer in SL(2,Z) is generated by -I and the word
+    P of the period read from the even entry, doubled when the period
+    is odd.  So sign * c^-1 m c is P^j for the one j >= 1 with
+    tr(P^j) = |tr m|: U-first, of even length, and its runs never
+    merge.  The traces t_k = tr(P^k) follow t_0 = 2, t_1 = tr P and
+    t_{k+1} = tr P * t_k - t_{k-1}, and grow strictly since tr P > 2.
+    The cycle is P at its least even rotation, repeated j times.
     """
-    if m.det != 1:
-        raise NotSL2("det != 1")
+    digits, entry = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
     t = m.trace
-    if t * t <= 4:
-        raise NotHyperbolic(f"trace {t} is not hyperbolic")
     sign = 1 if t > 0 else -1
 
-    digits, entry = _gauss_orbit(attracting_fixed_point(m))
+    period = digits[entry:]
     if entry % 2:
         entry += 1
-    ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry])
-    body = _unchecked_mat2(cd, -cb, -cc, ca) @ m @ _unchecked_mat2(ca, cb, cc, cd)
-    exps = greedy_factor(body if sign == 1 else -body).exponents
+        period = period[1:] + period[:1]
+    if len(period) % 2:
+        period += period
+    best = _least_start(period, 2)
+    ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry] + period[:best])
+    period = period[best:] + period[:best]
 
-    n = len(exps)
-    dbl = exps + exps
-    best = min(range(0, n, 2), key=lambda r: dbl[r : r + n])
-    ca, cb, cc, cd = _times_word(ca, cb, cc, cd, exps[:best])
-    exps = dbl[best : best + n]
+    pa, _, _, pd = _times_word(1, 0, 0, 1, period)
+    trace_p = pa + pd
+    t_prev, t_k, j = 2, trace_p, 1
+    while t_k < abs(t):
+        t_prev, t_k, j = t_k, trace_p * t_k - t_prev, j + 1
+    exps = tuple(period) * j
 
     conj = _unchecked_mat2(ca, cb, cc, cd)
     reconstructed = _unchecked_mat2(*_times_word(ca, cb, cc, cd, exps)) @ conj.inverse()
     if (reconstructed if sign == 1 else -reconstructed) != m:
         raise RuntimeError("cutting-cycle verification failed")
-    return Cycle(exps), sign, conj
+    return _unchecked_cycle(exps), sign, conj
 
 
 @dataclass(frozen=True)
@@ -425,7 +465,10 @@ def series_crosscheck(m: Mat2) -> SeriesReport:
     The raw period may have odd length; it is doubled before comparing
     (a cycle always has even length).  ``repetition`` counts how many
     copies of the raw period tile the cycle, 0 when inconsistent.
-    Comparison is up to arbitrary rotation.
+    Comparison is up to arbitrary rotation.  cutting_cycle reads its
+    cycle off this same period and verifies it by multiplication, so
+    ``consistent`` restates that certificate; it is not an independent
+    check.
     """
     cyc, sign, _ = cutting_cycle(m)
     digits, entry = _gauss_orbit(attracting_fixed_point(m))

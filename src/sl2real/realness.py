@@ -67,14 +67,32 @@ def is_odd_bipalindromic(cycle: Cycle) -> Split | None:
     where k = 2r + f - 1 (the blocks reflect r+i to r+f-1-i and r+f+j
     to r+n-1-j).  This k is even, so k mod n lies in 0..n-2, and the
     same reflection cuts c itself after (k mod n) + 1 entries, an odd
-    number.  So one O(n^2) scan at rotation 0 decides realness.
+    number.  So the splits at rotation 0 decide realness.
+
+    The cut after f entries is a split iff c[i] == c[f - 1 - i] for all
+    i, that is iff c rotated left by f equals c reversed.  So the splits
+    are the odd places where c reversed occurs in c + c, found by one
+    linear ``str.find`` on a string with one character per distinct
+    exponent.  The occurrences are f0 + k p for the first one f0 < p
+    and the least period p of c, which divides n: when f0 is even, the
+    least odd one is f0 + p < n if p is odd, and there is none if p is
+    even.  Code points bound the distinct exponents to 1,114,112; a
+    matrix under the input limit has a cycle of at most about 20,600
+    runs, because the trace of a word of n runs is at least the n-th
+    Lucas number.
     """
-    exps = cycle.exponents
-    for first in range(1, len(exps), 2):
-        b1, b2 = exps[:first], exps[first:]
-        if b1 == b1[::-1] and b2 == b2[::-1]:
-            return Split(first)
-    return None
+    codes: dict[int, int] = {}
+    word = "".join([chr(codes.setdefault(e, len(codes))) for e in cycle.exponents])
+    dbl = word + word
+    first = dbl.find(word[::-1])
+    if first < 0:
+        return None
+    if first % 2 == 0:
+        period = dbl.find(word, 1)
+        if period % 2 == 0:
+            return None
+        first += period
+    return Split(first)
 
 
 @dataclass(frozen=True)

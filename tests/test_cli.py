@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 import sl2real.cli as cli
 import sl2real.farey as farey
 import sl2real.realness as realness
-from sl2real import Mat2, Word, conjugacy_test
+from sl2real import IDENTITY, Mat2, Word, conjugacy_test, u_pow, v_pow
 from sl2real.cli import main
 
-from conftest import budget, random_odd_bipalindromic_cycle, random_word
+classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
+
+from conftest import budget, random_odd_bipalindromic_cycle, random_unimodular, random_word
 
 
 def run(capsys, *argv):
@@ -333,6 +335,54 @@ def test_atlas_max_entry_3_is_pinned(capsys):
     assert digest == "7355034be662446d05448ec540207a033aa3f52ecccd97b181ea8a8089b6dbbf"
 
 
+def _stream_corpus():
+    """Seeded stdin lines: hyperbolics of both trace signs (real and not),
+    powers (odd CF periods among them) and entries of 100 or more digits."""
+    rng = random.Random(1010)
+    ms = []
+    for _ in range(40):
+        g = random_unimodular(rng, 6)
+        real = rng.random() < 0.5
+        exps = (random_odd_bipalindromic_cycle(rng) if real else random_word(rng)).exponents
+        ms.append(g @ Word(exps, "U").matrix() @ g.inverse())
+    for k in range(1, 8):
+        ms.append(Mat2(2, 1, 1, 1) ** k)  # the golden ratio's period has one digit
+        ms.append(random_unimodular(rng, 4) @ (Mat2(3, 2, 1, 1) ** k))
+        w = Word(random_word(rng, max_runs=4, max_exp=4).exponents, "U").matrix()
+        g = random_unimodular(rng, 5)
+        ms.append(g @ w ** k @ g.inverse())
+    for _ in range(12):
+        g = IDENTITY
+        while g.max_abs_entry().bit_length() < 170:  # over 50 digits, so m has over 100
+            e = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+            g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
+        if rng.random() < 0.5:
+            exps = random_odd_bipalindromic_cycle(rng).exponents
+        else:
+            exps = (10**100 + rng.randint(0, 9), 3)
+        ms.append(g @ Word(exps, "U").matrix() @ g.inverse())
+    ms = [m if rng.random() < 0.5 else -m for m in ms]
+    return "".join(json.dumps([[str(m.a), str(m.b)], [str(m.c), str(m.d)]]) + "\n" for m in ms)
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("classify", "e9f6362b7ebbeabc25fe71b95f90667f2bdf03e2cfb76e9e804703116e9a6d3c"),
+        ("cycle", "47b16fddb2e17db7bea6e300752172552f2019af4c4784e41d610c3c59284103"),
+        ("real", "917319ab39cd9819a80c43219bc66bd441e3a26f37e48a92bcaf841a3f6d2ee6"),
+        ("series-check", "bb4bbf64f34414a7a5cfb87dd1251a335f82ad12cf178f994382bea9da5e8d38"),
+    ],
+)
+def test_stream_output_pinned(capsys, monkeypatch, command, digest):
+    # digests taken when the cycle was still peeled by greedy_factor and
+    # normalised by quadratic scans
+    monkeypatch.setattr("sys.stdin", io.StringIO(_stream_corpus()))
+    code, out, err = run(capsys, command, "-")
+    assert code == 0 and err == "" and out.count("\n") == 73
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _necklaces_reference(n, k):
     """Every tuple, kept when it is its own least rotation."""
     for exps in product(range(1, k + 1), repeat=n):
@@ -348,26 +398,33 @@ def test_necklaces_match_least_rotation_filter(n, k):
 
 
 def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
-    words, cycles = [], []
-    make_word, check_cycle = cli.Word, farey.Cycle.__post_init__
+    words, cycles, checked = [], [], []
+    make_word, reduce, check_cycle = cli.Word, classify_module.cutting_cycle, farey.Cycle.__post_init__
 
     def counted_word(*args):
         words.append(args)
         return make_word(*args)
 
-    def counted_cycle(self):
-        cycles.append(self)
+    def counted_reduce(m):
+        cycles.append(m)
+        return reduce(m)
+
+    def counted_check(self):
+        checked.append(self)
         check_cycle(self)
 
     monkeypatch.setattr(cli, "Word", counted_word)
-    monkeypatch.setattr(farey.Cycle, "__post_init__", counted_cycle)
+    monkeypatch.setattr(classify_module, "cutting_cycle", counted_reduce)
+    monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
     code, out, _ = run(capsys, "atlas", "--max-entry", "4")
     assert code == 0 and out.count("\n") == 18_033
     # 10 + 70 + 700 + 8,230 necklaces of lengths 2, 4, 6 and 8 over 1..4,
     # where enumerating every tuple took 69,904 tuples and as many Cycles;
-    # the only Cycles left are the cutting cycles, one per word and sign
+    # the only Cycles left are the cutting cycles, one per word and sign,
+    # and they are read off a checked period without checking them again
     assert len(words) == 9_010
     assert len(cycles) == 2 * 9_010
+    assert checked == []
 
 
 _E = 10**300
@@ -442,18 +499,21 @@ def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
 
 
 def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
-    # rotating the peeled word by two runs keeps it U-first and even and
-    # keeps the cycle, but leaves the conjugator two runs short
-    peel = farey.greedy_factor
+    # rotating the CF period by two digits keeps the cycle up to even
+    # rotation and its trace, but leaves the conjugator two runs off
+    walk = farey._gauss_orbit
 
-    def rotated(b):
-        word = peel(b)
-        return Word(word.exponents[2:] + word.exponents[:2], word.starts_with)
+    def rotated(x):
+        digits, entry = walk(x)
+        period = digits[entry:]
+        return digits[:entry] + period[2:] + period[:2], entry
 
-    monkeypatch.setattr(farey, "greedy_factor", rotated)
-    with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
-        main(["cycle", "15,4;11,3"])
-    assert capsys.readouterr().out == ""
+    monkeypatch.setattr(farey, "_gauss_orbit", rotated)
+    # an even period, an odd one of negative trace, and an odd pre-period
+    for matrix in ("15,4;11,3", "-121,-36;-84,-25", "7,-18;-5,13"):
+        with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
+            main(["cycle", matrix])
+        assert capsys.readouterr().out == ""
 
 
 def test_svg_stdout(capsys):

@@ -22,6 +22,8 @@ from sl2real import (
     analyze,
     attracting_fixed_point,
     cf_step,
+    classify,
+    conjugacy_test,
     cutting_cycle,
     greedy_factor,
     repelling_fixed_point,
@@ -552,22 +554,67 @@ def test_gauss_orbit_matches_reference_exhaustively():
     assert count == 7832
 
 
-def test_peeled_word_is_u_first_and_even_exhaustively(monkeypatch):
-    # the peeled matrix is a positive power of the period's word, so
-    # cutting_cycle takes the peeled runs as its cycle without moving any
-    words = []
-    peel = farey.greedy_factor
+def _cutting_cycle_by_peel(m):
+    """The cycle as cutting_cycle found it before it read the period:
+    peel sign * c^-1 m c with greedy_factor, for c the product of the
+    even pre-period's digit matrices (a 1; 1 0), then move the peeled
+    word to its least even rotation by a doubled-slice scan."""
+    sign = 1 if m.trace > 0 else -1
+    digits, entry = _gauss_orbit(attracting_fixed_point(m))
+    c = IDENTITY
+    for a in digits[: entry + entry % 2]:
+        c = c @ Mat2(a, 1, 1, 0)
+    body = c.inverse() @ m @ c
+    word = greedy_factor(body if sign == 1 else -body)
+    # sign * body is a positive power of the period's word
+    assert word.starts_with == "U" and len(word.exponents) % 2 == 0
+    exps = word.exponents
+    n = len(exps)
+    dbl = exps + exps
+    best = min(range(0, n, 2), key=lambda r: dbl[r : r + n])
+    for letter, e in word.runs()[:best]:
+        c = c @ (u_pow(e) if letter == "U" else v_pow(e))
+    return dbl[best : best + n], sign, c
 
-    def recorded(b):
-        words.append(peel(b))
-        return words[-1]
 
-    monkeypatch.setattr(farey, "greedy_factor", recorded)
+def test_peeled_word_is_u_first_and_even_exhaustively():
+    # the cycle read off the CF period, repeated j times, is the peeled
+    # word at its least even rotation, with the same conjugator
+    count = 0
     for m in _hyperbolics_in_box(30):
-        cutting_cycle(m)
-    assert len(words) == 7832
-    for w in words:
-        assert w.starts_with == "U" and len(w.exponents) % 2 == 0
+        cyc, sign, conj = cutting_cycle(m)
+        assert (cyc.exponents, sign, conj) == _cutting_cycle_by_peel(m)
+        count += 1
+    assert count == 7832
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=50),
+    st.sampled_from((1, -1)),
+)
+def test_cutting_cycle_of_power_repeats_the_cycle(seed, k, sign):
+    # m and m^k share their attracting fixed point, so the walk, the
+    # pre-period and the even pick are the same; only j is k times larger
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_runs=4, max_exp=4, conj_steps=4)
+    m = m if (m.trace > 0) == (sign == 1) else -m
+    cyc, base_sign, conj = cutting_cycle(m)
+    power = m**k
+    cyc_k, sign_k, conj_k = cutting_cycle(power)
+    assert (cyc_k.exponents, sign_k, conj_k) == (cyc.exponents * k, base_sign**k, conj)
+    _check_certificate(power, cyc_k, sign_k, conj_k)
+
+
+def test_cutting_cycle_of_odd_period_powers():
+    # the golden ratio's period is the one digit 1, doubled to U V
+    golden = Mat2(2, 1, 1, 1)
+    for k in (1, 2, 3, 7, 50):
+        for m in (golden**k, -(golden**k), golden ** (-k)):
+            cyc, sign, conj = cutting_cycle(m)
+            assert cyc.exponents == (1, 1) * k
+            _check_certificate(m, cyc, sign, conj)
 
 
 # exponents spread over the decades up to 10^6
@@ -620,6 +667,61 @@ def _least_rotation_reference(exponents):
     n = len(exponents)
     dbl = exponents + exponents
     return min(dbl[i : i + n] for i in range(n))
+
+
+def _least_start_reference(seq, step):
+    """First r, a multiple of step, of the least such rotation: a doubled-slice scan."""
+    n = len(seq)
+    dbl = seq + seq
+    return min(range(0, n, step), key=lambda r: dbl[r : r + n])
+
+
+def _even_rotation_equality_reference(x, y):
+    n = len(x)
+    dbl = x + x
+    return len(y) == n and any(dbl[r : r + n] == y for r in range(0, n, 2))
+
+
+def _repeated(parts):
+    root, repeats, shift = parts
+    word = tuple(root) * repeats
+    shift %= len(word)
+    return word[shift:] + word[:shift]
+
+
+# small alphabets and repeated roots, so rotations tie often
+_ROTATION_INPUTS = st.one_of(
+    st.lists(st.integers(1, 3), min_size=1, max_size=16).map(tuple),
+    st.tuples(
+        st.lists(st.integers(1, 3), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=40),
+    ).map(_repeated),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROTATION_INPUTS)
+def test_least_start_matches_scan(seq):
+    assert farey._least_start(seq) == _least_start_reference(seq, 1)
+    assert farey._least_rotation(seq) == _least_rotation_reference(seq)
+    if len(seq) % 2 == 0:
+        # the even pick: the least rotation of the exponent pairs
+        assert farey._least_start(seq, 2) == _least_start_reference(seq, 2)
+        assert farey._least_start(list(seq), 2) == _least_start_reference(seq, 2)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROTATION_INPUTS, st.integers(min_value=0, max_value=40), st.booleans())
+def test_equal_up_to_even_rotation_matches_scan(seq, shift, change):
+    x = seq + seq if len(seq) % 2 else seq
+    shift %= len(x)
+    y = x[shift:] + x[:shift]
+    if change:
+        y = y[:-1] + (y[-1] % 3 + 1,)
+    verdict = Cycle(x).equal_up_to_even_rotation(Cycle(y))
+    assert verdict == _even_rotation_equality_reference(x, y)
+    assert Cycle(y).equal_up_to_even_rotation(Cycle(x)) == verdict
 
 
 @settings(max_examples=200, deadline=None)
@@ -680,6 +782,28 @@ def test_huge_exponent_cycle_is_fast():
         cyc, sign, conj = cutting_cycle(m)
     assert (cyc.exponents, sign) == ((k, 1), 1)
     _check_certificate(m, cyc, sign, conj)
+
+
+_GOLDEN_10000 = Mat2(2, 1, 1, 1) ** 10_000  # 4,180-digit entries, a 20,000-run cycle
+
+
+def test_golden_power_classifies_in_budget():
+    with budget(0.5):
+        obj = classify(_GOLDEN_10000).to_json_obj()
+    assert obj["cycle"] == ["1"] * 20_000 and obj["sign"] == 1
+
+
+def test_golden_power_series_check_in_budget():
+    with budget(2.0):
+        rep = series_crosscheck(_GOLDEN_10000)
+    assert rep.consistent and rep.repetition == 20_000
+
+
+def test_golden_power_sl_conjugacy_in_budget():
+    g = u_pow(3) @ v_pow(-2)
+    conjugate = g @ _GOLDEN_10000 @ g.inverse()
+    with budget(0.5):
+        assert conjugacy_test(_GOLDEN_10000, conjugate, "sl")
 
 
 def test_ten_thousand_digit_conjugate_is_fast():

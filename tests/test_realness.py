@@ -129,6 +129,46 @@ def test_split_scan_matches_all_rotations(exps):
     _assert_matches_reference(tuple(exps))
 
 
+def _split_by_scan(exps):
+    """The O(n^2) scan that the str.find split replaced: try each odd cut."""
+    for first in range(1, len(exps), 2):
+        b1, b2 = exps[:first], exps[first:]
+        if b1 == b1[::-1] and b2 == b2[::-1]:
+            return Split(first)
+    return None
+
+
+def _periodic_cycle(parts):
+    root, repeats, shift = parts
+    if len(root) % 2:
+        root = root + root
+    word = tuple(root) * repeats
+    shift %= len(word)
+    return word[shift:] + word[:shift]
+
+
+# a root of 1-6 exponents, doubled when odd, repeated 1-6 times and rotated
+_PERIODIC_CYCLES = st.tuples(
+    st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=71),
+).map(_periodic_cycle)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_PERIODIC_CYCLES, _EVEN_LENGTH_WORDS, _ROTATED_BIPALINDROMES))
+def test_split_matches_quadratic_scan(exps):
+    exps = tuple(exps)
+    assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+
+
+def test_split_matches_quadratic_scan_on_big_exponents():
+    # the split compares exponents only for equality, whatever their size
+    big = 10**400
+    for exps in [(big, 1, big, 5), (big, big + 1), (big,) * 6, (1, big, 1, 2, big + 2, 2)]:
+        assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+
+
 def test_split_scan_matches_all_rotations_exhaustively():
     count = 0
     for n in range(2, 9, 2):
