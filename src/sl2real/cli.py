@@ -59,7 +59,9 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
                 continue
             try:
                 yield _parse_stdin_line(line)
-            except ValueError as exc:  # JSONDecodeError, MatrixParseError, int/str limit
+            except (ValueError, RecursionError) as exc:
+                # JSONDecodeError, MatrixParseError, the int/str limit, or
+                # nesting too deep for the json parser
                 raise MatrixParseError(f"bad input line {line!r}: {exc}") from None
     else:
         yield Mat2.from_text(arg)

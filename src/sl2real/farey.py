@@ -412,6 +412,11 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     The cycle is P at its least even rotation, repeated j times.
     """
     digits, entry = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
+    return _cycle_of_orbit(m, digits, entry)
+
+
+def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int, Mat2]:
+    """cutting_cycle of m from the Gauss orbit of its attracting point."""
     t = m.trace
     sign = 1 if t > 0 else -1
 
@@ -441,7 +446,9 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
 
 @dataclass(frozen=True)
 class SeriesReport:
-    """Cross-check of the cutting cycle against the raw CF period."""
+    """Cutting cycle beside the attracting point's CF period, whose
+    copies in the cycle ``repetition`` counts; 0 unless ``consistent``,
+    that is unless the repelling point's period tiles the reversed cycle."""
 
     cf_period: tuple[int, ...]
     cycle: Cycle
@@ -460,21 +467,23 @@ class SeriesReport:
 
 
 def series_crosscheck(m: Mat2) -> SeriesReport:
-    """Does the cycle equal the CF period of the attracting fixed point?
+    """Does the repelling point's CF period reverse the cutting cycle?
 
-    The raw period may have odd length; it is doubled before comparing
-    (a cycle always has even length).  ``repetition`` counts how many
-    copies of the raw period tile the cycle, 0 when inconsistent.
-    Comparison is up to arbitrary rotation.  cutting_cycle reads its
-    cycle off this same period and verifies it by multiplication, so
-    ``consistent`` restates that certificate; it is not an independent
-    check.
+    The cycle is read off the attracting point's period and verified by
+    multiplication.  The check walks the repelling point x' on its own:
+    by Galois's theorem -1/x' has the reversed period of a reduced x,
+    so the repelling period, doubled when its length is odd (a cycle
+    always has even length), tiles the reversed cycle up to rotation.
     """
-    cyc, sign, _ = cutting_cycle(m)
-    digits, entry = _gauss_orbit(attracting_fixed_point(m))
+    att = attracting_fixed_point(m)  # checks det and trace
+    digits, entry = _gauss_orbit(att)
+    cyc, sign, _ = _cycle_of_orbit(m, digits, entry)
     period = tuple(digits[entry:])
-    doubled = period + period if len(period) % 2 else period
-    n = len(cyc.exponents)
-    consistent = n % len(doubled) == 0 and Cycle(doubled * (n // len(doubled))) == cyc
+    rep_digits, rep_entry = _gauss_orbit(att.conjugate())
+    tile = tuple(rep_digits[rep_entry:])
+    if len(tile) % 2:
+        tile += tile
+    n = len(cyc)
+    consistent = n % len(tile) == 0 and Cycle(tile * (n // len(tile))) == cyc.reversed_cycle()
     repetition = n // len(period) if consistent else 0
     return SeriesReport(period, cyc, sign, repetition, consistent)

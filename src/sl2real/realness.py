@@ -14,10 +14,10 @@ a palindrome's word is conjugated to its inverse by D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .classify import CENTRAL, ELLIPTIC, PARABOLIC, MatClass, classify
-from .errors import CentralInput, NotARealStructure, NotReal
+from .errors import CentralInput, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
     IDENTITY,
@@ -27,7 +27,6 @@ from .mat2 import (
     Mat2,
     RealStructureKind,
     _unchecked_mat2,
-    is_real_structure,
     real_structure_kind,
 )
 from .oracle import brute_force_conjugator
@@ -97,27 +96,24 @@ def is_odd_bipalindromic(cycle: Cycle) -> Split | None:
 
 @dataclass(frozen=True)
 class RealFactorization:
-    """Certified pair of real structures with c_plus @ c_minus = m."""
+    """Certified pair of real structures with c_plus @ c_minus = m.
+
+    Each factor is checked once, here, and its kind kept.
+    """
 
     c_plus: Mat2
     c_minus: Mat2
+    kind_plus: RealStructureKind = field(init=False, compare=False, repr=False)
+    kind_minus: RealStructureKind = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        for j in (self.c_plus, self.c_minus):
-            if not is_real_structure(j):
-                raise NotARealStructure("matrix is not a linear real structure")
+        # real_structure_kind raises NotARealStructure on a non-involution
+        object.__setattr__(self, "kind_plus", real_structure_kind(self.c_plus))
+        object.__setattr__(self, "kind_minus", real_structure_kind(self.c_minus))
 
     @property
     def matrix(self) -> Mat2:
         return self.c_plus @ self.c_minus
-
-    @property
-    def kind_plus(self) -> RealStructureKind:
-        return real_structure_kind(self.c_plus)
-
-    @property
-    def kind_minus(self) -> RealStructureKind:
-        return real_structure_kind(self.c_minus)
 
     def to_json_obj(self) -> dict:
         return {

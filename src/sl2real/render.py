@@ -16,7 +16,6 @@ Fractions are (m, n) pairs in lowest terms with n >= 0; infinity is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isqrt
 
 from .errors import DepthTooLarge
@@ -44,8 +43,10 @@ class AxisOverlay:
 
     Crossed triangles are listed in travel order from the repelling to
     the attracting fixed point, each labeled "L" or "R" by the side of
-    the axis holding the triangle's lone vertex.  Order and labels come
-    from exact comparisons of the vertices with the fixed points.
+    the axis holding the triangle's lone vertex.  They are the triangles
+    of the two fixed points' walks down the Farey tree (Series, J. London
+    Math. Soc. 31, 1985), and each label is the sign of one exact
+    comparison made on the way.
     """
 
     attracting: Surd
@@ -61,78 +62,55 @@ class FareyFigure:
     axis: AxisOverlay | None
 
 
-def _is_between(frac: Frac, att: Surd, rep: Surd) -> bool:
-    # strictly inside the finite interval with surd endpoints; infinity
-    # always lies on the outer arc
-    m, n = frac
-    if n == 0:
-        return False
-    return att.compare_rational(m, n) != rep.compare_rational(m, n)
-
-
-def _rank(frac: Frac, inside: bool, rep: Surd, s: int) -> tuple[int, Fraction]:
-    """Position of a vertex along its boundary arc, from rep toward att.
-
-    Travel from rep to att runs in direction s along the fixed interval.
-    The outer arc leaves rep the other way, passes infinity and comes
-    back to att.
-    """
-    m, n = frac
-    if n == 0:
-        return (1, Fraction(0))
-    x = s * Fraction(m, n)
-    if inside:
-        return (0, x)
-    return (0 if rep.compare_rational(m, n) == s else 2, -x)
-
-
 def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
-    """Crossed triangles in travel order, found by descent.
+    """Crossed triangles in travel order, read off two walks.
 
-    A triangle grown under the frontier arc (u, v), and every triangle
-    below it, has its vertices in the closed arc [u, v].  If no fixed
-    point lies in the open arc, they are all on one side of the axis.  So
-    each half is walked down only through arcs holding att or rep, at
-    most two per round: O(depth) exact comparisons in all.
+    Each fixed point x is walked down the arcs of its half that hold it:
+    a round splits the arc at its mediant w and keeps the part holding
+    x, by one exact comparison.  Let k count the arcs the two walks
+    share (0 when the ends lie in different halves).  Triangles below
+    shared arcs have all vertices on one side of the axis, except the
+    one where the walks part (index k-1); every later triangle of either
+    walk is crossed.  So the axis climbs rep's walk from its deepest
+    triangle to index k, crosses the parting triangle and descends att's
+    walk from index k.
+
+    The lone vertex of a crossed triangle is the end of the arc the walk
+    keeps, at the parting triangle the mediant.  The boundary from rep
+    counterclockwise to att lies right of the axis, so the label is "R"
+    on rep's walk when rep > w, on att's when att < w, and at the
+    parting triangle when att > w.
     """
     att = attracting_fixed_point(axis_matrix)
     rep = att.conjugate()
-    s = 1 if att.q > 0 else -1  # att - rep = 2*sqrt(d)/q
 
-    def side(x: Surd, frac: Frac, h: int) -> int:
-        # sign of x - frac in half h, frac mirrored when h = -1
-        m, n = frac
-        return x.compare_rational(h * m, n) if n else -h
+    def walk(x: Surd) -> tuple[int, list[tuple[Tri, int]]]:
+        h = x.compare_rational(0, 1)  # the half holding x, mirrored when -1
+        u, v = (0, 1), (1, 0)
+        steps = []
+        for _ in range(depth):
+            w = (u[0] + v[0], u[1] + v[1])
+            sign = x.compare_rational(h * w[0], w[1])  # sign of x - h*w
+            steps.append((tuple((h * m, n) if n else (1, 0) for m, n in (u, w, v)), sign))
+            if sign == h:  # x lies beyond w in its half
+                u = w
+            else:
+                v = w
+        return h, steps
 
-    candidates: list[Tri] = []
-    frontier = [((0, 1), (1, 0), 1), ((0, 1), (1, 0), -1)]
-    for _ in range(depth):
-        nxt = []
-        for u, v, h in frontier:
-            if any(side(x, u, h) != side(x, v, h) for x in (att, rep)):
-                w = (u[0] + v[0], u[1] + v[1])
-                candidates.append(tuple((h * m, n) if n else (1, 0) for m, n in (u, w, v)))
-                nxt += [(u, w, h), (w, v, h)]
-        frontier = nxt
-    ordered = []
-    for tri in candidates:
-        between = [_is_between(v, att, rep) for v in tri]
-        count = sum(between)
-        if count == 0 or count == 3:
-            continue
-        # boundary points outside the fixed interval sit on the left of
-        # rightward travel, inside on the right; mirrored when the axis
-        # runs leftward
-        label = "R" if (count == 1) == (s == 1) else "L"
-        # the crossed edges never meet inside the disk, so they run in
-        # the order of their ends along both boundary arcs; the axis
-        # leaves a triangle by the edge joining its latest vertex on
-        # each side
-        inner = max(_rank(v, True, rep, s) for v, b in zip(tri, between) if b)
-        outer = max(_rank(v, False, rep, s) for v, b in zip(tri, between) if not b)
-        ordered.append(((inner, outer), tri, label))
-    ordered.sort(key=lambda item: item[0])
-    return AxisOverlay(att, rep, tuple((tri, label) for _, tri, label in ordered))
+    h_rep, rep_steps = walk(rep)
+    h_att, att_steps = walk(att)
+    k = 0
+    if h_rep == h_att:
+        k = 1
+        while k <= depth and rep_steps[k - 1][1] == att_steps[k - 1][1]:
+            k += 1
+    crossings = [(tri, "R" if sign > 0 else "L") for tri, sign in reversed(rep_steps[k:])]
+    if 0 < k <= depth:
+        tri, sign = att_steps[k - 1]
+        crossings.append((tri, "R" if sign > 0 else "L"))
+    crossings += [(tri, "L" if sign > 0 else "R") for tri, sign in att_steps[k:]]
+    return AxisOverlay(att, rep, tuple(crossings))
 
 
 def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import sl2real.cli as cli
 import sl2real.farey as farey
 import sl2real.realness as realness
-from sl2real import IDENTITY, Mat2, Word, conjugacy_test, u_pow, v_pow
+from sl2real import IDENTITY, Mat2, Word, attracting_fixed_point, conjugacy_test, u_pow, v_pow
 from sl2real.cli import main
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
@@ -148,6 +148,16 @@ def test_stdin_bad_line(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("[[1,2],[3]]\n"))
     code, out, err = run(capsys, "classify", "-")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["classify", "cycle", "real", "series-check"])
+def test_deeply_nested_line_is_a_usage_error(capsys, monkeypatch, command):
+    # nesting past the recursion limit makes the json parser raise
+    # RecursionError; the stream answers the good line, then stops
+    monkeypatch.setattr("sys.stdin", io.StringIO("[[2,1],[1,1]]\n" + "[" * 100_000 + "\n"))
+    code, out, err = run(capsys, command, "-")
+    assert code == 2 and out.count("\n") == 1
+    assert err.startswith("error: bad input line '[[[") and err.count("\n") == 1
 
 
 _HUGE = "1" + "0" * 4400  # over the interpreter's 4,300-digit int/str limit
@@ -472,6 +482,13 @@ def test_each_hyperbolic_input_walks_one_orbit(capsys, monkeypatch, argv, hyperb
     calls = _count_gauss_orbits(monkeypatch)
     assert run(capsys, *argv)[0] == 0
     assert len(calls) == hyperbolic_inputs
+
+
+def test_series_check_walks_each_fixed_point_once(capsys, monkeypatch):
+    calls = _count_gauss_orbits(monkeypatch)
+    assert run(capsys, "series-check", "15,4;11,3")[0] == 0
+    att = attracting_fixed_point(Mat2(15, 4, 11, 3))
+    assert calls == [(att,), (att.conjugate(),)]
 
 
 def test_atlas_walks_one_orbit_per_hyperbolic_record(capsys, monkeypatch):

@@ -455,6 +455,47 @@ def test_series_crosscheck_powers(seed, k):
     assert rep.repetition >= 1
 
 
+# a cycle that is no rotation of its reverse, so a repelling period read
+# forward would not tile the reversed cycle
+_SKEW = u_pow(2) @ v_pow(-3) @ Word((1, 2, 3, 4)).matrix() @ (u_pow(2) @ v_pow(-3)).inverse()
+
+
+def _corrupt_repelling_walk(monkeypatch, m, corrupt):
+    rep = repelling_fixed_point(m)
+    walk = farey._gauss_orbit
+
+    def walked(x):
+        digits, entry = walk(x)
+        return (corrupt(x, digits, entry) if x == rep else digits), entry
+
+    monkeypatch.setattr(farey, "_gauss_orbit", walked)
+
+
+def _bump_first_period_digit(x, digits, entry):
+    return digits[:entry] + [digits[entry] + 1] + digits[entry + 1 :]
+
+
+def _period_read_forward(x, digits, entry):
+    att_digits, att_entry = _gauss_orbit(x.conjugate())  # the unpatched walk
+    return digits[:entry] + att_digits[att_entry:]
+
+
+def test_series_crosscheck_skew_cycle_is_consistent():
+    rep = series_crosscheck(_SKEW)
+    assert rep.cycle == Cycle((1, 2, 3, 4)) != rep.cycle.reversed_cycle()
+    assert rep.consistent and rep.repetition == 1
+
+
+@pytest.mark.parametrize("corrupt", [_bump_first_period_digit, _period_read_forward])
+def test_series_crosscheck_catches_a_wrong_repelling_walk(monkeypatch, corrupt):
+    # the cycle comes from the attracting walk alone, so only the
+    # independent repelling walk can disagree with it
+    _corrupt_repelling_walk(monkeypatch, _SKEW, corrupt)
+    rep = series_crosscheck(_SKEW)
+    assert rep.cycle == Cycle((1, 2, 3, 4))
+    assert not rep.consistent and rep.repetition == 0
+
+
 # ---------------------------------------- the fast loops and their references
 
 

@@ -1,7 +1,9 @@
 """Brute-force cross-checks and the conjugation lattice."""
 
+import ast
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,8 +24,26 @@ from sl2real import (
     is_real_structure,
 )
 
+import sl2real.oracle
+
 from conftest import random_odd_bipalindromic_cycle, random_unimodular
 from sl2real import Word
+
+
+def test_oracle_imports_only_errors_and_mat2():
+    # the acceptance gate compares the constructive code with the oracle,
+    # which is only evidence while the oracle shares none of that code
+    tree = ast.parse(Path(sl2real.oracle.__file__).read_text(encoding="utf-8"))
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                package_imports.add("." * node.level + (node.module or ""))
+            elif node.module.split(".")[0] == "sl2real":
+                package_imports.add(node.module)
+        elif isinstance(node, ast.Import):
+            package_imports |= {a.name for a in node.names if a.name.split(".")[0] == "sl2real"}
+    assert package_imports == {".errors", ".mat2"}
 
 
 def test_enumerate_involutions_counts():

@@ -200,6 +200,34 @@ def test_real_factorization_json():
     }
 
 
+@pytest.mark.parametrize("m", [Mat2(15, 4, 11, 3), Mat2(-5, -2, -2, -1), ROT_PI, U, NEG_IDENTITY])
+def test_factorization_checks_each_factor_once(monkeypatch, m):
+    # the kinds are read when the factors are checked, so neither the
+    # kinds nor the JSON output check them again
+    import sl2real.mat2 as mat2
+
+    calls = []
+    check = mat2.is_real_structure
+
+    def counted(j):
+        calls.append(j)
+        return check(j)
+
+    monkeypatch.setattr(mat2, "is_real_structure", counted)
+    fac = analyze(m).factorization
+    fac.to_json_obj()
+    fac.kind_plus, fac.kind_minus
+    assert calls == [fac.c_plus, fac.c_minus]
+
+
+def test_factorization_kinds_stay_out_of_equality():
+    f = RealFactorization(REFL_DIAG, REFL_SWAP)
+    assert f == RealFactorization(REFL_DIAG, REFL_SWAP)
+    assert hash(f) == hash(RealFactorization(REFL_DIAG, REFL_SWAP))
+    assert repr(f) == f"RealFactorization(c_plus={REFL_DIAG!r}, c_minus={REFL_SWAP!r})"
+    assert (f.kind_plus.value, f.kind_minus.value) == ("diagonal", "exchange")
+
+
 # ----------------------------------------------------------- analyze
 
 

@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 from itertools import groupby, product
 from math import atan2, pi, sqrt
 
@@ -25,7 +26,7 @@ from sl2real import (
     u_pow,
 )
 
-from sl2real.render import _axis_overlay, _geodesic, _is_between, _point, _rank
+from sl2real.render import _axis_overlay, _geodesic, _point
 
 from conftest import random_hyperbolic
 
@@ -144,6 +145,31 @@ def _farey_by_mirroring(depth):
     return tuple(arcs), tuple(triangles)
 
 
+def _is_between(frac, att, rep):
+    # strictly inside the finite interval with surd endpoints; infinity
+    # always lies on the outer arc
+    m, n = frac
+    if n == 0:
+        return False
+    return att.compare_rational(m, n) != rep.compare_rational(m, n)
+
+
+def _rank(frac, inside, rep, s):
+    """Position of a vertex along its boundary arc, from rep toward att.
+
+    Travel from rep to att runs in direction s along the fixed interval.
+    The outer arc leaves rep the other way, passes infinity and comes
+    back to att.
+    """
+    m, n = frac
+    if n == 0:
+        return (1, Fraction(0))
+    x = s * Fraction(m, n)
+    if inside:
+        return (0, x)
+    return (0 if rep.compare_rational(m, n) == s else 2, -x)
+
+
 def _axis_overlay_by_scan(m, triangles):
     """Crossings by testing every triangle, in travel order."""
     att = attracting_fixed_point(m)
@@ -155,7 +181,14 @@ def _axis_overlay_by_scan(m, triangles):
         count = sum(between)
         if count in (0, 3):
             continue
+        # boundary points outside the fixed interval sit on the left of
+        # rightward travel, inside on the right; mirrored when the axis
+        # runs leftward
         label = "R" if (count == 1) == (s == 1) else "L"
+        # the crossed edges never meet inside the disk, so they run in
+        # the order of their ends along both boundary arcs; the axis
+        # leaves a triangle by the edge joining its latest vertex on
+        # each side
         inner = max(_rank(v, True, rep, s) for v, b in zip(tri, between) if b)
         outer = max(_rank(v, False, rep, s) for v, b in zip(tri, between) if not b)
         ordered.append(((inner, outer), tri, label))
