@@ -30,6 +30,7 @@ from .mat2 import (
     ROT_2PI3,
     ROT_PI,
     Mat2,
+    _quote,
     is_real_structure,
     v_pow,
 )
@@ -62,7 +63,7 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
             except (ValueError, RecursionError) as exc:
                 # JSONDecodeError, MatrixParseError, the int/str limit, or
                 # nesting too deep for the json parser
-                raise MatrixParseError(f"bad input line {line!r}: {exc}") from None
+                raise MatrixParseError(f"bad input line {_quote(line)}: {exc}") from None
     else:
         yield Mat2.from_text(arg)
 

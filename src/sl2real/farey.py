@@ -438,7 +438,8 @@ def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int,
     exps = tuple(period) * j
 
     conj = _unchecked_mat2(ca, cb, cc, cd)
-    reconstructed = _unchecked_mat2(*_times_word(ca, cb, cc, cd, exps)) @ conj.inverse()
+    conj_inv = _unchecked_mat2(cd, -cb, -cc, ca)  # a U/V word has det 1
+    reconstructed = _unchecked_mat2(*_times_word(ca, cb, cc, cd, exps)) @ conj_inv
     if (reconstructed if sign == 1 else -reconstructed) != m:
         raise RuntimeError("cutting-cycle verification failed")
     return _unchecked_cycle(exps), sign, conj

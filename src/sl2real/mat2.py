@@ -112,7 +112,7 @@ class Mat2:
         match = cls._TEXT.match(text)
         if match is None:
             raise MatrixParseError(
-                f"expected 'a,b;c,d' with integer entries, got {text!r}"
+                f"expected 'a,b;c,d' with integer entries, got {_quote(text)}"
             )
         try:
             return cls(*(int(group) for group in match.groups()))
@@ -141,25 +141,35 @@ class Mat2:
             and len(obj) == 2
             and all(isinstance(row, list) and len(row) == 2 for row in obj)
         ):
-            raise MatrixParseError(f"expected [[a, b], [c, d]], got {obj!r}")
+            raise MatrixParseError(f"expected [[a, b], [c, d]], got {_quote(obj)}")
         entries = []
         for row in obj:
             for cell in row:
                 if isinstance(cell, bool):
-                    raise MatrixParseError(f"bad matrix entry {cell!r}")
+                    raise MatrixParseError(f"bad matrix entry {_quote(cell)}")
                 if isinstance(cell, int):
                     entries.append(cell)
                 elif isinstance(cell, str):
                     try:
                         entries.append(int(cell, 10))
                     except ValueError:
-                        raise MatrixParseError(f"bad matrix entry {cell!r}") from None
+                        raise MatrixParseError(f"bad matrix entry {_quote(cell)}") from None
                 else:
-                    raise MatrixParseError(f"bad matrix entry {cell!r}")
+                    raise MatrixParseError(f"bad matrix entry {_quote(cell)}")
         return cls(*entries)
 
     def __str__(self) -> str:
         return f"({self.a} {self.b}; {self.c} {self.d})"
+
+
+def _quote(value: object) -> str:
+    """repr of parser input for an error message; past 60 characters (of
+    the text, or of another value's repr), the first 60 and the length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 60:
+        return repr(value)
+    head = repr(text[:60]) if isinstance(value, str) else text[:60]
+    return f"{head}... ({len(text)} characters)"
 
 
 def _unchecked_mat2(a: int, b: int, c: int, d: int) -> Mat2:
@@ -195,7 +205,7 @@ def v_pow(n: int) -> Mat2:
 
 def is_real_structure(j: Mat2) -> bool:
     """True iff j is an orientation-reversing linear involution."""
-    return j.det == -1 and j @ j == IDENTITY
+    return j.a + j.d == 0 and j.det == -1  # Cayley-Hamilton, see the module docstring
 
 
 class RealStructureKind(enum.Enum):

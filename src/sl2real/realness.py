@@ -175,10 +175,12 @@ def analyze(m: Mat2) -> Analysis:
         return Analysis(cls, None)
     b1, b2 = split.blocks_of(cls.cycle.exponents)
     conj = cls.conjugator
-    a, b, c, d = _times_word(conj.a, conj.b, conj.c, conj.d, b1)
-    c1 = _unchecked_mat2(a, -b, c, -d) @ conj.inverse()  # conj W1 D conj^-1
-    a, b, c, d = _times_word(conj.a, -conj.b, conj.c, -conj.d, b2, False)
-    c2 = _unchecked_mat2(a, b, c, d) @ conj.inverse()  # conj D W2 conj^-1
+    ca, cb, cc, cd = conj.a, conj.b, conj.c, conj.d
+    conj_inv = _unchecked_mat2(cd, -cb, -cc, ca)  # cutting_cycle's conjugator has det 1
+    a, b, c, d = _times_word(ca, cb, cc, cd, b1)
+    c1 = _unchecked_mat2(a, -b, c, -d) @ conj_inv  # conj W1 D conj^-1
+    a, b, c, d = _times_word(ca, -cb, cc, -cd, b2, False)
+    c2 = _unchecked_mat2(a, b, c, d) @ conj_inv  # conj D W2 conj^-1
     if cls.sign == -1:
         c1 = -c1
     return Analysis(cls, _finish(m, c1, c2))

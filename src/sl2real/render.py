@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from typing import Iterator
 
 from .errors import DepthTooLarge
 from .farey import Surd, attracting_fixed_point
@@ -56,10 +57,54 @@ class AxisOverlay:
 
 @dataclass(frozen=True)
 class FareyFigure:
+    """Tessellation after `depth` mediant rounds, optionally with an axis.
+
+    Only the depth and the axis are held.  `arcs` (2^(depth+2) - 3) and
+    `triangles` (2^(depth+1) - 2) are built from the mediant walk on
+    first use of either and then kept; `render_svg` reads neither.
+    """
+
     depth: int
-    arcs: tuple[tuple[Frac, Frac], ...]
-    triangles: tuple[Tri, ...]
     axis: AxisOverlay | None
+
+    @property
+    def arcs(self) -> tuple[tuple[Frac, Frac], ...]:
+        return self._tessellation()[0]
+
+    @property
+    def triangles(self) -> tuple[Tri, ...]:
+        return self._tessellation()[1]
+
+    def _tessellation(self) -> tuple[tuple[tuple[Frac, Frac], ...], tuple[Tri, ...]]:
+        """Arcs and triangles in walk order, each insertion followed by
+        its mirror image; every mirrored vertex is one tuple shared by
+        its arcs and triangles."""
+        built = self.__dict__.get("_arcs_and_triangles")
+        if built is None:
+            base = ((0, 1), (1, 0))
+            arcs: list[tuple[Frac, Frac]] = [base]
+            triangles: list[Tri] = []
+            mirror = {f: f for f in base}  # 0 and infinity are their own mirrors
+            for u, w, v in _mediants(self.depth):
+                mu, mv = mirror[u], mirror[v]
+                mw = mirror[w] = (-w[0], w[1])  # w is finite
+                arcs += [(u, w), (w, v), (mu, mw), (mw, mv)]
+                triangles += [(u, w, v), (mu, mw, mv)]
+            built = self.__dict__["_arcs_and_triangles"] = (tuple(arcs), tuple(triangles))
+        return built
+
+
+def _mediants(depth: int) -> Iterator[Tri]:
+    """Right-half insertions (u, w, v), w the mediant of the frontier arc
+    u < v, round by round and from 0 to infinity within a round."""
+    row = [(0, 1), (1, 0)]
+    for _ in range(depth):
+        nxt = [row[0]]
+        for u, v in zip(row, row[1:]):
+            w = (u[0] + v[0], u[1] + v[1])
+            yield u, w, v
+            nxt += (w, v)
+        row = nxt
 
 
 def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
@@ -116,27 +161,13 @@ def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
 def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
     """Tessellation after `depth` mediant rounds, optionally with an axis.
 
-    Arc count is 2^(depth+2) - 3 and triangle count 2^(depth+1) - 2.
-    Each frontier entry carries the mirror images of its ends, so every
-    mirrored vertex is one tuple shared by its arcs and triangles.
+    Validates the depth and computes the axis overlay; the arcs and
+    triangles wait for first use (see FareyFigure).
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {depth}")
-    base = ((0, 1), (1, 0))
-    arcs: list[tuple[Frac, Frac]] = [base]
-    triangles: list[Tri] = []
-    frontier = [base + base]  # 0 and infinity are their own mirrors
-    for _ in range(depth):
-        nxt = []
-        for u, v, mu, mv in frontier:
-            w = (u[0] + v[0], u[1] + v[1])
-            mw = (-w[0], w[1])  # w is finite
-            arcs += [(u, w), (w, v), (mu, mw), (mw, mv)]
-            triangles += [(u, w, v), (mu, mw, mv)]
-            nxt += [(u, w, mu, mw), (w, v, mw, mv)]
-        frontier = nxt
     axis = None if axis_matrix is None else _axis_overlay(axis_matrix, depth)
-    return FareyFigure(depth, tuple(arcs), tuple(triangles), axis)
+    return FareyFigure(depth, axis)
 
 
 # -- SVG output ------------------------------------------------------
@@ -156,12 +187,31 @@ def _point(frac: Frac) -> str:
     return f"{2 * m * n / s:.6f} {-((m * m - n * n) / s):.6f}"
 
 
-class _Points(dict):
-    """`_point` strings of one figure, each vertex formatted once."""
+def _flip(coordinate: str) -> str:
+    return coordinate[1:] if coordinate[0] == "-" else "-" + coordinate
 
-    def __missing__(self, frac: Frac) -> str:
-        text = self[frac] = _point(frac)
-        return text
+
+class _Vertices(dict):
+    """SVG coordinates (x, mirror x, y) of right-half vertices m/n.
+
+    x -> -x negates the SVG x and x -> 1/x negates the SVG y.  Int true
+    division rounds symmetrically, so an image's coordinate is the
+    vertex's with its sign character flipped, 0.000000 against
+    -0.000000 included; only where the numerator 2mn is exactly 0 (0 and
+    infinity, their own mirror images) is there no sign to flip.  So
+    only 0, infinity and 0 < m <= n go through `_point`.
+    """
+
+    def __missing__(self, frac: Frac) -> tuple[str, str, str]:
+        m, n = frac
+        if 0 < n < m:
+            x, mirror_x, y = self[(n, m)]
+            y = _flip(y)
+        else:
+            x, y = _point(frac).split(" ")
+            mirror_x = _flip(x) if m and n else x
+        entry = self[frac] = (x, mirror_x, y)
+        return entry
 
 
 def _geodesic(f1: Frac, f2: Frac, end: str) -> str:
@@ -182,18 +232,63 @@ def _geodesic(f1: Frac, f2: Frac, end: str) -> str:
     return f"A {r} {r} 0 0 {int(det * k < 0)} {end}"
 
 
+class _Radii(dict):
+    """`_geodesic`'s arc command up to its sweep flag, for Farey
+    neighbours with k = m1*m2 + n1*n2 > 0, formatted once per k."""
+
+    def __missing__(self, k: int) -> str:
+        text = self[k] = f"A {1 / k:.6f} {1 / k:.6f} 0 0 "
+        return text
+
+
+_ARC_HEAD = '<path class="arc" d="M '
+_ARC_TAIL = '" fill="none" stroke="#404040" stroke-width="0.004"/>'
+
+
+def _arc_paths(depth: int) -> Iterator[str]:
+    """The arc elements of the depth-d figure, in `FareyFigure.arcs` order.
+
+    Right-half Farey neighbours u < w have det -1 and k = u.w > 0, so
+    `_geodesic` draws (u, w) as an arc of radius 1/k with sweep 1, and
+    its mirror image with sweep 0; one radius string serves every arc
+    of the same k.  The base diameter from 0 to infinity is the chord.
+    """
+    vertex = _Vertices()
+    x0, _, y0 = vertex[(0, 1)]
+    xi, _, yi = vertex[(1, 0)]
+    yield f"{_ARC_HEAD}{x0} {y0} L {xi} {yi}{_ARC_TAIL}"
+    radius = _Radii()
+    for u, w, v in _mediants(depth):
+        xu, mxu, yu = vertex[u]
+        xw, mxw, yw = vertex[w]
+        xv, mxv, yv = vertex[v]
+        r1 = radius[u[0] * w[0] + u[1] * w[1]]
+        r2 = radius[w[0] * v[0] + w[1] * v[1]]
+        yield (
+            f"{_ARC_HEAD}{xu} {yu} {r1}1 {xw} {yw}{_ARC_TAIL}\n"
+            f"{_ARC_HEAD}{xw} {yw} {r2}1 {xv} {yv}{_ARC_TAIL}\n"
+            f"{_ARC_HEAD}{mxu} {yu} {r1}0 {mxw} {yw}{_ARC_TAIL}\n"
+            f"{_ARC_HEAD}{mxw} {yw} {r2}0 {mxv} {yv}{_ARC_TAIL}"
+        )
+
+
 def render_svg(fig: FareyFigure) -> str:
+    """SVG document of a figure: the crossed triangles, tinted by label,
+    under the arcs, and the axis on top.
+
+    The arcs come from one mediant walk (`_arc_paths`); `fig.arcs` and
+    `fig.triangles` are not built.
+    """
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.05 -1.05 2.1 2.1" width="600" height="600">',
         '<circle class="boundary" cx="0" cy="0" r="1" fill="none" '
         'stroke="#202020" stroke-width="0.006"/>',
     ]
-    point = _Points()
     if fig.axis is not None:
         for tri, label in fig.axis.crossings:
             a, b, c = tri
-            pa, pb, pc = point[a], point[b], point[c]
+            pa, pb, pc = _point(a), _point(b), _point(c)
             d = (
                 f"M {pa} {_geodesic(a, b, pb)} {_geodesic(b, c, pc)} "
                 f"{_geodesic(c, a, pa)} Z"
@@ -202,12 +297,7 @@ def render_svg(fig: FareyFigure) -> str:
                 f'<path class="tri-{label}" d="{d}" fill="{_TINTS[label]}" '
                 'fill-opacity="0.8" stroke="none"/>'
             )
-    for f1, f2 in fig.arcs:
-        d = f"M {point[f1]} {_geodesic(f1, f2, point[f2])}"
-        parts.append(
-            f'<path class="arc" d="{d}" fill="none" stroke="#404040" '
-            'stroke-width="0.004"/>'
-        )
+    parts += _arc_paths(fig.depth)
     if fig.axis is not None:
         att = fig.axis.attracting
         # the ends (p -+ sqrt(d))/q as integer points, sqrt(d) taken to

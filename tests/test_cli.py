@@ -158,6 +158,24 @@ def test_deeply_nested_line_is_a_usage_error(capsys, monkeypatch, command):
     code, out, err = run(capsys, command, "-")
     assert code == 2 and out.count("\n") == 1
     assert err.startswith("error: bad input line '[[[") and err.count("\n") == 1
+    assert len(err) < 300  # the line is quoted by a bounded prefix
+
+
+@pytest.mark.parametrize(
+    "matrix, stdin",
+    [
+        ("-", "[" + ",".join(["1"] * 50_000) + "]\n"),
+        ("1," * 30_000, None),
+        ("-", f'[["{"9" * 5_000}","1"],["0","1"]]\n'),
+    ],
+    ids=["100kb-json-list", "60kb-argv", "5000-digit-entry"],
+)
+def test_long_bad_input_gives_a_short_error(capsys, monkeypatch, matrix, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, "classify", matrix)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
 
 
 _HUGE = "1" + "0" * 4400  # over the interpreter's 4,300-digit int/str limit

@@ -142,6 +142,24 @@ def test_real_structure_predicate():
     assert not is_real_structure(Mat2(0, 1, 1, 1))  # not an involution
 
 
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from(["entries", "det -1", "conjugate"]),
+)
+def test_real_structure_predicate_is_the_definition(seed, shape):
+    # the trace test stands in for j @ j == I (Cayley-Hamilton); draw
+    # matrices of any det, of det -1 with any trace, and real structures
+    rng = random.Random(seed)
+    if shape == "entries":
+        j = Mat2(*(rng.randint(-3, 3) for _ in range(4)))
+    elif shape == "det -1":
+        j = random_unimodular(rng) @ REFL_DIAG @ random_unimodular(rng)
+    else:
+        g = random_unimodular(rng)
+        j = g @ rng.choice((REFL_DIAG, -REFL_DIAG, REFL_SWAP)) @ g.inverse()
+    assert is_real_structure(j) == (j.det == -1 and j @ j == IDENTITY)
+
+
 def test_real_structure_kind():
     assert real_structure_kind(Mat2(1, 0, 5, -1)) is RealStructureKind.EXCHANGE
     assert real_structure_kind(Mat2(3, -2, 4, -3)) is RealStructureKind.DIAGONAL

@@ -6,15 +6,17 @@ import re
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from itertools import groupby, product
-from math import atan2, pi, sqrt
+from math import atan2, isqrt, pi, sqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sl2real.render as render_module
 from sl2real import (
     IDENTITY,
     MAX_DEPTH,
     DepthTooLarge,
+    FareyFigure,
     Mat2,
     NotHyperbolic,
     Surd,
@@ -26,7 +28,7 @@ from sl2real import (
     u_pow,
 )
 
-from sl2real.render import _axis_overlay, _geodesic, _point
+from sl2real.render import _Vertices, _axis_overlay, _geodesic, _point
 
 from conftest import random_hyperbolic
 
@@ -327,11 +329,97 @@ def test_svg_deterministic():
         (12, Mat2(1, -2, -2, 5), "ff9e5a7213c0433f009420250685de12d9060846fcb8c944e99bf382481287ad"),
         (9, Mat2(-12, -5, -7, -3), "2a25a28a593f3f3e7acd81cc9e94bc5a7fe86d2e55fb82aedb0bc63a4dac577c"),
         (12, None, "d9d468ee6702ae3bb8fb62f2fd71beb6dbbe5800e289e875f83f8461f282281b"),
+        (0, None, "0603bbb5c9957b96498f2af16e264685e6f96b9c231920946c9bc3155cc096b2"),
+        (1, Mat2(5, 2, 2, 1), "791720387cb95d7935f9d29dd4e6a1e642fdb3f6220151798a980e391563891a"),
+        (5, Mat2(-12, -5, -7, -3), "edf9134393b1d0dc88b300bd11792cdf97176c164a4391accc68e86db31c95ab"),
+        (11, Mat2(15, 4, 11, 3), "dbbd850fa21d90b0523caaaea3d7642a7dfc82f18af37492968525cfbd64ec1f"),
     ],
 )
 def test_svg_bytes_pinned(depth, axis, digest):
     doc = render_farey(depth, axis)
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+
+
+# -- the mediant-walk writer against one `_geodesic` per arc ------------
+
+
+def _render_svg_by_arcs(fig):
+    """`render_svg` drawing every arc of `fig.arcs` by `_geodesic`, each
+    vertex formatted by `_point`: the byte reference of the writer."""
+    parts = [
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        'viewBox="-1.05 -1.05 2.1 2.1" width="600" height="600">',
+        '<circle class="boundary" cx="0" cy="0" r="1" fill="none" '
+        'stroke="#202020" stroke-width="0.006"/>',
+    ]
+    tints = {"L": "#9ecae1", "R": "#fdae6b"}
+    if fig.axis is not None:
+        for (a, b, c), label in fig.axis.crossings:
+            d = (
+                f"M {_point(a)} {_geodesic(a, b, _point(b))} "
+                f"{_geodesic(b, c, _point(c))} {_geodesic(c, a, _point(a))} Z"
+            )
+            parts.append(
+                f'<path class="tri-{label}" d="{d}" fill="{tints[label]}" '
+                'fill-opacity="0.8" stroke="none"/>'
+            )
+    for f1, f2 in fig.arcs:
+        d = f"M {_point(f1)} {_geodesic(f1, f2, _point(f2))}"
+        parts.append(f'<path class="arc" d="{d}" fill="none" stroke="#404040" stroke-width="0.004"/>')
+    if fig.axis is not None:
+        att = fig.axis.attracting
+        p, root, q = att.p << 64, isqrt(att.d << 128), att.q << 64
+        rep_end, att_end = (p - root, q), (p + root, q)
+        d = f"M {_point(rep_end)} {_geodesic(rep_end, att_end, _point(att_end))}"
+        parts.append(f'<path class="axis" d="{d}" fill="none" stroke="#d62728" stroke-width="0.012"/>')
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def test_writer_matches_reference_without_axis():
+    for depth in range(MAX_DEPTH + 1):
+        fig = farey_figure(depth)
+        assert render_svg(fig) == _render_svg_by_arcs(fig)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=MAX_DEPTH))
+def test_writer_matches_reference_with_axis(seed, depth):
+    fig = farey_figure(depth, random_hyperbolic(random.Random(seed)))
+    assert render_svg(fig) == _render_svg_by_arcs(fig)
+
+
+def test_vertex_table_matches_point():
+    # (1, 10^7) sits a hair east of 0 and (10^7, 10^7 + 1) a hair south
+    # of 1, so their images print 0.000000 against -0.000000
+    fracs = {frac for arc in farey_figure(MAX_DEPTH).arcs for frac in arc if frac[0] >= 0}
+    near_zero = [(1, 10**7), (10**7, 10**7 + 1)]
+    fracs |= {f for m, n in near_zero for f in ((m, n), (n, m))}
+    vertex = _Vertices()
+    signed_zeros = set()
+    for m, n in fracs:
+        x, mirror_x, y = vertex[(m, n)]
+        assert f"{x} {y}" == _point((m, n))
+        assert f"{mirror_x} {y}" == _point((-m, n) if n else (1, 0))
+        signed_zeros |= {c for c in (x, mirror_x, y) if c.lstrip("-") == "0.000000"}
+    assert signed_zeros == {"0.000000", "-0.000000"}
+
+
+def test_render_walks_once_and_builds_no_tessellation(monkeypatch):
+    walked = []
+    mediants = render_module._mediants
+
+    def counted(depth):
+        walked.append(depth)
+        return mediants(depth)
+
+    def refuse(self):
+        raise AssertionError("render_svg built the figure's arcs or triangles")
+
+    monkeypatch.setattr(render_module, "_mediants", counted)
+    monkeypatch.setattr(FareyFigure, "_tessellation", refuse)
+    render_farey(MAX_DEPTH, Mat2(5, 2, 2, 1))
+    assert walked == [MAX_DEPTH]
 
 
 def test_svg_viewbox_and_size():
