@@ -46,13 +46,13 @@ class MatClass:
 
     ``conjugator`` is the reduction's witness, not an invariant, so it is
     left out of equality, repr and JSON.  It is None for a central m;
-    otherwise it is the c below, with k = +-shift and W the positive
-    word in U, V with exponents ``cycle.exponents``, starting with U:
-
-        elliptic    c @ R @ c^-1 == m for the rotation R of trace t
-                    (ROT_PI, ROT_2PI3, -ROT_2PI3); det c is +-1
-        parabolic   c @ (sign*m) @ c^-1 == (1 0; k 1); c in SL(2,Z)
-        hyperbolic  sign * c @ W @ c^-1 == m; c in SL(2,Z)
+    otherwise it is the c with c @ R @ c^-1 == m for the class
+    representative R: the rotation of trace t (ROT_PI, ROT_2PI3,
+    -ROT_2PI3), sign * (1 0; shift 1), or sign * W for the positive word
+    W in U, V with exponents ``cycle.exponents``, starting with U.  A
+    hyperbolic c is in SL(2,Z).  For elliptic and parabolic m no det -1
+    matrix commutes with R, so det c tells apart the two SL(2,Z) classes
+    that make up the GL(2,Z) class.
     """
 
     kind: str
@@ -93,8 +93,8 @@ def classify(m: Mat2) -> MatClass:
     if -2 < t < 2:
         return MatClass(ELLIPTIC, trace=t, conjugator=_elliptic_conjugator(m, t))
     if t == 2 or t == -2:
-        sign, w, k = _parabolic_reduce(m)
-        return MatClass(PARABOLIC, sign=sign, shift=abs(k), conjugator=w)
+        sign, conj, shift = _parabolic_reduce(m)
+        return MatClass(PARABOLIC, sign=sign, shift=shift, conjugator=conj)
     cyc, sign, conj = cutting_cycle(m)
     return MatClass(HYPERBOLIC, sign=sign, cycle=cyc, conjugator=conj)
 
@@ -161,8 +161,13 @@ def _elliptic_conjugator(m: Mat2, t: int) -> Mat2:
 
 
 def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
-    """(sign, w, k) with w @ (sign*m) @ w^-1 == (1 0; k 1), w in SL(2,Z),
-    for m in SL(2,Z) non-central of trace 2*sign."""
+    """(sign, c, shift) with c @ (sign * (1 0; shift 1)) @ c^-1 == m and
+    shift >= 1, for m in SL(2,Z) non-central of trace 2*sign.
+
+    An SL(2,Z) w moving the fixed point of sign*m onto 0 gives
+    w @ (sign*m) @ w^-1 == (1 0; k 1).  Then c is w^-1, times
+    diag(1,-1) when k < 0, so det c is the sign of k.
+    """
     sign = m.trace // 2
     b = m if sign == 1 else -m
     if b.c == 0:
@@ -180,4 +185,6 @@ def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
     shifted = w @ b @ w.inverse()
     if (shifted.a, shifted.b, shifted.d) != (1, 0, 1):
         raise RuntimeError("parabolic reduction failed")
-    return sign, w, shifted.c
+    k = shifted.c
+    conj = w.inverse() if k > 0 else w.inverse() @ REFL_DIAG
+    return sign, conj, abs(k)

@@ -19,23 +19,14 @@ import argparse
 import json
 import re
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .classify import classify
+from .classify import _ELLIPTIC_REPS, classify
 from .errors import MatrixParseError, Sl2RealError
 from .farey import Word, cutting_cycle, series_crosscheck
-from .mat2 import (
-    IDENTITY,
-    NEG_IDENTITY,
-    ROT_2PI3,
-    ROT_PI,
-    Mat2,
-    _quote,
-    is_real_structure,
-    v_pow,
-)
+from .mat2 import IDENTITY, NEG_IDENTITY, Mat2, _quote, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
-from .realness import analyze, conjugacy_test
+from .realness import RealFactorization, analyze, conjugacy_test
 from .render import render_farey
 
 __all__ = ["main"]
@@ -45,13 +36,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _parse_stdin_line(line: str) -> Mat2:
-    obj = json.loads(line)
-    if isinstance(obj, str):
-        return Mat2.from_text(obj)
-    return Mat2.from_json_obj(obj)
-
-
 def _input_matrices(arg: str) -> Iterator[Mat2]:
     if arg == "-":
         for line in sys.stdin:
@@ -59,7 +43,8 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
             if not line:
                 continue
             try:
-                yield _parse_stdin_line(line)
+                obj = json.loads(line)
+                yield Mat2.from_text(obj) if isinstance(obj, str) else Mat2.from_json_obj(obj)
             except (ValueError, RecursionError) as exc:
                 # JSONDecodeError, MatrixParseError, the int/str limit, or
                 # nesting too deep for the json parser
@@ -68,40 +53,40 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
         yield Mat2.from_text(arg)
 
 
-def _cmd_classify(args) -> int:
+def _cycle_view(m: Mat2) -> dict:
+    cyc, sign, conj = cutting_cycle(m)
+    return {
+        "cycle": cyc.to_json_obj(),
+        "sign": sign,
+        "conjugator": conj.to_json_obj(),
+        "word": [str(e) for e in cyc.exponents],
+        "verified": True,
+    }
+
+
+def _real_view(fac: RealFactorization | None) -> dict:
+    return {
+        "is_real": fac is not None,
+        "factorization": None if fac is None else fac.to_json_obj(),
+    }
+
+
+# the stream commands: name -> (help, view of one matrix as a JSON object)
+_VIEWS: dict[str, tuple[str, Callable[[Mat2], dict]]] = {
+    "classify": ("trace trichotomy with invariants", lambda m: classify(m).to_json_obj()),
+    "cycle": ("cutting cycle of a hyperbolic matrix", _cycle_view),
+    "real": ("factor into two real structures", lambda m: _real_view(analyze(m).factorization)),
+    "series-check": (
+        "cycle vs continued-fraction period",
+        lambda m: series_crosscheck(m).to_json_obj(),
+    ),
+}
+
+
+def _cmd_view(args) -> int:
+    view = _VIEWS[args.command][1]
     for m in _input_matrices(args.matrix):
-        print(_dumps(classify(m).to_json_obj()))
-    return 0
-
-
-def _cmd_cycle(args) -> int:
-    for m in _input_matrices(args.matrix):
-        cyc, sign, conj = cutting_cycle(m)
-        print(
-            _dumps(
-                {
-                    "cycle": cyc.to_json_obj(),
-                    "sign": sign,
-                    "conjugator": conj.to_json_obj(),
-                    "word": [str(e) for e in cyc.exponents],
-                    "verified": True,
-                }
-            )
-        )
-    return 0
-
-
-def _cmd_real(args) -> int:
-    for m in _input_matrices(args.matrix):
-        fac = analyze(m).factorization
-        print(
-            _dumps(
-                {
-                    "is_real": fac is not None,
-                    "factorization": None if fac is None else fac.to_json_obj(),
-                }
-            )
-        )
+        print(_dumps(view(m)))
     return 0
 
 
@@ -115,23 +100,13 @@ def _cmd_conjugate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     m = Mat2.from_text(args.matrix)
+    # both searches check their witness before returning it
     if args.mode == "factor":
         pair = brute_force_factor(m, args.bound)
-        if pair is None:
-            witness = None
-        else:
-            j1, j2 = pair
-            if j1 @ j2 != m or not (is_real_structure(j1) and is_real_structure(j2)):
-                raise RuntimeError("oracle factor witness failed verification")
-            witness = [j1.to_json_obj(), j2.to_json_obj()]
+        witness = None if pair is None else [j.to_json_obj() for j in pair]
     else:
         q = brute_force_conjugator(m, args.bound)
-        if q is None:
-            witness = None
-        else:
-            if q.det != -1 or q @ m @ q.inverse() != m.inverse():
-                raise RuntimeError("oracle conjugator witness failed verification")
-            witness = q.to_json_obj()
+        witness = None if q is None else q.to_json_obj()
     print(
         _dumps(
             {
@@ -143,12 +118,6 @@ def _cmd_oracle(args) -> int:
             }
         )
     )
-    return 0
-
-
-def _cmd_series_check(args) -> int:
-    for m in _input_matrices(args.matrix):
-        print(_dumps(series_crosscheck(m).to_json_obj()))
     return 0
 
 
@@ -174,9 +143,7 @@ def _necklaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
 def _atlas_representatives(max_entry: int) -> Iterator[Mat2]:
     yield IDENTITY
     yield NEG_IDENTITY
-    yield ROT_PI
-    yield ROT_2PI3
-    yield -ROT_2PI3
+    yield from _ELLIPTIC_REPS.values()
     for n in range(1, max_entry + 1):
         yield v_pow(n)
         yield -v_pow(n)
@@ -192,14 +159,13 @@ def _cmd_atlas(args) -> int:
         analysis = analyze(rep)
         if args.real_only and not analysis.is_real:
             continue
-        cls_obj, fac = analysis.matclass.to_json_obj(), analysis.factorization
+        cls_obj = analysis.matclass.to_json_obj()
         print(
             _dumps(
                 {
                     "matrix": rep.to_json_obj(),
                     "class": cls_obj,
-                    "is_real": analysis.is_real,
-                    "factorization": None if fac is None else fac.to_json_obj(),
+                    **_real_view(analysis.factorization),
                     "cycle": cls_obj.get("cycle"),
                 }
             )
@@ -222,18 +188,21 @@ def _cmd_svg(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _int_at_least(low: int, name: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:  # argparse's own message would hold all of text
+            raise argparse.ArgumentTypeError(f"invalid {name} value: {_quote(text)}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
+_positive_int = _int_at_least(1, "_positive_int")
+_nonneg_int = _int_at_least(0, "_nonneg_int")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,17 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="trace trichotomy with invariants")
-    p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("cycle", help="cutting cycle of a hyperbolic matrix")
-    p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
-    p.set_defaults(func=_cmd_cycle)
-
-    p = sub.add_parser("real", help="factor into two real structures")
-    p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
-    p.set_defaults(func=_cmd_real)
+    for name, (help_text, _) in _VIEWS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
+        p.set_defaults(func=_cmd_view)
 
     p = sub.add_parser("conjugate", help="conjugacy test for two matrices")
     p.add_argument("matrix_a")
@@ -270,10 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=_nonneg_int, required=True)
     p.add_argument("--mode", choices=("factor", "conjugator"), default="factor")
     p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("series-check", help="cycle vs continued-fraction period")
-    p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
-    p.set_defaults(func=_cmd_series_check)
 
     p = sub.add_parser("atlas", help="JSONL atlas of conjugacy classes")
     p.add_argument("--max-entry", type=_positive_int, required=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import NotFactorable, NotHyperbolic, NotSL2
-from .mat2 import IDENTITY, Mat2, _unchecked_mat2
+from .mat2 import IDENTITY, Mat2, _quote, _unchecked_mat2
 
 __all__ = [
     "Surd",
@@ -48,7 +48,7 @@ class Surd:
     def __post_init__(self) -> None:
         for entry in (self.p, self.d, self.q):
             if not isinstance(entry, int) or isinstance(entry, bool):
-                raise TypeError(f"surd components must be int, got {entry!r}")
+                raise TypeError(f"surd components must be int, got {_quote(entry)}")
         if self.q == 0:
             raise ValueError("zero denominator")
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
@@ -154,9 +154,9 @@ class Word:
             raise ValueError("empty word")
         for e in self.exponents:
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-                raise ValueError(f"exponents must be positive ints, got {e!r}")
+                raise ValueError(f"exponents must be positive ints, got {_quote(e)}")
         if self.starts_with not in ("U", "V"):
-            raise ValueError(f"starts_with must be 'U' or 'V', got {self.starts_with!r}")
+            raise ValueError(f"starts_with must be 'U' or 'V', got {_quote(self.starts_with)}")
 
     def runs(self) -> tuple[tuple[str, int], ...]:
         letter = self.starts_with
@@ -242,7 +242,7 @@ class Cycle:
             raise ValueError(f"cycle length must be even and >= 2, got {n}")
         for e in self.exponents:
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-                raise ValueError(f"exponents must be positive ints, got {e!r}")
+                raise ValueError(f"exponents must be positive ints, got {_quote(e)}")
 
     def __len__(self) -> int:
         return len(self.exponents)

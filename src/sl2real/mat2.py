@@ -46,7 +46,7 @@ class Mat2:
     def __post_init__(self) -> None:
         for entry in (self.a, self.b, self.c, self.d):
             if not isinstance(entry, int) or isinstance(entry, bool):
-                raise TypeError(f"matrix entries must be int, got {entry!r}")
+                raise TypeError(f"matrix entries must be int, got {_quote(entry)}")
 
     # -- algebra -------------------------------------------------------
 
@@ -165,7 +165,10 @@ class Mat2:
 def _quote(value: object) -> str:
     """repr of parser input for an error message; past 60 characters (of
     the text, or of another value's repr), the first 60 and the length."""
-    text = value if isinstance(value, str) else repr(value)
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # value holds an int past the int/str limit
+        return f"a value with an int over {sys.get_int_max_str_digits()} digits"
     if len(text) <= 60:
         return repr(value)
     head = repr(text[:60]) if isinstance(value, str) else text[:60]

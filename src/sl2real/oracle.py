@@ -52,7 +52,7 @@ def brute_force_factor(m: Mat2, bound: int) -> tuple[Mat2, Mat2] | None:
 
     j1 runs over enumerate_involutions(bound); j2 = j1 @ m is accepted
     when it is itself a real structure with entries at most
-    bound * (max |m| + 1).
+    bound * (max |m| + 1).  The pair is checked before it is returned.
     """
     if m.det != 1:
         raise NotSL2("det != 1")
@@ -60,6 +60,8 @@ def brute_force_factor(m: Mat2, bound: int) -> tuple[Mat2, Mat2] | None:
     for j1 in enumerate_involutions(bound):
         j2 = j1 @ m  # j1 is its own inverse
         if j2.max_abs_entry() <= cap and is_real_structure(j2):
+            if j1 @ j2 != m or not is_real_structure(j1):
+                raise RuntimeError("oracle factor witness failed verification")
             return j1, j2
     return None
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import CENTRAL, ELLIPTIC, PARABOLIC, MatClass, classify
+from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
 from .errors import CentralInput, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
@@ -160,16 +160,16 @@ def analyze(m: Mat2) -> Analysis:
     cls = classify(m)
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
-    if cls.kind == ELLIPTIC:
-        j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
-        conj = cls.conjugator
-        return Analysis(cls, _finish(m, conj @ j1 @ conj.inverse(), conj @ j2 @ conj.inverse()))
-    if cls.kind == PARABOLIC:
-        # w (sign m) w^-1 = (1 0; k 1) = (1 0; k -1) diag(1,-1), so the
-        # signed mirror w^-1 diag(1,-1) w is a right factor of m
-        w = cls.conjugator
-        c_minus = w.inverse() @ (REFL_DIAG if cls.sign == 1 else -REFL_DIAG) @ w
-        return Analysis(cls, _finish(m, m @ c_minus, c_minus))
+    if cls.kind != HYPERBOLIC:
+        # a mirror pair of the representative, carried through the conjugator;
+        # sign (1 0; s 1) = (1 0; s -1) (sign diag(1,-1)) for s = shift
+        if cls.kind == ELLIPTIC:
+            j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
+        else:
+            j1 = _unchecked_mat2(1, 0, cls.shift, -1)
+            j2 = REFL_DIAG if cls.sign == 1 else -REFL_DIAG
+        conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
+        return Analysis(cls, _finish(m, conj @ j1 @ conj_inv, conj @ j2 @ conj_inv))
     split = is_odd_bipalindromic(cls.cycle)
     if split is None:
         return Analysis(cls, None)
@@ -218,36 +218,23 @@ def is_real(m: Mat2) -> bool:
 def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
     """Conjugacy of x and y in GL(2,Z) (group="gl") or SL(2,Z) ("sl").
 
-    The SL refinement separates exactly the classes merged only by
-    det -1 conjugation: even-rotation equality of cycles (hyperbolic),
-    the signed unipotent entry (parabolic), and equality of the
-    determinants of classify's conjugators (elliptic; the GL centralizer
-    of an elliptic representative contains no det -1 element, so that
-    determinant is well defined).
+    Equal MatClass verdicts are exactly GL conjugacy.  The SL refinement
+    separates the classes merged only by det -1 conjugation: even-rotation
+    equality of cycles (hyperbolic), and equality of the determinants of
+    classify's conjugators (elliptic and parabolic; the GL centralizer of
+    either representative has no det -1 element, so that determinant is
+    well defined).  Central classes are single elements.
     """
     if group not in ("gl", "sl"):
         raise ValueError(f"group must be 'gl' or 'sl', got {group!r}")
     cx, cy = classify(x), classify(y)
-    if cx.kind != cy.kind:
+    if cx != cy:
         return False
-    if cx.kind == CENTRAL:
-        return cx.sign == cy.sign
-    if cx.kind == ELLIPTIC:
-        if cx.trace != cy.trace:
-            return False
-        return group == "gl" or cx.conjugator.det == cy.conjugator.det
-    if cx.kind == PARABOLIC:
-        if (cx.shift, cx.sign) != (cy.shift, cy.sign):
-            return False
-        # classify's w takes sign*m to (1 0; k 1), so w m w^-1 has lower-left
-        # entry sign*k; with the signs equal, SL conjugacy is equality of k
-        wx, wy = cx.conjugator, cy.conjugator
-        return group == "gl" or (wx @ x @ wx.inverse()).c == (wy @ y @ wy.inverse()).c
-    if cx.sign != cy.sign:
-        return False
-    if group == "gl":
-        return cx.cycle == cy.cycle
-    return cx.cycle.equal_up_to_even_rotation(cy.cycle)
+    if group == "gl" or cx.kind == CENTRAL:
+        return True
+    if cx.kind == HYPERBOLIC:
+        return cx.cycle.equal_up_to_even_rotation(cy.cycle)
+    return cx.conjugator.det == cy.conjugator.det
 
 
 @dataclass(frozen=True)

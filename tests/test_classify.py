@@ -1,6 +1,7 @@
 """Trace trichotomy and the conjugators that certify it."""
 
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from sl2real import (
     NotSL2,
     Word,
     classify,
+    conjugacy_test,
     v_pow,
 )
 from sl2real.classify import _STABILIZER_TABLE
@@ -85,9 +87,8 @@ def test_classify_conjugator_is_a_witness_not_an_invariant(seed):
     w = classify(Mat2(15, 4, 11, 3)).conjugator
     assert w @ Word((1, 2, 1, 3), "U").matrix() @ w.inverse() == Mat2(15, 4, 11, 3)
     m = g @ Mat2(-1, 0, 3, -1) @ g.inverse()
-    w = classify(m).conjugator
-    shifted = w @ -m @ w.inverse()  # sign -1
-    assert (shifted.a, shifted.b, abs(shifted.c), shifted.d) == (1, 0, 3, 1)
+    c = classify(m).conjugator
+    assert c @ -v_pow(3) @ c.inverse() == m  # sign -1
 
 
 def test_classify_rejects_non_sl2():
@@ -148,16 +149,16 @@ def test_elliptic_orders():
 
 
 # ----------------------------------------------------------- parabolic
-# classify's conjugator w takes sign*m to (1 0; k 1), k the signed shift
+# classify's conjugator c carries sign * (1 0; shift 1) to m, and its
+# determinant is the sign of k in the SL(2,Z) representative (1 0; k 1)
 
 
 def _signed_shift(m):
     cls = classify(m)
-    w = cls.conjugator
-    shifted = w @ (m if cls.sign == 1 else -m) @ w.inverse()
-    assert w.det == 1 and shifted == v_pow(shifted.c)
-    assert abs(shifted.c) == cls.shift
-    return shifted.c, cls.sign
+    c = cls.conjugator
+    rep = v_pow(cls.shift) if cls.sign == 1 else -v_pow(cls.shift)
+    assert cls.shift >= 1 and c @ rep @ c.inverse() == m
+    return cls.shift * c.det, cls.sign
 
 
 def test_parabolic_canonicalize_pinned():
@@ -166,13 +167,13 @@ def test_parabolic_canonicalize_pinned():
 
     m = Mat2(-1, 0, -2, -1)
     cls = classify(m)
-    w = cls.conjugator
+    c = cls.conjugator
     assert (cls.sign, cls.shift) == (-1, 2)
-    assert w @ -m @ w.inverse() == v_pow(2)
+    assert c @ -v_pow(2) @ c.inverse() == m
 
-    w = classify(U).conjugator
-    assert w == Mat2(0, -1, 1, 0)
-    assert w @ U @ w.inverse() == v_pow(-1)
+    c = classify(U).conjugator  # U is SL-conjugate to (1 0; -1 1)
+    assert c == Mat2(0, -1, -1, 0) and c.det == -1
+    assert c @ v_pow(1) @ c.inverse() == U
 
 
 def test_parabolic_signed_shift_pinned():
@@ -207,3 +208,29 @@ def test_parabolic_shift_of_inverse_flips_sign(seed, n):
     assert _signed_shift(m) == (n, 1)
     assert _signed_shift(m.inverse()) == (-n, 1)
     assert classify(m).shift == classify(m.inverse()).shift == n
+
+
+def _entry_sign_class(m):
+    # sign*m - I = g (0 0; k 0) g^-1 for g = (p q; r s) in SL(2,Z): its
+    # lower-left entry is k s^2, its upper-right -k q^2, and the gcd of
+    # its entries is |k|
+    sign = m.trace // 2
+    a, b, c, d = sign * m.a - 1, sign * m.b, sign * m.c, sign * m.d - 1
+    k_sign = (c > 0) - (c < 0) if c else (b < 0) - (b > 0)
+    return sign, gcd(a, b, c, d) * k_sign
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_parabolic_sl_conjugacy_matches_entry_signs(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        pair = []
+        for _ in range(2):
+            sign, k = rng.choice((1, -1)), rng.choice((-3, -2, -1, 1, 2, 3))
+            g = random_unimodular(rng, steps=10)
+            m = g @ (v_pow(k) if sign == 1 else -v_pow(k)) @ g.inverse()
+            assert _entry_sign_class(m) == (sign, k)
+            pair.append(m)
+        x, y = pair
+        assert conjugacy_test(x, y, "sl") == (_entry_sign_class(x) == _entry_sign_class(y))

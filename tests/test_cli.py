@@ -603,6 +603,18 @@ def test_bad_flags_exit_2(capsys):
     assert main(["nonsense"]) == 2
 
 
+@pytest.mark.parametrize("digits", [5_000, 10**5])
+@pytest.mark.parametrize(
+    "argv",
+    [["svg", "--depth"], ["atlas", "--max-entry"], ["oracle", "2,1;1,1", "--bound"]],
+    ids=["svg", "atlas", "oracle"],
+)
+def test_long_int_flag_gives_a_short_error(capsys, argv, digits):
+    code, out, err = run(capsys, *argv, "9" * digits)
+    assert code == 2 and out == ""
+    assert "invalid" in err and len(err.encode()) < 300
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["classify", "--help"]) == 0

@@ -14,10 +14,13 @@ from sl2real import (
     ROT_PI,
     U,
     V,
+    Cycle,
     Mat2,
     MatrixParseError,
     NotUnimodular,
     RealStructureKind,
+    Surd,
+    Word,
     is_real_structure,
     real_structure_kind,
     u_pow,
@@ -128,6 +131,35 @@ def test_json_round_trip():
         Mat2.from_json_obj([["x", "0"], ["0", "1"]])
     with pytest.raises(MatrixParseError):
         Mat2.from_json_obj("nope")
+
+
+@pytest.mark.parametrize(
+    "obj", [10**5000, [10**5000], [[10**5000, 0], [0]]], ids=["int", "row", "rows"]
+)
+def test_from_json_obj_quotes_an_int_past_the_str_limit(obj):
+    with pytest.raises(MatrixParseError, match="int over") as info:
+        Mat2.from_json_obj(obj)
+    assert len(str(info.value)) < 300
+
+
+_LONG = "x" * 10**5
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Mat2(_LONG, 0, 0, 1),
+        lambda: Surd(_LONG, 5, 1),
+        lambda: Word((1, _LONG)),
+        lambda: Word((1,), _LONG),
+        lambda: Cycle((1, _LONG)),
+    ],
+    ids=["Mat2", "Surd", "Word-exponent", "Word-starts_with", "Cycle"],
+)
+def test_constructor_errors_quote_a_long_argument(build):
+    with pytest.raises((TypeError, ValueError)) as info:
+        build()
+    assert len(str(info.value)) < 300
 
 
 def test_max_abs_entry():

@@ -101,6 +101,14 @@ def test_brute_force_factor_deterministic():
     assert brute_force_factor(m, 3) == brute_force_factor(m, 3)
 
 
+def test_brute_force_factor_checks_its_witness(monkeypatch):
+    # (1 1; 1 0) has det -1 but is no involution, while (1 1; 1 0) @ ROT_PI
+    # is a real structure, so only the pair check can reject it
+    monkeypatch.setattr(sl2real.oracle, "enumerate_involutions", lambda bound: iter([Mat2(1, 1, 1, 0)]))
+    with pytest.raises(RuntimeError, match="oracle factor witness failed verification"):
+        brute_force_factor(ROT_PI, 1)
+
+
 # ------------------------------------------------------------ lattice
 
 
