@@ -8,9 +8,9 @@ through an exact continued-fraction reduction, decides realness,
 builds explicit verified factorizations, and renders the Farey
 tessellation of the hyperbolic disk as SVG.
 
-All arithmetic is exact: plain Python integers, Fractions, and
-quadratic surds with integer data.  Floating point appears only in
-the final coordinates of SVG output.
+All arithmetic is exact: plain Python integers and quadratic surds
+with integer data; only the oracle's linear algebra uses Fractions.
+Floating point appears only in the final coordinates of SVG output.
 """
 
 from .classify import (

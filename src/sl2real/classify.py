@@ -23,6 +23,7 @@ from .mat2 import (
     ROT_2PI3,
     ROT_PI,
     Mat2,
+    _unchecked_mat2,
 )
 
 __all__ = [
@@ -122,39 +123,32 @@ _STABILIZER_TABLE: dict[tuple[int, int, int, int], Mat2] = {
 def _elliptic_conjugator(m: Mat2, t: int) -> Mat2:
     """c with c @ _ELLIPTIC_REPS[t] @ c^-1 == m, for m elliptic of trace t.
 
-    The fixed point (x + y*i*sqrt(4 - t^2)) / q in the upper half plane
-    is driven into the fundamental domain by the classical
-    translate/invert loop while the applied moves accumulate in g; the
-    reduced matrix then lies in the finite stabilizer table of a corner
-    point.  All arithmetic is on the integer triple (x, y, q).
+    The fixed point z of m in the upper half plane is driven into the
+    fundamental domain by the classical translate/invert loop, run on the
+    entries of m: z -> z - n is conjugation by U^-n, z -> -1/z by
+    (0 -1; 1 0), and the moves accumulate in g.  For m = (a b; c d), with
+    c != 0 as |t| < 2, Re z = (a - d)/2c and |z|^2 = -b/c (the product of
+    the fixed points), so |z| >= 1 iff |b| >= |c|.  The reduced matrix
+    g m g^-1 then lies in the finite stabilizer table of a corner point.
     """
-    dd = 4 - t * t
-    # c == 0 would force |trace| = 2, so the fixed point is finite
-    if m.c > 0:
-        x, y, q = m.a - m.d, 1, 2 * m.c
-    else:
-        x, y, q = m.d - m.a, 1, -2 * m.c
-    g = IDENTITY
+    a, b, c, d = m.a, m.b, m.c, m.d
+    ga, gb, gc, gd = 1, 0, 0, 1
     while True:
-        n = (2 * x + q) // (2 * q)  # nearest integer to x/q, ties upward
+        n = (a - d + c) // (2 * c)  # nearest integer to Re z, ties upward
         if n:
-            x -= n * q
-            g = Mat2(1, -n, 0, 1) @ g
-        norm = x * x + y * y * dd  # |z|^2 * q^2
-        if norm >= q * q:
+            a, b, d = a - n * c, b + n * (a - d - n * c), d + n * c
+            ga, gb = ga - n * gc, gb - n * gd
+        if abs(b) >= abs(c):
             break
         # z -> -1/z, which strictly increases the imaginary part
-        x, y, q = -x * q, y * q, norm
-        shrink = gcd(x, y, q)
-        x, y, q = x // shrink, y // shrink, q // shrink
-        g = Mat2(0, -1, 1, 0) @ g
+        a, b, c, d = d, -c, -b, a
+        ga, gb, gc, gd = -gc, -gd, ga, gb
 
-    reduced = g @ m @ g.inverse()
     try:
-        mover = _STABILIZER_TABLE[(reduced.a, reduced.b, reduced.c, reduced.d)]
+        mover = _STABILIZER_TABLE[(a, b, c, d)]
     except KeyError:
         raise RuntimeError("elliptic reduction left the stabilizer table")
-    conj = g.inverse() @ mover
+    conj = _unchecked_mat2(gd, -gb, -gc, ga) @ mover  # g^-1 @ mover, det g = 1
     if conj @ _ELLIPTIC_REPS[t] @ conj.inverse() != m:
         raise RuntimeError("elliptic reduction verification failed")
     return conj

@@ -2,8 +2,9 @@
 
 JSON on stdout, one object per input; diagnostics on stderr.  Exit
 status 0 on success (including negative verdicts like a non-real
-matrix), 2 on argument or matrix syntax errors, 3 on domain errors
-(wrong determinant, wrong trace kind, too deep a figure).
+matrix), 2 on argument or matrix syntax errors (a capped flag past its
+cap among them), 3 on domain errors (wrong determinant, wrong trace
+kind, too deep a figure).
 
 Matrix arguments use the compact "a,b;c,d" grammar.  The subcommands
 classify, cycle, real, and series-check also accept "-" to stream
@@ -188,21 +189,26 @@ def _cmd_svg(args) -> int:
     return 0
 
 
-def _int_at_least(low: int, name: str) -> Callable[[str], int]:
+# Caps on the flags whose work grows without a bound of its own: atlas
+# --max-entry 6 would print 375,336,811 records, and the oracle's
+# searches grow as bound^2.
+_MAX_ATLAS_ENTRY = 5
+_MAX_ORACLE_BOUND = 1_000
+
+
+def _int_at_least(low: int, name: str, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:  # argparse's own message would hold all of text
             raise argparse.ArgumentTypeError(f"invalid {name} value: {_quote(text)}") from None
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be within {low}..{high}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}")
         return value
 
     return parse
-
-
-_positive_int = _int_at_least(1, "_positive_int")
-_nonneg_int = _int_at_least(0, "_nonneg_int")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,17 +235,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="bounded brute-force cross-checks")
     p.add_argument("matrix")
-    p.add_argument("--bound", type=_nonneg_int, required=True)
+    p.add_argument(
+        "--bound", type=_int_at_least(0, "_nonneg_int", _MAX_ORACLE_BOUND), required=True
+    )
     p.add_argument("--mode", choices=("factor", "conjugator"), default="factor")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("atlas", help="JSONL atlas of conjugacy classes")
-    p.add_argument("--max-entry", type=_positive_int, required=True)
+    p.add_argument(
+        "--max-entry", type=_int_at_least(1, "_positive_int", _MAX_ATLAS_ENTRY), required=True
+    )
     p.add_argument("--real-only", action="store_true")
     p.set_defaults(func=_cmd_atlas)
 
     p = sub.add_parser("svg", help="Farey tessellation figure")
-    p.add_argument("--depth", type=_nonneg_int, required=True)
+    p.add_argument("--depth", type=_int_at_least(0, "_nonneg_int"), required=True)
     p.add_argument("--axis", help='hyperbolic matrix "a,b;c,d" to overlay')
     p.add_argument("-o", "--output", help="write the SVG here instead of stdout")
     p.set_defaults(func=_cmd_svg)

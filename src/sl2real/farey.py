@@ -52,7 +52,7 @@ class Surd:
         if self.q == 0:
             raise ValueError("zero denominator")
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"{self.d} is not a positive non-square")
+            raise ValueError(f"{_quote(self.d)} is not a positive non-square")
         if (self.d - self.p * self.p) % self.q != 0:
             raise ValueError("q must divide d - p^2; use Surd.make to rescale")
 

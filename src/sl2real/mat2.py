@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 
+# one integer entry, in both input spellings: an optional minus sign and
+# decimal digits, with whitespace around
+_ENTRY = r"\s*(-?\d+)\s*"
+
+
 @dataclass(frozen=True)
 class Mat2:
     """Row-major 2x2 integer matrix (a b; c d)."""
@@ -102,9 +107,8 @@ class Mat2:
 
     # -- text / JSON ---------------------------------------------------
 
-    _TEXT = re.compile(
-        r"\A\s*(-?\d+)\s*,\s*(-?\d+)\s*;\s*(-?\d+)\s*,\s*(-?\d+)\s*\Z"
-    )
+    _TEXT = re.compile(rf"\A{_ENTRY},{_ENTRY};{_ENTRY},{_ENTRY}\Z")
+    _CELL = re.compile(rf"\A{_ENTRY}\Z")  # a string cell of the JSON form
 
     @classmethod
     def from_text(cls, text: str) -> "Mat2":
@@ -149,10 +153,10 @@ class Mat2:
                     raise MatrixParseError(f"bad matrix entry {_quote(cell)}")
                 if isinstance(cell, int):
                     entries.append(cell)
-                elif isinstance(cell, str):
+                elif isinstance(cell, str) and (match := cls._CELL.match(cell)):
                     try:
-                        entries.append(int(cell, 10))
-                    except ValueError:
+                        entries.append(int(match.group(1)))
+                    except ValueError:  # the int/str limit
                         raise MatrixParseError(f"bad matrix entry {_quote(cell)}") from None
                 else:
                     raise MatrixParseError(f"bad matrix entry {_quote(cell)}")

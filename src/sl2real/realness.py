@@ -2,8 +2,9 @@
 
 A matrix m in SL(2,Z) is called real here when m = c_plus @ c_minus for
 two orientation-reversing linear involutions.  Central and |trace| <= 2
-matrices are always real, with explicit table factorizations carried
-through the conjugators that classify finds.  A hyperbolic matrix is real
+matrices are always real.  Each non-central real m gets a mirror pair of
+its class representative, carried to m by one conjugation with the
+conjugator that classify finds.  A hyperbolic matrix is real
 exactly when its cutting cycle splits into two palindromic blocks of
 odd length.  Writing D = diag(1,-1), each block is then a word times D:
 the split U-first word W1 W2 equals (W1 D)(D W2), with W1 of odd length
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
+from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, PARABOLIC, MatClass, classify
 from .errors import CentralInput, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
@@ -26,6 +27,7 @@ from .mat2 import (
     REFL_SWAP,
     Mat2,
     RealStructureKind,
+    _quote,
     _unchecked_mat2,
     real_structure_kind,
 )
@@ -132,13 +134,6 @@ _ELLIPTIC_SPLITS: dict[int, tuple[Mat2, Mat2]] = {
 }
 
 
-def _finish(m: Mat2, c_plus: Mat2, c_minus: Mat2) -> RealFactorization:
-    fac = RealFactorization(c_plus, c_minus)
-    if fac.matrix != m:
-        raise RuntimeError("factorization verification failed")
-    return fac
-
-
 @dataclass(frozen=True)
 class Analysis:
     """One matrix, analysed once: its class and, when it is real, a
@@ -155,35 +150,33 @@ class Analysis:
 def analyze(m: Mat2) -> Analysis:
     """Classify m and factor it when it is real; NotSL2 if det m != 1.
 
-    The factorization reuses the conjugator that classify found.
+    Each non-central kind gives a mirror pair (j1, j2) of its class
+    representative R, j1 @ j2 == R: the elliptic table; (1 0; s -1) and
+    sign * D for sign * (1 0; s 1); sign * W1 D and D W2 for the split
+    word sign * W1 W2.  One conjugation by the conjugator c that
+    classify found, c @ j @ c^-1, carries both to a pair for m.
     """
     cls = classify(m)
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
-    if cls.kind != HYPERBOLIC:
-        # a mirror pair of the representative, carried through the conjugator;
-        # sign (1 0; s 1) = (1 0; s -1) (sign diag(1,-1)) for s = shift
-        if cls.kind == ELLIPTIC:
-            j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
-        else:
-            j1 = _unchecked_mat2(1, 0, cls.shift, -1)
-            j2 = REFL_DIAG if cls.sign == 1 else -REFL_DIAG
-        conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
-        return Analysis(cls, _finish(m, conj @ j1 @ conj_inv, conj @ j2 @ conj_inv))
-    split = is_odd_bipalindromic(cls.cycle)
-    if split is None:
-        return Analysis(cls, None)
-    b1, b2 = split.blocks_of(cls.cycle.exponents)
-    conj = cls.conjugator
-    ca, cb, cc, cd = conj.a, conj.b, conj.c, conj.d
-    conj_inv = _unchecked_mat2(cd, -cb, -cc, ca)  # cutting_cycle's conjugator has det 1
-    a, b, c, d = _times_word(ca, cb, cc, cd, b1)
-    c1 = _unchecked_mat2(a, -b, c, -d) @ conj_inv  # conj W1 D conj^-1
-    a, b, c, d = _times_word(ca, -cb, cc, -cd, b2, False)
-    c2 = _unchecked_mat2(a, b, c, d) @ conj_inv  # conj D W2 conj^-1
-    if cls.sign == -1:
-        c1 = -c1
-    return Analysis(cls, _finish(m, c1, c2))
+    if cls.kind == ELLIPTIC:
+        j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
+    elif cls.kind == PARABOLIC:
+        j1 = _unchecked_mat2(1, 0, cls.shift, -1)
+        j2 = REFL_DIAG if cls.sign == 1 else -REFL_DIAG
+    else:
+        split = is_odd_bipalindromic(cls.cycle)
+        if split is None:
+            return Analysis(cls, None)
+        b1, b2 = split.blocks_of(cls.cycle.exponents)
+        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, b1)
+        j1 = _unchecked_mat2(a, -b, c, -d)  # sign W1 D
+        j2 = _unchecked_mat2(*_times_word(1, 0, 0, -1, b2, False))  # D W2
+    conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
+    fac = RealFactorization(conj @ j1 @ conj_inv, conj @ j2 @ conj_inv)
+    if fac.matrix != m:
+        raise RuntimeError("factorization verification failed")
+    return Analysis(cls, fac)
 
 
 def factor_real(m: Mat2) -> RealFactorization:
@@ -226,7 +219,7 @@ def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
     well defined).  Central classes are single elements.
     """
     if group not in ("gl", "sl"):
-        raise ValueError(f"group must be 'gl' or 'sl', got {group!r}")
+        raise ValueError(f"group must be 'gl' or 'sl', got {_quote(group)}")
     cx, cy = classify(x), classify(y)
     if cx != cy:
         return False

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .errors import DepthTooLarge
 from .farey import Surd, attracting_fixed_point
-from .mat2 import Mat2
+from .mat2 import Mat2, _quote
 
 __all__ = [
     "MAX_DEPTH",
@@ -165,7 +165,7 @@ def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
     triangles wait for first use (see FareyFigure).
     """
     if depth < 0 or depth > MAX_DEPTH:
-        raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {depth}")
+        raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {_quote(depth)}")
     axis = None if axis_matrix is None else _axis_overlay(axis_matrix, depth)
     return FareyFigure(depth, axis)
 

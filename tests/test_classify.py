@@ -22,6 +22,7 @@ from sl2real import (
     Word,
     classify,
     conjugacy_test,
+    u_pow,
     v_pow,
 )
 from sl2real.classify import _STABILIZER_TABLE
@@ -234,3 +235,72 @@ def test_parabolic_sl_conjugacy_matches_entry_signs(seed):
             pair.append(m)
         x, y = pair
         assert conjugacy_test(x, y, "sl") == (_entry_sign_class(x) == _entry_sign_class(y))
+
+
+# ------------------------------------------- elliptic reduction reference
+
+
+def _elliptic_conjugator_by_fixed_point(m):
+    """Reference: the translate/invert loop on the fixed point
+    (x + y*i*sqrt(4 - t^2)) / q kept as a reduced integer triple, with
+    the moves multiplied up as checked matrices; the loop on the
+    matrix's own entries replaced it."""
+    t = m.trace
+    dd = 4 - t * t
+    if m.c > 0:
+        x, y, q = m.a - m.d, 1, 2 * m.c
+    else:
+        x, y, q = m.d - m.a, 1, -2 * m.c
+    g = IDENTITY
+    while True:
+        n = (2 * x + q) // (2 * q)
+        if n:
+            x -= n * q
+            g = Mat2(1, -n, 0, 1) @ g
+        norm = x * x + y * y * dd
+        if norm >= q * q:
+            break
+        x, y, q = -x * q, y * q, norm
+        shrink = gcd(x, y, q)
+        x, y, q = x // shrink, y // shrink, q // shrink
+        g = Mat2(0, -1, 1, 0) @ g
+    reduced = g @ m @ g.inverse()
+    conj = g.inverse() @ _STABILIZER_TABLE[(reduced.a, reduced.b, reduced.c, reduced.d)]
+    assert conj @ ELLIPTIC_REP[t] @ conj.inverse() == m
+    return conj
+
+
+def _box_elliptics(r):
+    out = []
+    for a in range(-r, r + 1):
+        for d in range(-r, r + 1):
+            if abs(a + d) >= 2:
+                continue
+            for b in range(-r, r + 1):
+                # b == 0 would force ad = 1, so |trace| = 2
+                if b and (a * d - 1) % b == 0 and abs((a * d - 1) // b) <= r:
+                    out.append(Mat2(a, b, (a * d - 1) // b, d))
+    return out
+
+
+def test_elliptic_conjugator_matches_fixed_point_loop_on_a_box():
+    box = _box_elliptics(30)
+    assert len(box) == 274
+    for m in box:
+        assert classify(m).conjugator == _elliptic_conjugator_by_fixed_point(m), m
+
+
+_UV_FACTOR = st.tuples(st.booleans(), st.integers(min_value=-(10**6), max_value=10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from((ROT_PI, -ROT_PI, ROT_2PI3, -ROT_2PI3, ROT_2PI3 @ ROT_2PI3)),
+    st.lists(_UV_FACTOR, max_size=40),
+)
+def test_elliptic_conjugator_matches_fixed_point_loop_on_conjugates(rep, factors):
+    g = IDENTITY
+    for is_u, e in factors:
+        g = g @ (u_pow(e) if is_u else v_pow(e))
+    m = g @ rep @ g.inverse()
+    assert classify(m).conjugator == _elliptic_conjugator_by_fixed_point(m)

@@ -150,6 +150,19 @@ def test_stdin_bad_line(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("cell", ["1_5", "+15"])
+def test_stdin_string_cells_follow_the_compact_grammar(capsys, monkeypatch, cell):
+    # int() would read "1_5" as 15 and "+15" as 15; "1_5,4;11,3" is no
+    # compact matrix, so neither spelling takes them
+    lines = f'[[" 15 ","4"],["11","3"]]\n[["{cell}","4"],["11","3"]]\n'
+    monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+    code, out, err = run(capsys, "classify", "-")
+    assert code == 2 and out.count("\n") == 1
+    assert err.startswith("error: bad input line") and err.count("\n") == 1
+    assert f"bad matrix entry {cell!r}" in err
+    assert main(["classify", f"{cell},4;11,3"]) == 2
+
+
 @pytest.mark.parametrize("command", ["classify", "cycle", "real", "series-check"])
 def test_deeply_nested_line_is_a_usage_error(capsys, monkeypatch, command):
     # nesting past the recursion limit makes the json parser raise
@@ -599,20 +612,30 @@ def test_bad_flags_exit_2(capsys):
     assert main(["svg", "--depth", "x"]) == 2
     assert main(["atlas", "--max-entry", "0"]) == 2
     assert main(["oracle", "2,1;1,1", "--bound", "-1"]) == 2
+    # one past each cap; the caps themselves take seconds (README Limits)
+    assert main(["atlas", "--max-entry", "6"]) == 2
+    assert main(["oracle", "2,1;1,1", "--bound", "1001"]) == 2
     assert main(["conjugate", "1,0;0,1", "1,0;0,1", "--group", "psl"]) == 2
     assert main(["nonsense"]) == 2
 
 
-@pytest.mark.parametrize("digits", [5_000, 10**5])
+@pytest.mark.parametrize("digits", [4_000, 5_000, 10**5])
 @pytest.mark.parametrize(
     "argv",
     [["svg", "--depth"], ["atlas", "--max-entry"], ["oracle", "2,1;1,1", "--bound"]],
     ids=["svg", "atlas", "oracle"],
 )
 def test_long_int_flag_gives_a_short_error(capsys, argv, digits):
+    # past the int/str limit int() rejects the text; under it the value
+    # parses, and is past the flag's cap or svg's depth limit
     code, out, err = run(capsys, *argv, "9" * digits)
-    assert code == 2 and out == ""
-    assert "invalid" in err and len(err.encode()) < 300
+    assert out == "" and len(err.encode()) < 300
+    if digits > 4_300:
+        assert code == 2 and "invalid" in err
+    elif argv[0] == "svg":
+        assert code == 3 and err.startswith("error: DepthTooLarge") and err.count("\n") == 1
+    else:
+        assert code == 2 and "must be within" in err
 
 
 def test_help_exits_zero(capsys):

@@ -21,6 +21,7 @@ from sl2real import (
     RealStructureKind,
     Surd,
     Word,
+    conjugacy_test,
     is_real_structure,
     real_structure_kind,
     u_pow,
@@ -153,12 +154,28 @@ _LONG = "x" * 10**5
         lambda: Word((1, _LONG)),
         lambda: Word((1,), _LONG),
         lambda: Cycle((1, _LONG)),
+        lambda: Surd(1, -(10**4000), 1),
+        lambda: conjugacy_test(U, U, _LONG),
     ],
-    ids=["Mat2", "Surd", "Word-exponent", "Word-starts_with", "Cycle"],
+    ids=[
+        "Mat2",
+        "Surd",
+        "Word-exponent",
+        "Word-starts_with",
+        "Cycle",
+        "Surd-d",
+        "conjugacy_test-group",
+    ],
 )
 def test_constructor_errors_quote_a_long_argument(build):
     with pytest.raises((TypeError, ValueError)) as info:
         build()
+    assert len(str(info.value)) < 300
+
+
+def test_surd_quotes_a_d_past_the_str_limit_in_its_own_message():
+    with pytest.raises(ValueError, match="is not a positive non-square") as info:
+        Surd(1, -(10**5000), 1)
     assert len(str(info.value)) < 300
 
 

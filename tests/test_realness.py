@@ -29,11 +29,12 @@ from sl2real import (
     is_odd_bipalindromic,
     is_real,
     is_real_structure,
+    u_pow,
     v_pow,
     weakly_real,
 )
 from sl2real.errors import NotARealStructure, NotFactorable, NotUnimodular
-from sl2real.farey import greedy_factor
+from sl2real.farey import _times_word, greedy_factor
 from sl2real.mat2 import real_structure_kind
 from sl2real.oracle import _coefficient_box, _commutation_rows, integer_column_kernel
 
@@ -375,6 +376,61 @@ def test_analyze_factors_match_reflection_factor_reference(b1, b2, seed, negate)
         m = -m
     f = analyze(m).factorization
     assert (f.c_plus, f.c_minus) == _factors_reference(m)
+
+
+def _hyperbolic_factors_by_hand(m):
+    """Reference: the hand-expanded hyperbolic assembly that one
+    conjugation of a mirror pair replaced.  The word products start
+    from the conjugator, the inverse is built from its entries, and the
+    sign is flipped on the finished first factor."""
+    cls = classify(m)
+    b1, b2 = is_odd_bipalindromic(cls.cycle).blocks_of(cls.cycle.exponents)
+    conj = cls.conjugator
+    ca, cb, cc, cd = conj.a, conj.b, conj.c, conj.d
+    conj_inv = Mat2(cd, -cb, -cc, ca)
+    a, b, c, d = _times_word(ca, cb, cc, cd, b1)
+    c1 = Mat2(a, -b, c, -d) @ conj_inv  # conj W1 D conj^-1
+    a, b, c, d = _times_word(ca, -cb, cc, -cd, b2, False)
+    c2 = Mat2(a, b, c, d) @ conj_inv  # conj D W2 conj^-1
+    return (c1 if cls.sign == 1 else -c1), c2
+
+
+def test_analyze_matches_hand_assembly_on_a_box():
+    count = 0
+    for a, b, c in product(range(-12, 13), repeat=3):
+        if a == 0 or (1 + b * c) % a:
+            continue
+        m = Mat2(a, b, c, (1 + b * c) // a)
+        if abs(m.trace) <= 2 or m.max_abs_entry() > 12:
+            continue
+        f = analyze(m).factorization
+        if f is not None:
+            assert (f.c_plus, f.c_minus) == _hyperbolic_factors_by_hand(m), m
+            count += 1
+    assert count == 1016
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.booleans())
+def test_analyze_matches_hand_assembly_on_big_conjugates(seed, negate):
+    # a real word with 10^200-sized runs, conjugated by 30 factors
+    # U^e or V^e with |e| <= 10^6: entries of about 10^3 digits
+    rng = random.Random(seed)
+
+    def big_palindrome():
+        half = [rng.randint(1, 10**200) for _ in range(rng.randint(0, 1))]
+        return half + [rng.randint(1, 10**200)] + half[::-1]
+
+    g = IDENTITY
+    for _ in range(30):
+        e = rng.randint(-(10**6), 10**6)
+        g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
+    m = g @ Word(tuple(big_palindrome() + big_palindrome()), "U").matrix() @ g.inverse()
+    if negate:
+        m = -m
+    assert len(str(m.max_abs_entry())) >= 500
+    f = analyze(m).factorization
+    assert (f.c_plus, f.c_minus) == _hyperbolic_factors_by_hand(m)
 
 
 @settings(max_examples=100, deadline=None)
