@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 from .classify import _ELLIPTIC_REPS, classify
 from .errors import MatrixParseError, Sl2RealError
 from .farey import Word, cutting_cycle, series_crosscheck
-from .mat2 import IDENTITY, NEG_IDENTITY, Mat2, _quote, v_pow
+from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
 from .realness import RealFactorization, analyze, conjugacy_test
 from .render import render_farey
@@ -198,8 +198,12 @@ _MAX_ORACLE_BOUND = 1_000
 
 def _int_at_least(low: int, name: str, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
+        # the grammar of a matrix entry: int() alone would also take
+        # "1_0", "+5" and non-ASCII digits
         try:
-            value = int(text)
+            if not _INTEGER.match(text):
+                raise ValueError
+            value = int(text)  # fails past the int/str limit
         except ValueError:  # argparse's own message would hold all of text
             raise argparse.ArgumentTypeError(f"invalid {name} value: {_quote(text)}") from None
         if high is not None and not low <= value <= high:
@@ -260,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 # Matrices like "-12,-5;-7,-3" would otherwise be eaten as option
 # strings; a leading space hides them from argparse and is stripped by
 # the matrix parser.
-_MATRIXISH = re.compile(r"-\d+\s*,")
+_MATRIXISH = re.compile(r"-[0-9]+\s*,")
 
 
 def _escape_matrix_args(argv: list[str]) -> list[str]:

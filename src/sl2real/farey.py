@@ -398,7 +398,7 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     stored ``cycle.exponents``.  The conjugator is in SL(2,Z): the CF
     pre-period is forced even (each digit matrix has det -1), and the
     later rotation of the word is by an even number of runs.  The
-    identity is re-verified before returning.
+    identity is re-verified before returning, with W = P^j (see below).
 
     The digit matrices pair up as (a 1; 1 0)(b 1; 1 0) = U^a V^b, so the
     even pre-period c multiplies out as a word.  Then c^-1 m c fixes
@@ -409,7 +409,8 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     tr(P^j) = |tr m|: U-first, of even length, and its runs never
     merge.  The traces t_k = tr(P^k) follow t_0 = 2, t_1 = tr P and
     t_{k+1} = tr P * t_k - t_{k-1}, and grow strictly since tr P > 2.
-    The cycle is P at its least even rotation, repeated j times.
+    The cycle is P at its least even rotation, repeated j times, so the
+    check raises P, multiplied out once for its trace, to the j-th power.
     """
     digits, entry = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
     return _cycle_of_orbit(m, digits, entry)
@@ -430,19 +431,17 @@ def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int,
     ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry] + period[:best])
     period = period[best:] + period[:best]
 
-    pa, _, _, pd = _times_word(1, 0, 0, 1, period)
-    trace_p = pa + pd
-    t_prev, t_k, j = 2, trace_p, 1
+    pw = _unchecked_mat2(*_times_word(1, 0, 0, 1, period))  # the period's word P
+    t_prev, t_k, j = 2, pw.trace, 1
     while t_k < abs(t):
-        t_prev, t_k, j = t_k, trace_p * t_k - t_prev, j + 1
-    exps = tuple(period) * j
+        t_prev, t_k, j = t_k, pw.trace * t_k - t_prev, j + 1
 
     conj = _unchecked_mat2(ca, cb, cc, cd)
     conj_inv = _unchecked_mat2(cd, -cb, -cc, ca)  # a U/V word has det 1
-    reconstructed = _unchecked_mat2(*_times_word(ca, cb, cc, cd, exps)) @ conj_inv
+    reconstructed = conj @ pw**j @ conj_inv
     if (reconstructed if sign == 1 else -reconstructed) != m:
         raise RuntimeError("cutting-cycle verification failed")
-    return _unchecked_cycle(exps), sign, conj
+    return _unchecked_cycle(tuple(period) * j), sign, conj
 
 
 @dataclass(frozen=True)

@@ -35,8 +35,11 @@ __all__ = [
 
 
 # one integer entry, in both input spellings: an optional minus sign and
-# decimal digits, with whitespace around
-_ENTRY = r"\s*(-?\d+)\s*"
+# ASCII decimal digits, with whitespace around ("\d" would take every
+# Unicode digit, and int() reads them)
+_ENTRY = r"\s*(-?[0-9]+)\s*"
+# one such integer alone: a string cell of the JSON form, or a CLI flag value
+_INTEGER = re.compile(rf"\A{_ENTRY}\Z")
 
 
 @dataclass(frozen=True)
@@ -71,16 +74,16 @@ class Mat2:
     def __pow__(self, n: int) -> "Mat2":
         if not isinstance(n, int):
             return NotImplemented
-        base = self
-        if n < 0:
-            base = self.inverse()
-            n = -n
-        result = IDENTITY
-        while n:
-            if n & 1:
+        if n == 0:
+            return IDENTITY
+        base = self if n > 0 else self.inverse()
+        # the bits of |n| below the top one, from the left: one squaring
+        # each, and one product by base for each that is set
+        result = base
+        for bit in bin(abs(n))[3:]:
+            result = result @ result
+            if bit == "1":
                 result = result @ base
-            base = base @ base
-            n >>= 1
         return result
 
     @property
@@ -108,7 +111,6 @@ class Mat2:
     # -- text / JSON ---------------------------------------------------
 
     _TEXT = re.compile(rf"\A{_ENTRY},{_ENTRY};{_ENTRY},{_ENTRY}\Z")
-    _CELL = re.compile(rf"\A{_ENTRY}\Z")  # a string cell of the JSON form
 
     @classmethod
     def from_text(cls, text: str) -> "Mat2":
@@ -153,7 +155,7 @@ class Mat2:
                     raise MatrixParseError(f"bad matrix entry {_quote(cell)}")
                 if isinstance(cell, int):
                     entries.append(cell)
-                elif isinstance(cell, str) and (match := cls._CELL.match(cell)):
+                elif isinstance(cell, str) and (match := _INTEGER.match(cell)):
                     try:
                         entries.append(int(match.group(1)))
                     except ValueError:  # the int/str limit

@@ -2,13 +2,12 @@
 
 A matrix m in SL(2,Z) is called real here when m = c_plus @ c_minus for
 two orientation-reversing linear involutions.  Central and |trace| <= 2
-matrices are always real.  Each non-central real m gets a mirror pair of
-its class representative, carried to m by one conjugation with the
-conjugator that classify finds.  A hyperbolic matrix is real
-exactly when its cutting cycle splits into two palindromic blocks of
-odd length.  Writing D = diag(1,-1), each block is then a word times D:
-the split U-first word W1 W2 equals (W1 D)(D W2), with W1 of odd length
-and so ending in U, and W2 starting with V; both are involutions because
+matrices are always real.  One involution J with J m J = m^-1 fixes the
+pair, m = J (J m), so each non-central real m gets one mirror of its
+class representative, carried to m by the conjugator that classify
+finds.  A hyperbolic matrix is real exactly when its cutting cycle
+splits into two palindromic blocks of odd length, W1 W2 with W1 ending
+in U; writing D = diag(1,-1), the mirror is W1 D, an involution because
 a palindrome's word is conjugated to its inverse by D.
 :func:`analyze` alone classifies and factors, verifying each result.
 """
@@ -18,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, PARABOLIC, MatClass, classify
-from .errors import CentralInput, NotReal
+from .errors import CentralInput, NotARealStructure, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
     IDENTITY,
     NEG_IDENTITY,
     REFL_DIAG,
-    REFL_SWAP,
     Mat2,
     RealStructureKind,
     _quote,
@@ -126,12 +124,8 @@ class RealFactorization:
         }
 
 
-# j1 @ j2 is the elliptic representative of each trace (see classify)
-_ELLIPTIC_SPLITS: dict[int, tuple[Mat2, Mat2]] = {
-    0: (REFL_DIAG, REFL_SWAP),
-    1: (Mat2(1, 0, 1, -1), REFL_SWAP),
-    -1: (Mat2(-1, 0, -1, 1), REFL_SWAP),
-}
+# j @ R is the swap (0 1; 1 0) for the elliptic representative R of each trace
+_ELLIPTIC_MIRRORS: dict[int, Mat2] = {0: REFL_DIAG, 1: Mat2(1, 0, 1, -1), -1: Mat2(-1, 0, -1, 1)}
 
 
 @dataclass(frozen=True)
@@ -150,32 +144,34 @@ class Analysis:
 def analyze(m: Mat2) -> Analysis:
     """Classify m and factor it when it is real; NotSL2 if det m != 1.
 
-    Each non-central kind gives a mirror pair (j1, j2) of its class
-    representative R, j1 @ j2 == R: the elliptic table; (1 0; s -1) and
-    sign * D for sign * (1 0; s 1); sign * W1 D and D W2 for the split
-    word sign * W1 W2.  One conjugation by the conjugator c that
-    classify found, c @ j @ c^-1, carries both to a pair for m.
+    Each non-central kind gives one mirror j of its class representative
+    R with j @ R a real structure: the elliptic table (j @ R the swap);
+    (1 0; s -1) for sign * (1 0; s 1) (sign * D); sign * W1 D for the
+    split word sign * W1 W2 (D W2).  With classify's conjugator c,
+    c_plus = c @ j @ c^-1 and c_minus = c_plus @ m = c @ j @ R @ c^-1.
+    Their product is not checked: RealFactorization finds tr c_plus = 0
+    and det c_plus = -1, so c_plus^2 = I by Cayley-Hamilton and
+    c_plus @ c_minus = m.  A failed factor check raises RuntimeError.
     """
     cls = classify(m)
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
     if cls.kind == ELLIPTIC:
-        j1, j2 = _ELLIPTIC_SPLITS[cls.trace]
+        j = _ELLIPTIC_MIRRORS[cls.trace]
     elif cls.kind == PARABOLIC:
-        j1 = _unchecked_mat2(1, 0, cls.shift, -1)
-        j2 = REFL_DIAG if cls.sign == 1 else -REFL_DIAG
+        j = _unchecked_mat2(1, 0, cls.shift, -1)
     else:
         split = is_odd_bipalindromic(cls.cycle)
         if split is None:
             return Analysis(cls, None)
-        b1, b2 = split.blocks_of(cls.cycle.exponents)
-        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, b1)
-        j1 = _unchecked_mat2(a, -b, c, -d)  # sign W1 D
-        j2 = _unchecked_mat2(*_times_word(1, 0, 0, -1, b2, False))  # D W2
-    conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
-    fac = RealFactorization(conj @ j1 @ conj_inv, conj @ j2 @ conj_inv)
-    if fac.matrix != m:
-        raise RuntimeError("factorization verification failed")
+        w1 = cls.cycle.exponents[: split.first_block_len]
+        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, w1)
+        j = _unchecked_mat2(a, -b, c, -d)  # sign W1 D
+    c_plus = cls.conjugator @ j @ cls.conjugator.inverse()
+    try:
+        fac = RealFactorization(c_plus, c_plus @ m)
+    except NotARealStructure as exc:
+        raise RuntimeError("factorization verification failed") from exc
     return Analysis(cls, fac)
 
 

@@ -150,10 +150,11 @@ def test_stdin_bad_line(capsys, monkeypatch):
     assert code == 2
 
 
-@pytest.mark.parametrize("cell", ["1_5", "+15"])
+@pytest.mark.parametrize("cell", ["1_5", "+15", "١٥", "１５"])
 def test_stdin_string_cells_follow_the_compact_grammar(capsys, monkeypatch, cell):
-    # int() would read "1_5" as 15 and "+15" as 15; "1_5,4;11,3" is no
-    # compact matrix, so neither spelling takes them
+    # int() would read each as 15, the last two in Arabic-Indic and
+    # fullwidth digits; "1_5,4;11,3" is no compact matrix, so neither
+    # spelling takes them
     lines = f'[[" 15 ","4"],["11","3"]]\n[["{cell}","4"],["11","3"]]\n'
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
     code, out, err = run(capsys, "classify", "-")
@@ -617,6 +618,22 @@ def test_bad_flags_exit_2(capsys):
     assert main(["oracle", "2,1;1,1", "--bound", "1001"]) == 2
     assert main(["conjugate", "1,0;0,1", "1,0;0,1", "--group", "psl"]) == 2
     assert main(["nonsense"]) == 2
+
+
+@pytest.mark.parametrize("value", ["1_0", "+5", "٣"])
+@pytest.mark.parametrize(
+    "argv",
+    [["svg", "--depth"], ["atlas", "--max-entry"], ["oracle", "2,1;1,1", "--bound"]],
+    ids=["svg", "atlas", "oracle"],
+)
+def test_int_flags_follow_the_entry_grammar(capsys, argv, value):
+    # int() would read these as 10, 5 and 3; argparse prints its usage
+    # lines and then one error line
+    code, out, err = run(capsys, *argv, value)
+    assert code == 2 and out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    name = "_positive_int" if argv[0] == "atlas" else "_nonneg_int"
+    assert line.endswith(f"invalid {name} value: {value!r}")
 
 
 @pytest.mark.parametrize("digits", [4_000, 5_000, 10**5])

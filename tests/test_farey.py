@@ -840,6 +840,12 @@ def test_golden_power_series_check_in_budget():
     assert rep.consistent and rep.repetition == 20_000
 
 
+def test_golden_power_factors_in_budget():
+    with budget(0.5):
+        fac = analyze(_GOLDEN_10000).factorization
+    assert fac.c_plus @ fac.c_minus == _GOLDEN_10000
+
+
 def test_golden_power_sl_conjugacy_in_budget():
     g = u_pow(3) @ v_pow(-2)
     conjugate = g @ _GOLDEN_10000 @ g.inverse()

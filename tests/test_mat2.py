@@ -62,6 +62,30 @@ def test_pow():
     assert m**3 == m @ m @ m
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 255, 256, 1_000, -1, -6])
+def test_pow_squares_only_below_the_top_bit(monkeypatch, n):
+    # from the top bit down: one squaring per lower bit and one product
+    # by the base per further set bit, so m ** 1 is m with no product
+    m = Mat2(2, 1, 1, 1)
+    base = m if n > 0 else m.inverse()
+    expected = base
+    for _ in range(abs(n) - 1):
+        expected = expected @ base
+    squarings, products = [], []
+    matmul = Mat2.__matmul__
+
+    def counted(x, y):
+        (squarings if x is y else products).append(y)
+        return matmul(x, y)
+
+    monkeypatch.setattr(Mat2, "__matmul__", counted)
+    power = m**n
+    monkeypatch.undo()
+    assert power == expected
+    assert len(squarings) == abs(n).bit_length() - 1
+    assert len(products) == bin(abs(n)).count("1") - 1
+
+
 def test_inverse():
     assert Mat2(2, 1, 1, 1).inverse() == Mat2(1, -1, -1, 2)
     assert REFL_SWAP.inverse() == REFL_SWAP

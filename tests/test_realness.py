@@ -33,6 +33,8 @@ from sl2real import (
     v_pow,
     weakly_real,
 )
+import sl2real.farey as farey
+import sl2real.realness as realness
 from sl2real.errors import NotARealStructure, NotFactorable, NotUnimodular
 from sl2real.farey import _times_word, greedy_factor
 from sl2real.mat2 import real_structure_kind
@@ -257,6 +259,106 @@ def test_analyze_parabolic_pinned():
         assert (f.c_plus, f.c_minus) == pair
 
 
+# the elliptic mirror pairs (j1, j2), j1 @ j2 the representative of
+# each trace, that one mirror and c_minus = c_plus @ m replaced
+_ELLIPTIC_PAIRS = {
+    0: (REFL_DIAG, REFL_SWAP),
+    1: (Mat2(1, 0, 1, -1), REFL_SWAP),
+    -1: (Mat2(-1, 0, -1, 1), REFL_SWAP),
+}
+
+
+def _factors_by_mirror_pair(m):
+    """Reference: a mirror pair (j1, j2) of the class representative,
+    j1 @ j2 == R, with both factors conjugated by classify's conjugator."""
+    cls = classify(m)
+    if cls.kind == "elliptic":
+        j1, j2 = _ELLIPTIC_PAIRS[cls.trace]
+    elif cls.kind == "parabolic":
+        j1, j2 = Mat2(1, 0, cls.shift, -1), (REFL_DIAG if cls.sign == 1 else -REFL_DIAG)
+    else:
+        b1, b2 = is_odd_bipalindromic(cls.cycle).blocks_of(cls.cycle.exponents)
+        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, b1)
+        j1 = Mat2(a, -b, c, -d)  # sign W1 D
+        j2 = Mat2(*_times_word(1, 0, 0, -1, b2, False))  # D W2
+    conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
+    return conj @ j1 @ conj_inv, conj @ j2 @ conj_inv
+
+
+def _sl2_box(r):
+    """Every matrix of SL(2,Z) with entries in [-r, r]."""
+    for a, b, c in product(range(-r, r + 1), repeat=3):
+        if a:
+            d, rem = divmod(1 + b * c, a)
+            if not rem and abs(d) <= r:
+                yield Mat2(a, b, c, d)
+        elif b * c == -1:
+            for d in range(-r, r + 1):
+                yield Mat2(0, b, c, d)
+
+
+def test_analyze_matches_mirror_pairs_on_a_box():
+    counts = {}
+    elliptic = [m for m in _sl2_box(30) if abs(m.trace) < 2]
+    others = [m for m in _sl2_box(12) if abs(m.trace) >= 2 and not m.is_central()]
+    for m in elliptic + others:
+        a = analyze(m)
+        if a.is_real:
+            f = a.factorization
+            assert (f.c_plus, f.c_minus) == _factors_by_mirror_pair(m), m
+            counts[a.matclass.kind] = counts.get(a.matclass.kind, 0) + 1
+    assert counts == {"elliptic": 274, "parabolic": 264, "hyperbolic": 1056}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["elliptic", "parabolic", "hyperbolic"]),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+)
+def test_analyze_matches_mirror_pairs_on_conjugates(kind, seed, power, negate):
+    # conjugators of 1 to 8 factors U^e or V^e with |e| <= 10^6; a
+    # hyperbolic representative is a real word's power P^j, j <= 6
+    rng = random.Random(seed)
+    if kind == "elliptic":
+        rep = rng.choice([ROT_PI, ROT_2PI3, -ROT_2PI3])
+    elif kind == "parabolic":
+        rep = v_pow(rng.choice((-1, 1)) * rng.randint(1, 10**6))
+    else:
+        rep = Word(random_odd_bipalindromic_cycle(rng).exponents, "U").matrix() ** power
+    g = IDENTITY
+    for _ in range(rng.randint(1, 8)):
+        e = rng.randint(-(10**6), 10**6)
+        g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
+    m = g @ (-rep if negate else rep) @ g.inverse()
+    f = analyze(m).factorization
+    assert (f.c_plus, f.c_minus) == _factors_by_mirror_pair(m)
+
+
+def test_analyze_walks_no_run_per_power(monkeypatch):
+    # the period and the first block are walked once whatever the power:
+    # the cycle certificate raises the period's matrix to it, and c_minus
+    # is c_plus @ m, so no second block is walked
+    walked = []
+    times = farey._times_word
+
+    def counted(a, b, c, d, exponents, u_first=True):
+        walked.append(len(exponents))
+        return times(a, b, c, d, exponents, u_first)
+
+    monkeypatch.setattr(farey, "_times_word", counted)
+    monkeypatch.setattr(realness, "_times_word", counted)
+    g = u_pow(3) @ v_pow(-2)
+    runs = []
+    for j in (10, 1_000):
+        m = g @ Mat2(2, 1, 1, 1) ** j @ g.inverse()
+        walked.clear()
+        assert analyze(m).is_real
+        runs.append(sum(walked))
+    assert runs[0] == runs[1]
+
+
 # ------------------------------------------------------- factor_real
 
 
@@ -413,8 +515,10 @@ def test_analyze_matches_hand_assembly_on_a_box():
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_analyze_matches_hand_assembly_on_big_conjugates(seed, negate):
-    # a real word with 10^200-sized runs, conjugated by 30 factors
-    # U^e or V^e with |e| <= 10^6: entries of about 10^3 digits
+    # a real word with 10^200-sized runs, conjugated by factors U^e or
+    # V^e with |e| <= 10^6 until the conjugator passes 180 digits (a
+    # fixed count of 30 factors can cancel down to 47 digits, as for
+    # seed 267): entries of about 10^3 digits
     rng = random.Random(seed)
 
     def big_palindrome():
@@ -422,7 +526,7 @@ def test_analyze_matches_hand_assembly_on_big_conjugates(seed, negate):
         return half + [rng.randint(1, 10**200)] + half[::-1]
 
     g = IDENTITY
-    for _ in range(30):
+    while g.max_abs_entry().bit_length() < 600:
         e = rng.randint(-(10**6), 10**6)
         g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
     m = g @ Word(tuple(big_palindrome() + big_palindrome()), "U").matrix() @ g.inverse()
