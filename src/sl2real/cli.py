@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Callable, Iterator
 
-from .classify import _ELLIPTIC_REPS, classify
+from .classify import _ELLIPTIC_REPS, HYPERBOLIC, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import Word, cutting_cycle, series_crosscheck
-from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, v_pow
+from .farey import _necklace_cycle, _times_word, cutting_cycle, series_crosscheck
+from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
-from .realness import RealFactorization, analyze, conjugacy_test
+from .realness import Analysis, RealFactorization, _analysis_of, analyze, conjugacy_test
 from .render import render_farey
 
 __all__ = ["main"]
@@ -141,23 +142,38 @@ def _necklaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
         a = (a[:p] * (n // p + 1))[:n]
 
 
-def _atlas_representatives(max_entry: int) -> Iterator[Mat2]:
-    yield IDENTITY
-    yield NEG_IDENTITY
-    yield from _ELLIPTIC_REPS.values()
+def _atlas_representatives(max_entry: int) -> Iterator[tuple[Mat2, Analysis]]:
+    """One (representative, analysis) pair per atlas record.
+
+    The central, elliptic and parabolic representatives go through
+    analyze.  A hyperbolic record is read off its necklace (e1, ..., e2n)
+    with no Gauss walk.  The word W = U^e1 V^e2 ... fixes
+    x = [e1; e2, ..., e2n, e1, ...], the attracting point of both W and
+    -W, and a purely periodic x is reduced (Galois), so cutting_cycle's
+    walk would enter the period at its first digit, with conjugator I.
+    That period is the necklace's least period, and a necklace, the least
+    of its rotations, is also the least of its even ones.  So
+    classify(sign * W) has the necklace as its cycle and I as its
+    conjugator, and the cycle certificate sign * W == rep holds by
+    construction; RealFactorization still checks each factorization.
+    """
+    for rep in (IDENTITY, NEG_IDENTITY, *_ELLIPTIC_REPS.values()):
+        yield rep, analyze(rep)
     for n in range(1, max_entry + 1):
-        yield v_pow(n)
-        yield -v_pow(n)
+        for rep in (v_pow(n), -v_pow(n)):
+            yield rep, analyze(rep)
     for length in range(2, 2 * max_entry + 1, 2):
         for exps in _necklaces(length, max_entry):  # one per cyclic word
-            w = Word(exps, "U").matrix()
-            yield w
-            yield -w
+            cycle = _necklace_cycle(exps)
+            a, b, c, d = _times_word(1, 0, 0, 1, exps)
+            for sign in (1, -1):
+                rep = _unchecked_mat2(sign * a, sign * b, sign * c, sign * d)
+                cls = MatClass(HYPERBOLIC, sign, cycle=cycle, conjugator=IDENTITY)
+                yield rep, _analysis_of(cls, rep)
 
 
 def _cmd_atlas(args) -> int:
-    for rep in _atlas_representatives(args.max_entry):
-        analysis = analyze(rep)
+    for rep, analysis in _atlas_representatives(args.max_entry):
         if args.real_only and not analysis.is_real:
             continue
         cls_obj = analysis.matclass.to_json_obj()
@@ -215,8 +231,21 @@ def _int_at_least(low: int, name: str, high: int | None = None) -> Callable[[str
     return parse
 
 
+# argparse's own messages hold whole arguments ("unrecognized arguments:
+# ...", "invalid choice: ..."); past this length one is cut by _quote, so
+# with the usage lines an error stays under 300 bytes.
+_MAX_PARSER_MESSAGE = 150
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser with bounded error lines; subparsers share its class."""
+
+    def error(self, message: str):
+        super().error(message if len(message) <= _MAX_PARSER_MESSAGE else _quote(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sl2real",
         description=(
             "Conjugacy invariants of SL(2,Z) matrices, factorization into "
@@ -263,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Matrices like "-12,-5;-7,-3" would otherwise be eaten as option
 # strings; a leading space hides them from argparse and is stripped by
-# the matrix parser.
-_MATRIXISH = re.compile(r"-[0-9]+\s*,")
+# the matrix parser, whose grammar then judges them.  Options start "--"
+# or "-" and a letter, so "-ofile,name.svg" stays an option.
+_MATRIXISH = re.compile(r"-(?![-A-Za-z])[^,]*,")
 
 
 def _escape_matrix_args(argv: list[str]) -> list[str]:
@@ -280,7 +310,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; the interpreter's final flush
+        # of stdout goes to the null device instead of failing again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

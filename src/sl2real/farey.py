@@ -285,6 +285,14 @@ def _unchecked_cycle(exponents: tuple[int, ...]) -> Cycle:
     return cyc
 
 
+def _necklace_cycle(necklace: tuple[int, ...]) -> Cycle:
+    """Unchecked Cycle of a necklace of positive ints and even length,
+    which is its own least rotation and so kept as its canonical form."""
+    cyc = _unchecked_cycle(necklace)
+    cyc.__dict__["_canonical"] = necklace
+    return cyc
+
+
 def _least_start(seq, step: int = 1) -> int:
     """Least r, a multiple of step, at which seq[r:] + seq[:r] is the
     least of the rotations by multiples of step; len(seq) must be a

@@ -9,7 +9,9 @@ finds.  A hyperbolic matrix is real exactly when its cutting cycle
 splits into two palindromic blocks of odd length, W1 W2 with W1 ending
 in U; writing D = diag(1,-1), the mirror is W1 D, an involution because
 a palindrome's word is conjugated to its inverse by D.
-:func:`analyze` alone classifies and factors, verifying each result.
+:func:`analyze` classifies and factors, verifying each result; the
+atlas, which knows each hyperbolic record's class, calls its second
+half, ``_analysis_of``, directly.
 """
 
 from __future__ import annotations
@@ -142,18 +144,23 @@ class Analysis:
 
 
 def analyze(m: Mat2) -> Analysis:
-    """Classify m and factor it when it is real; NotSL2 if det m != 1.
+    """Classify m and factor it when it is real; NotSL2 if det m != 1."""
+    return _analysis_of(classify(m), m)
 
-    Each non-central kind gives one mirror j of its class representative
-    R with j @ R a real structure: the elliptic table (j @ R the swap);
-    (1 0; s -1) for sign * (1 0; s 1) (sign * D); sign * W1 D for the
-    split word sign * W1 W2 (D W2).  With classify's conjugator c,
-    c_plus = c @ j @ c^-1 and c_minus = c_plus @ m = c @ j @ R @ c^-1.
-    Their product is not checked: RealFactorization finds tr c_plus = 0
-    and det c_plus = -1, so c_plus^2 = I by Cayley-Hamilton and
-    c_plus @ c_minus = m.  A failed factor check raises RuntimeError.
+
+def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
+    """The analysis of m from its class cls, whose conjugator c
+    certifies m as c @ R @ c^-1 for the class representative R.
+
+    Each non-central kind gives one mirror j of R with j @ R a real
+    structure: the elliptic table (j @ R the swap); (1 0; s -1) for
+    sign * (1 0; s 1) (sign * D); sign * W1 D for the split word
+    sign * W1 W2 (D W2).  Then c_plus = c @ j @ c^-1 and
+    c_minus = c_plus @ m = c @ j @ R @ c^-1.  Their product is not
+    checked: RealFactorization finds tr c_plus = 0 and det c_plus = -1,
+    so c_plus^2 = I by Cayley-Hamilton and c_plus @ c_minus = m.  A
+    failed factor check raises RuntimeError.
     """
-    cls = classify(m)
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
     if cls.kind == ELLIPTIC:

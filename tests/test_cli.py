@@ -4,7 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from itertools import product
@@ -21,6 +23,8 @@ from sl2real.cli import main
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
 
 from conftest import budget, random_odd_bipalindromic_cycle, random_unimodular, random_word
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(capsys, *argv):
@@ -440,33 +444,71 @@ def test_necklaces_match_least_rotation_filter(n, k):
 
 
 def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
-    words, cycles, checked = [], [], []
-    make_word, reduce, check_cycle = cli.Word, classify_module.cutting_cycle, farey.Cycle.__post_init__
+    words, cycles, walks, checked = [], [], [], []
+    times_word, reduce = cli._times_word, classify_module.cutting_cycle
+    walk, check_cycle = farey._gauss_orbit, farey.Cycle.__post_init__
 
     def counted_word(*args):
         words.append(args)
-        return make_word(*args)
+        return times_word(*args)
 
     def counted_reduce(m):
         cycles.append(m)
         return reduce(m)
 
+    def counted_walk(x):
+        walks.append(x)
+        return walk(x)
+
     def counted_check(self):
         checked.append(self)
         check_cycle(self)
 
-    monkeypatch.setattr(cli, "Word", counted_word)
+    monkeypatch.setattr(cli, "_times_word", counted_word)
     monkeypatch.setattr(classify_module, "cutting_cycle", counted_reduce)
+    monkeypatch.setattr(farey, "_gauss_orbit", counted_walk)
     monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
     code, out, _ = run(capsys, "atlas", "--max-entry", "4")
     assert code == 0 and out.count("\n") == 18_033
     # 10 + 70 + 700 + 8,230 necklaces of lengths 2, 4, 6 and 8 over 1..4,
     # where enumerating every tuple took 69,904 tuples and as many Cycles;
-    # the only Cycles left are the cutting cycles, one per word and sign,
-    # and they are read off a checked period without checking them again
+    # each necklace's word is multiplied out once, for both signs, and is
+    # its own cutting cycle, so no record is reduced again or checked
     assert len(words) == 9_010
-    assert len(cycles) == 2 * 9_010
-    assert checked == []
+    assert cycles == [] and walks == [] and checked == []
+
+
+def test_atlas_records_match_analyze():
+    # the necklace path against the analysis it replaces, conjugators too:
+    # MatClass equality leaves them out
+    for max_entry in range(1, 5):
+        for rep, analysis in cli._atlas_representatives(max_entry):
+            slow = realness.analyze(rep)
+            assert analysis == slow
+            assert analysis.matclass.conjugator == slow.matclass.conjugator
+
+
+@st.composite
+def _random_necklaces(draw):
+    """A least rotation of even length up to 12: a power of a random root,
+    the root itself when its length is even."""
+    exponent = st.one_of(st.integers(1, 3), st.integers(1, 10**6))
+    root = tuple(draw(st.lists(exponent, min_size=1, max_size=12)))
+    if len(root) % 2 and len(root) > 6:
+        root = root[:-1]
+    step = 2 * len(root) if len(root) % 2 else len(root)  # its least even power
+    word = root * (draw(st.integers(1, 12 // step)) * step // len(root))
+    return min(word[i:] + word[:i] for i in range(len(word)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_necklaces(), st.sampled_from((1, -1)))
+def test_necklace_is_its_own_cutting_cycle(necklace, sign):
+    w = Word(necklace, "U").matrix()
+    cls = classify_module.classify(w if sign == 1 else -w)
+    assert (cls.kind, cls.sign) == ("hyperbolic", sign)
+    assert cls.cycle.exponents == necklace
+    assert cls.conjugator == IDENTITY
 
 
 _E = 10**300
@@ -523,12 +565,14 @@ def test_series_check_walks_each_fixed_point_once(capsys, monkeypatch):
     assert calls == [(att,), (att.conjugate(),)]
 
 
-def test_atlas_walks_one_orbit_per_hyperbolic_record(capsys, monkeypatch):
+def test_atlas_walks_no_orbit(capsys, monkeypatch):
+    # each hyperbolic record is read off its necklace (see
+    # test_atlas_records_match_analyze)
     calls = _count_gauss_orbits(monkeypatch)
     records = run_json(capsys, "atlas", "--max-entry", "2")
     hyperbolic = [r for r in records if r["class"]["kind"] == "hyperbolic"]
     assert len(hyperbolic) == 18
-    assert len(calls) == len(hyperbolic)
+    assert calls == []
 
 
 def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
@@ -658,3 +702,44 @@ def test_long_int_flag_gives_a_short_error(capsys, argv, digits):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["classify", "--help"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["classify", "1,0;0,1", "x" * 10**5], ["y" * 10**5]],
+    ids=["unrecognized-argument", "unknown-command"],
+)
+def test_long_argparse_error_is_short(capsys, argv):
+    # argparse's own messages echo whole arguments
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.encode()) < 300 and err.count("error:") == 1
+
+
+def test_non_ascii_negative_matrix_meets_the_grammar(capsys):
+    # without the escape argparse reads it as an option and asks for a matrix
+    code, out, err = run(capsys, "classify", "-١,0;0,-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected 'a,b;c,d' with integer entries")
+    assert cli._escape_matrix_args(["-ofig,1.svg"]) == ["-ofig,1.svg"]  # an option and its value
+
+
+@pytest.mark.parametrize("argv", [["atlas", "--max-entry", "4"], ["classify", "-"]])
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    # far more output than a pipe holds, read one line, then close the pipe
+    stdin = tmp_path / "stdin.jsonl"
+    stdin.write_text('"2,1;1,1"\n' * 20_000)
+    stderr = tmp_path / "stderr"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    with stdin.open() as fh, stderr.open("wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "sl2real.cli", *argv],
+            stdin=fh, stdout=subprocess.PIPE, stderr=err, env=env,
+        )
+        try:
+            assert proc.stdout.readline().startswith(b"{")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+        finally:
+            proc.kill()
+    assert stderr.read_bytes() == b""
