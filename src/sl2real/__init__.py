@@ -26,7 +26,6 @@ from .errors import (
     DepthTooLarge,
     MatrixParseError,
     NotARealStructure,
-    NotFactorable,
     NotHyperbolic,
     NotReal,
     NotSL2,
@@ -39,10 +38,7 @@ from .farey import (
     Surd,
     Word,
     attracting_fixed_point,
-    cf_step,
     cutting_cycle,
-    greedy_factor,
-    repelling_fixed_point,
     series_crosscheck,
 )
 from .mat2 import (
@@ -71,7 +67,6 @@ from .oracle import (
 from .realness import (
     Analysis,
     RealFactorization,
-    Split,
     WeaklyRealReport,
     analyze,
     central_factorization,
@@ -110,7 +105,6 @@ __all__ = [
     "MatrixParseError",
     "NEG_IDENTITY",
     "NotARealStructure",
-    "NotFactorable",
     "NotHyperbolic",
     "NotReal",
     "NotSL2",
@@ -124,7 +118,6 @@ __all__ = [
     "RealStructureKind",
     "SeriesReport",
     "Sl2RealError",
-    "Split",
     "Surd",
     "U",
     "V",
@@ -135,14 +128,12 @@ __all__ = [
     "brute_force_conjugator",
     "brute_force_factor",
     "central_factorization",
-    "cf_step",
     "classify",
     "conjugacy_test",
     "cutting_cycle",
     "enumerate_involutions",
     "factor_real",
     "farey_figure",
-    "greedy_factor",
     "integer_kernel",
     "is_odd_bipalindromic",
     "is_real",
@@ -150,7 +141,6 @@ __all__ = [
     "real_structure_kind",
     "render_farey",
     "render_svg",
-    "repelling_fixed_point",
     "series_crosscheck",
     "u_pow",
     "v_pow",

@@ -232,8 +232,8 @@ def _int_at_least(low: int, name: str, high: int | None = None) -> Callable[[str
 
 
 # argparse's own messages hold whole arguments ("unrecognized arguments:
-# ...", "invalid choice: ..."); past this length one is cut by _quote, so
-# with the usage lines an error stays under 300 bytes.
+# ...", "invalid choice: ..."); past this many bytes one is cut by _quote,
+# so with the usage lines an error stays under 300 bytes.
 _MAX_PARSER_MESSAGE = 150
 
 
@@ -241,7 +241,8 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser with bounded error lines; subparsers share its class."""
 
     def error(self, message: str):
-        super().error(message if len(message) <= _MAX_PARSER_MESSAGE else _quote(message))
+        short = len(message.encode("utf-8", "surrogatepass")) <= _MAX_PARSER_MESSAGE
+        super().error(message if short else _quote(message))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,12 +294,22 @@ def build_parser() -> argparse.ArgumentParser:
 # Matrices like "-12,-5;-7,-3" would otherwise be eaten as option
 # strings; a leading space hides them from argparse and is stripped by
 # the matrix parser, whose grammar then judges them.  Options start "--"
-# or "-" and a letter, so "-ofile,name.svg" stays an option.
+# or "-" and a letter, so "-ofile,name.svg" stays an option.  After -o,
+# --output or an abbreviation of it such a token is a file name, passed
+# as "--output=-1,2.svg".
 _MATRIXISH = re.compile(r"-(?![-A-Za-z])[^,]*,")
 
 
 def _escape_matrix_args(argv: list[str]) -> list[str]:
-    return [" " + tok if _MATRIXISH.match(tok) else tok for tok in argv]
+    out: list[str] = []
+    for tok in argv:
+        if not _MATRIXISH.match(tok):
+            out.append(tok)
+        elif out and (out[-1] == "-o" or len(out[-1]) > 2 and "--output".startswith(out[-1])):
+            out[-1] = "--output=" + tok
+        else:
+            out.append(" " + tok)
+    return out
 
 
 def main(argv: list[str] | None = None) -> int:

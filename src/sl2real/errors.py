@@ -28,10 +28,6 @@ class NotARealStructure(Sl2RealError):
     """Matrix is not an orientation-reversing involution."""
 
 
-class NotFactorable(Sl2RealError):
-    """Matrix is not a nonempty positive word in the two standard unipotents."""
-
-
 class NotReal(Sl2RealError):
     """Matrix does not split as a product of two linear real structures."""
 

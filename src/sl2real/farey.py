@@ -5,8 +5,7 @@ irrational fixed points on the boundary.  Expanding the attracting one
 as a continued fraction is eventually periodic, and the period, read as
 run lengths of the two unipotent generators U = (1 1; 0 1) and
 V = (1 0; 1 1), is a conjugacy invariant of the matrix: its cutting
-cycle.  Everything in this module is exact integer arithmetic; floats
-appear only in ``Surd.__float__`` for display and sanity checks.
+cycle.  Everything in this module is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,18 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isqrt
 
-from .errors import NotFactorable, NotHyperbolic, NotSL2
-from .mat2 import IDENTITY, Mat2, _quote, _unchecked_mat2
+from .errors import NotHyperbolic, NotSL2
+from .mat2 import Mat2, _quote, _unchecked_mat2
 
 __all__ = [
     "Surd",
     "Word",
     "Cycle",
     "SeriesReport",
-    "cf_step",
     "attracting_fixed_point",
-    "repelling_fixed_point",
-    "greedy_factor",
     "cutting_cycle",
     "series_crosscheck",
 ]
@@ -37,8 +33,8 @@ class Surd:
 
     Invariants: q != 0, d > 0 and not a perfect square, and q divides
     d - p^2.  The divisibility is what keeps the Gauss-map recurrence
-    inside the integers; :meth:`make` rescales arbitrary triples into
-    it.  Equality and hashing are by real value, not representation.
+    inside the integers.  Equality and hashing are by real value, not
+    representation.
     """
 
     p: int
@@ -54,15 +50,7 @@ class Surd:
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise ValueError(f"{_quote(self.d)} is not a positive non-square")
         if (self.d - self.p * self.p) % self.q != 0:
-            raise ValueError("q must divide d - p^2; use Surd.make to rescale")
-
-    @classmethod
-    def make(cls, p: int, d: int, q: int) -> "Surd":
-        """Build (p + sqrt(d)) / q from any triple with q != 0."""
-        if q != 0 and (d - p * p) % q == 0:
-            return cls(p, d, q)
-        s = abs(q)
-        return cls(p * s, d * s * s, q * s)
+            raise ValueError("q must divide d - p^2")
 
     # value identity: x is a root of q^2 t^2 - 2pq t + (p^2 - d), and the
     # sign of q selects which of the two roots
@@ -83,20 +71,6 @@ class Surd:
         """The Galois conjugate (p - sqrt(d)) / q."""
         return Surd(-self.p, self.d, -self.q)
 
-    def __float__(self) -> float:
-        # sqrt(d) to k bits after the point, then one correctly rounded
-        # int division; |p + sqrt(d)| >= 1/(2*sqrt(d) + 1) keeps 53 bits
-        # even when p is close to -sqrt(d)
-        k = self.d.bit_length() // 2 + 64
-        return ((self.p << k) + isqrt(self.d << 2 * k)) / (self.q << k)
-
-    def floor(self) -> int:
-        s = isqrt(self.d)
-        # s < sqrt(d) < s+1 strictly, so these integer quotients are exact
-        if self.q > 0:
-            return (self.p + s) // self.q
-        return (-self.p - s - 1) // (-self.q)
-
     def compare_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den for den > 0; never 0 (self is irrational)."""
         if den <= 0:
@@ -112,14 +86,6 @@ class Surd:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
 
 
-def cf_step(x: Surd) -> tuple[int, Surd]:
-    """One Gauss-map step: returns (floor(x), 1/(x - floor(x)))."""
-    a = x.floor()
-    p1 = a * x.q - x.p
-    # q | d - p1^2 because p1 = -p mod q and q | d - p^2
-    return a, Surd(p1, x.d, (x.d - p1 * p1) // x.q)
-
-
 def attracting_fixed_point(m: Mat2) -> Surd:
     """Boundary fixed point of m with eigenvalue of modulus > 1."""
     if m.det != 1:
@@ -132,10 +98,6 @@ def attracting_fixed_point(m: Mat2) -> Surd:
     if t > 0:
         return Surd(m.a - m.d, disc, 2 * m.c)
     return Surd(m.d - m.a, disc, -2 * m.c)
-
-
-def repelling_fixed_point(m: Mat2) -> Surd:
-    return attracting_fixed_point(m).conjugate()
 
 
 @dataclass(frozen=True)
@@ -183,44 +145,6 @@ def _times_word(a: int, b: int, c: int, d: int, exponents, u_first: bool = True)
             a, c = a + b * e, c + d * e  # times V^e = (1 0; e 1)
         u_first = not u_first
     return a, b, c, d
-
-
-def greedy_factor(b: Mat2) -> Word:
-    """Unique positive word in U, V with product b.
-
-    Peels U while the first row dominates the second entrywise and V in
-    the opposite case; the branches are mutually exclusive away from the
-    identity because equal rows would force det 0.  A whole run is
-    peeled at once: U^k can come off exactly while a >= k c and
-    b >= k d, so k is a floor quotient and the loop is the Euclidean
-    algorithm on the rows, O(runs) big-int steps.  Entries stay
-    nonnegative with det 1, so a and d are at least 1; c == 0 forces
-    a == d == 1, and then the run U^b ends at the identity.  Raises
-    :class:`NotFactorable` when b is not a nonempty positive word.
-    """
-    if b.det != 1:
-        raise NotFactorable("det != 1")
-    if min(b.a, b.b, b.c, b.d) < 0:
-        raise NotFactorable("matrix has a negative entry")
-    if b == IDENTITY:
-        raise NotFactorable("identity is the empty word")
-    a, bb, c, d = b.a, b.b, b.c, b.d
-    starts_with = "U" if a >= c and bb >= d else "V"
-    exponents = []
-    # each run is maximal, so the letters alternate
-    while (a, bb, c, d) != (1, 0, 0, 1):
-        if a >= c and bb >= d:
-            k = bb // d if c == 0 else min(a // c, bb // d)
-            a -= k * c
-            bb -= k * d
-        elif c >= a and d >= bb:
-            k = c // a if bb == 0 else min(c // a, d // bb)
-            c -= k * a
-            d -= k * bb
-        else:
-            raise NotFactorable("matrix is not a positive word in U and V")
-        exponents.append(k)
-    return Word(tuple(exponents), starts_with)
 
 
 @dataclass(frozen=True, eq=False)

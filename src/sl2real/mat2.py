@@ -169,16 +169,19 @@ class Mat2:
 
 
 def _quote(value: object) -> str:
-    """repr of parser input for an error message; past 60 characters (of
-    the text, or of another value's repr), the first 60 and the length."""
+    """repr of parser input for an error message; past 60 bytes of UTF-8
+    inside the quotes (or of another value's repr), the longest head that
+    fits and the length.  Escapes and wide characters count as printed."""
     try:
-        text = value if isinstance(value, str) else repr(value)
+        text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
     except ValueError:  # value holds an int past the int/str limit
         return f"a value with an int over {sys.get_int_max_str_digits()} digits"
-    if len(text) <= 60:
-        return repr(value)
-    head = repr(text[:60]) if isinstance(value, str) else text[:60]
-    return f"{head}... ({len(text)} characters)"
+    head = text[:60]
+    while len(show(head).encode("utf-8", "surrogatepass")) > len(show("")) + 60:
+        head = head[:-1]
+    if head == text:
+        return show(text)
+    return f"{show(head)}... ({len(text)} characters)"
 
 
 def _unchecked_mat2(a: int, b: int, c: int, d: int) -> Mat2:

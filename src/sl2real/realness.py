@@ -34,7 +34,6 @@ from .mat2 import (
 from .oracle import brute_force_conjugator
 
 __all__ = [
-    "Split",
     "RealFactorization",
     "Analysis",
     "WeaklyRealReport",
@@ -48,19 +47,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Split:
-    """Cutting a cycle's stored exponents after `first_block_len`
-    entries leaves two palindromes of odd length."""
-
-    first_block_len: int
-
-    def blocks_of(self, exponents: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return exponents[: self.first_block_len], exponents[self.first_block_len :]
-
-
-def is_odd_bipalindromic(cycle: Cycle) -> Split | None:
-    """Least odd-bipalindromic split of the stored exponents, or None.
+def is_odd_bipalindromic(cycle: Cycle) -> int | None:
+    """Length of the first block of the least odd-bipalindromic split of
+    the stored exponents, or None.
 
     Rotating first never helps.  Write c for the stored exponents,
     indexed mod their even length n.  Rotating by r and cutting after an
@@ -93,7 +82,7 @@ def is_odd_bipalindromic(cycle: Cycle) -> Split | None:
         if period % 2 == 0:
             return None
         first += period
-    return Split(first)
+    return first
 
 
 @dataclass(frozen=True)
@@ -168,10 +157,10 @@ def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
     elif cls.kind == PARABOLIC:
         j = _unchecked_mat2(1, 0, cls.shift, -1)
     else:
-        split = is_odd_bipalindromic(cls.cycle)
-        if split is None:
+        first = is_odd_bipalindromic(cls.cycle)
+        if first is None:
             return Analysis(cls, None)
-        w1 = cls.cycle.exponents[: split.first_block_len]
+        w1 = cls.cycle.exponents[:first]
         a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, w1)
         j = _unchecked_mat2(a, -b, c, -d)  # sign W1 D
     c_plus = cls.conjugator @ j @ cls.conjugator.inverse()

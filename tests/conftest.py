@@ -8,10 +8,44 @@ import random
 import signal
 import time
 from contextlib import contextmanager
+from math import isqrt
 
-from sl2real import Cycle, Mat2, Word, u_pow, v_pow
+from sl2real import Cycle, Mat2, Surd, Word, u_pow, v_pow
 
 IDENT = Mat2(1, 0, 0, 1)
+
+
+def make_surd(p: int, d: int, q: int) -> Surd:
+    """(p + sqrt(d)) / q from any triple with q != 0, rescaled so that
+    q divides d - p^2; already-valid data is kept verbatim."""
+    if q != 0 and (d - p * p) % q == 0:
+        return Surd(p, d, q)
+    s = abs(q)
+    return Surd(p * s, d * s * s, q * s)
+
+
+def surd_float(x: Surd) -> float:
+    # sqrt(d) to k bits after the point, then one correctly rounded
+    # int division; |p + sqrt(d)| >= 1/(2*sqrt(d) + 1) keeps 53 bits
+    # even when p is close to -sqrt(d)
+    k = x.d.bit_length() // 2 + 64
+    return ((x.p << k) + isqrt(x.d << 2 * k)) / (x.q << k)
+
+
+def surd_floor(x: Surd) -> int:
+    s = isqrt(x.d)
+    # s < sqrt(d) < s+1 strictly, so these integer quotients are exact
+    if x.q > 0:
+        return (x.p + s) // x.q
+    return (-x.p - s - 1) // (-x.q)
+
+
+def cf_step(x: Surd) -> tuple[int, Surd]:
+    """One Gauss-map step: returns (floor(x), 1/(x - floor(x)))."""
+    a = surd_floor(x)
+    p1 = a * x.q - x.p
+    # q | d - p1^2 because p1 = -p mod q and q | d - p^2
+    return a, Surd(p1, x.d, (x.d - p1 * p1) // x.q)
 
 
 def random_unimodular(rng: random.Random, steps: int = 8) -> Mat2:

@@ -648,6 +648,26 @@ def test_svg_unwritable_output(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("flag", ["-o", "--output", "--out"])
+def test_svg_output_name_is_never_escaped(tmp_path, monkeypatch, capsys, flag):
+    # a file name that looks like a negative matrix is still a file name
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "svg", "--depth", "1", flag, "-1,2.svg")
+    assert (code, out, err) == (0, "", "")
+    assert os.listdir(tmp_path) == ["-1,2.svg"]
+
+
+def test_svg_negative_axis_and_matrix_like_output_name(tmp_path, monkeypatch, capsys):
+    # the matrix after --axis is escaped, the name after -o is not
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "svg", "--depth", "2", "--axis", "-2,-1;-1,-1", "-o", "-1,2.svg")
+    assert (code, out, err) == (0, "", "")
+    assert os.listdir(tmp_path) == ["-1,2.svg"]
+    root = ET.fromstring((tmp_path / "-1,2.svg").read_text(encoding="utf-8"))
+    classes = [el.get("class") for el in root.iter() if el.get("class")]
+    assert classes.count("axis") == 1
+
+
 def test_svg_depth_too_large(capsys):
     code, out, err = run(capsys, "svg", "--depth", "13")
     assert code == 3 and "DepthTooLarge" in err
@@ -714,6 +734,42 @@ def test_long_argparse_error_is_short(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert len(err.encode()) < 300 and err.count("error:") == 1
+
+
+_EMOJI = "\U0001F600" * 10**5  # four bytes each in UTF-8
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["classify", "1,0;0,1", _EMOJI], None),
+        (["classify", "1,0;0,1", _EMOJI[:100]], None),  # under 150 characters
+        (["classify", _EMOJI], None),
+        (["svg", "--depth", _EMOJI], None),
+        (["classify", "-" + _EMOJI + ","], None),
+        (["svg", "--depth", "1", "--axis", _EMOJI], None),
+        (["classify", "-"], _EMOJI + "\n"),
+        (["classify", "\udcff" * 10**5], None),  # undecodable argv bytes
+        (["classify", "-"], '["' + "\x7f" * 300 + '"]\n'),  # four bytes each in repr, quoted twice
+    ],
+    ids=[
+        "unrecognized-argument",
+        "short-unrecognized-argument",
+        "matrix",
+        "int-flag",
+        "negative-matrix",
+        "axis",
+        "stdin-line",
+        "surrogates",
+        "escaped-stdin-line",
+    ],
+)
+def test_non_ascii_error_lines_are_bounded_in_bytes(capsys, monkeypatch, argv, stdin):
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.encode("utf-8", "surrogatepass")) <= 300 and err.count("error:") == 1
 
 
 def test_non_ascii_negative_matrix_meets_the_grammar(capsys):

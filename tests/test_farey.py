@@ -14,19 +14,15 @@ from sl2real import (
     U,
     Cycle,
     Mat2,
-    NotFactorable,
     NotHyperbolic,
     NotSL2,
     Surd,
     Word,
     analyze,
     attracting_fixed_point,
-    cf_step,
     classify,
     conjugacy_test,
     cutting_cycle,
-    greedy_factor,
-    repelling_fixed_point,
     series_crosscheck,
     u_pow,
     v_pow,
@@ -34,7 +30,16 @@ from sl2real import (
 import sl2real.farey as farey
 from sl2real.farey import _gauss_orbit
 
-from conftest import budget, random_hyperbolic, random_unimodular, random_word
+from conftest import (
+    budget,
+    cf_step,
+    make_surd,
+    random_hyperbolic,
+    random_unimodular,
+    random_word,
+    surd_float,
+    surd_floor,
+)
 
 GOLDEN = Surd(1, 5, 2)
 
@@ -54,24 +59,24 @@ def test_surd_validation():
 
 
 def test_surd_make_rescales():
-    x = Surd.make(1, 5, 3)
+    x = make_surd(1, 5, 3)
     assert x.q % 1 == 0 and (x.d - x.p * x.p) % x.q == 0
-    assert abs(float(x) - (1 + math.sqrt(5)) / 3) < 1e-12
+    assert abs(surd_float(x) - (1 + math.sqrt(5)) / 3) < 1e-12
     # already-valid data is kept verbatim
-    assert Surd.make(1, 5, 2) == GOLDEN
+    assert make_surd(1, 5, 2) == GOLDEN
 
 
 def test_surd_equality_is_by_value():
-    assert Surd(1, 5, 2) == Surd.make(2, 20, 4)
+    assert Surd(1, 5, 2) == make_surd(2, 20, 4)
     assert Surd(1, 5, 2) != Surd(1, 5, -2)
     assert Surd(1, 5, 2) != Surd(-1, 5, 2)
 
 
 def test_surd_floor():
-    assert GOLDEN.floor() == 1
-    assert GOLDEN.conjugate().floor() == -1  # (1 - sqrt 5)/2 ~ -0.618
-    assert Surd(9, 221, 14).floor() == 1
-    assert Surd(-1, 5, 2).floor() == 0
+    assert surd_floor(GOLDEN) == 1
+    assert surd_floor(GOLDEN.conjugate()) == -1  # (1 - sqrt 5)/2 ~ -0.618
+    assert surd_floor(Surd(9, 221, 14)) == 1
+    assert surd_floor(Surd(-1, 5, 2)) == 0
 
 
 def test_surd_compare_rational():
@@ -95,9 +100,9 @@ def test_surd_make_invariant(data):
         d += 1
         if math.isqrt(d) ** 2 == d:
             return
-    x = Surd.make(p, d, q)
+    x = make_surd(p, d, q)
     assert (x.d - x.p * x.p) % x.q == 0
-    assert abs(float(x) - (p + math.sqrt(d)) / q) < 1e-9
+    assert abs(surd_float(x) - (p + math.sqrt(d)) / q) < 1e-9
 
 
 @given(surd_data)
@@ -105,19 +110,19 @@ def test_surd_floor_matches_float(data):
     p, d, q = data
     if math.isqrt(d) ** 2 == d:
         return
-    x = Surd.make(p, d, q)
-    f = float(x)
+    x = make_surd(p, d, q)
+    f = surd_float(x)
     # far from an integer the float-based floor is reliable
     if abs(f - round(f)) > 1e-6:
-        assert x.floor() == math.floor(f)
+        assert surd_floor(x) == math.floor(f)
 
 
 def test_surd_float_with_discriminant_past_float_range():
     # d has about 800 digits, the value is 10^200
     x = attracting_fixed_point(Word((10**200, 1, 3, 10**200), "U").matrix())
-    assert float(x) == 1e200
+    assert surd_float(x) == 1e200
     with pytest.raises(OverflowError):
-        float(Surd.make(10**400, 2, 1))  # the value itself is past float range
+        surd_float(make_surd(10**400, 2, 1))  # the value itself is past float range
 
 
 @settings(max_examples=300)
@@ -132,16 +137,16 @@ def test_surd_float_within_two_ulp(d, offset, q, near_root):
         d += 1
     # p close to -sqrt(d) makes p + sqrt(d) cancel
     p = offset - math.isqrt(d) if near_root else offset
-    x = Surd.make(p, d, q)
+    x = make_surd(p, d, q)
     k = x.d.bit_length() + 200
     exact = Fraction((x.p << k) + math.isqrt(x.d << 2 * k), x.q << k)
     try:
         expected = float(exact)
     except OverflowError:
         with pytest.raises(OverflowError):
-            float(x)
+            surd_float(x)
         return
-    assert abs(float(x) - expected) <= 2 * math.ulp(expected)
+    assert abs(surd_float(x) - expected) <= 2 * math.ulp(expected)
 
 
 # ------------------------------------------------- continued fractions
@@ -171,12 +176,12 @@ def test_cf_step_preserves_discriminant(data):
     p, d, q = data
     if math.isqrt(d) ** 2 == d:
         return
-    x = Surd.make(p, d, q)
+    x = make_surd(p, d, q)
     digit, nxt = cf_step(x)
     assert nxt.d == x.d
     assert (nxt.d - nxt.p * nxt.p) % nxt.q == 0
     # x = digit + 1/nxt, so nxt > 1 requires digit = floor(x)
-    assert digit == x.floor()
+    assert digit == surd_floor(x)
     assert nxt.compare_rational(1, 1) > 0
 
 
@@ -208,7 +213,7 @@ def test_attracting_fixed_point_pinned():
 def test_fixed_points_of_negated_matrix_agree():
     m = Mat2(2, 1, 1, 1)
     assert attracting_fixed_point(-m) == attracting_fixed_point(m)
-    assert repelling_fixed_point(m) == attracting_fixed_point(m).conjugate()
+    assert attracting_fixed_point(m.inverse()) == attracting_fixed_point(m).conjugate()
 
 
 def test_fixed_point_errors():
@@ -236,7 +241,7 @@ def test_fixed_point_is_fixed(seed):
     assert (lhs[0] * q, lhs[1] * q) == rhs
 
 
-# ------------------------------------------------------ words, greedy
+# --------------------------------------------------------------- words
 
 
 def test_word_matrix_pinned():
@@ -259,26 +264,6 @@ def test_word_runs():
     w = Word((1, 2, 1, 3), "U")
     assert w.runs() == (("U", 1), ("V", 2), ("U", 1), ("V", 3))
     assert Word((2, 1), "V").runs() == (("V", 2), ("U", 1))
-
-
-def test_greedy_factor_pinned():
-    assert greedy_factor(Mat2(15, 4, 11, 3)) == Word((1, 2, 1, 3), "U")
-    assert greedy_factor(Mat2(2, 1, 1, 1)) == Word((1, 1), "U")
-    assert greedy_factor(Mat2(1, 1, 1, 2)) == Word((1, 1), "V")
-    assert greedy_factor(U @ U) == Word((2,), "U")
-
-
-def test_greedy_factor_rejects():
-    for bad in (IDENTITY, Mat2(0, 1, 1, 0), Mat2(2, -1, 1, 0), ROT_PI):
-        with pytest.raises(NotFactorable):
-            greedy_factor(bad)
-
-
-@given(st.integers(min_value=0, max_value=400))
-def test_greedy_factor_round_trip(seed):
-    rng = random.Random(seed)
-    w = random_word(rng)
-    assert greedy_factor(w.matrix()) == w
 
 
 # -------------------------------------------------------------- cycles
@@ -461,7 +446,7 @@ _SKEW = u_pow(2) @ v_pow(-3) @ Word((1, 2, 3, 4)).matrix() @ (u_pow(2) @ v_pow(-
 
 
 def _corrupt_repelling_walk(monkeypatch, m, corrupt):
-    rep = repelling_fixed_point(m)
+    rep = attracting_fixed_point(m).conjugate()
     walk = farey._gauss_orbit
 
     def walked(x):
@@ -516,6 +501,10 @@ def _walk_bound(m):
     return math.log(2 * abs(m.c), phi) + math.log(abs(m.trace), phi) + 3
 
 
+class NotFactorable(Exception):
+    """The matrix is not a nonempty positive word in U and V."""
+
+
 def _greedy_factor_reference(b):
     """Peel one letter per step, then merge the letters into runs."""
     if b.det != 1:
@@ -551,7 +540,7 @@ def test_gauss_orbit_matches_reference_on_surds(data):
     p, d, q = data
     if math.isqrt(d) ** 2 == d:
         return
-    x = Surd.make(p, d, q)
+    x = make_surd(p, d, q)
     assert _gauss_orbit(x) == _gauss_orbit_reference(x)
 
 
@@ -560,7 +549,7 @@ def test_gauss_orbit_matches_reference_on_surds(data):
 def test_gauss_orbit_matches_reference_on_fixed_points(seed):
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_exp=50, conj_steps=12)  # either trace sign
-    for x in (attracting_fixed_point(m), repelling_fixed_point(m)):
+    for x in (attracting_fixed_point(m), attracting_fixed_point(m).conjugate()):
         digits, entry = _gauss_orbit(x)
         assert (digits, entry) == _gauss_orbit_reference(x)
         assert len(digits) <= _walk_bound(m)
@@ -597,7 +586,7 @@ def test_gauss_orbit_matches_reference_exhaustively():
 
 def _cutting_cycle_by_peel(m):
     """The cycle as cutting_cycle found it before it read the period:
-    peel sign * c^-1 m c with greedy_factor, for c the product of the
+    peel sign * c^-1 m c one letter at a time, for c the product of the
     even pre-period's digit matrices (a 1; 1 0), then move the peeled
     word to its least even rotation by a doubled-slice scan."""
     sign = 1 if m.trace > 0 else -1
@@ -606,7 +595,7 @@ def _cutting_cycle_by_peel(m):
     for a in digits[: entry + entry % 2]:
         c = c @ Mat2(a, 1, 1, 0)
     body = c.inverse() @ m @ c
-    word = greedy_factor(body if sign == 1 else -body)
+    word = _greedy_factor_reference(body if sign == 1 else -body)
     # sign * body is a positive power of the period's word
     assert word.starts_with == "U" and len(word.exponents) % 2 == 0
     exps = word.exponents
@@ -662,13 +651,6 @@ def test_cutting_cycle_of_odd_period_powers():
 big_exponent = st.integers(min_value=0, max_value=6).flatmap(
     lambda k: st.integers(min_value=1, max_value=10**k)
 )
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(big_exponent, min_size=1, max_size=6), st.sampled_from("UV"))
-def test_greedy_factor_matches_one_letter_peel(exponents, first):
-    w = Word(tuple(exponents), first)
-    assert greedy_factor(w.matrix()) == _greedy_factor_reference(w.matrix()) == w
 
 
 @settings(max_examples=200, deadline=None)
@@ -790,27 +772,6 @@ def test_cycle_canonical_is_computed_once(exponents, shift):
         assert x.to_json_obj() == y.to_json_obj() == [str(e) for e in x.canonical]
         assert x.canonical == y.canonical == _least_rotation_reference(exponents)
     assert sorted(calls) == sorted([exponents, rotated])
-
-
-def _factor_or_error(peel, m):
-    try:
-        return peel(m)
-    except NotFactorable as exc:
-        return str(exc)
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.tuples(*[st.integers(min_value=-3, max_value=40)] * 4),
-    st.integers(min_value=0, max_value=10**6),
-)
-def test_greedy_factor_rejects_like_one_letter_peel(entries, seed):
-    # raw matrices (mostly det != 1) and det-1 matrices of any sign
-    rng = random.Random(seed)
-    for m in (Mat2(*entries), random_unimodular(rng, rng.randint(0, 6))):
-        assert _factor_or_error(greedy_factor, m) == _factor_or_error(
-            _greedy_factor_reference, m
-        )
 
 
 # ------------------------------------------------------- scale gates

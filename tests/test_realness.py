@@ -20,7 +20,6 @@ from sl2real import (
     NotReal,
     NotSL2,
     RealFactorization,
-    Split,
     analyze,
     central_factorization,
     classify,
@@ -35,8 +34,8 @@ from sl2real import (
 )
 import sl2real.farey as farey
 import sl2real.realness as realness
-from sl2real.errors import NotARealStructure, NotFactorable, NotUnimodular
-from sl2real.farey import _times_word, greedy_factor
+from sl2real.errors import NotARealStructure, NotUnimodular
+from sl2real.farey import _times_word
 from sl2real.mat2 import real_structure_kind
 from sl2real.oracle import _coefficient_box, _commutation_rows, integer_column_kernel
 
@@ -53,15 +52,19 @@ from sl2real import Word
 
 
 def test_odd_bipalindromic_pinned():
-    assert is_odd_bipalindromic(Cycle((1, 2, 1, 3))) == Split(3)
-    assert is_odd_bipalindromic(Cycle((1, 1))) == Split(1)
-    assert is_odd_bipalindromic(Cycle((2, 2))) == Split(1)
+    assert is_odd_bipalindromic(Cycle((1, 2, 1, 3))) == 3
+    assert is_odd_bipalindromic(Cycle((1, 1))) == 1
+    assert is_odd_bipalindromic(Cycle((2, 2))) == 1
     assert is_odd_bipalindromic(Cycle((1, 1, 2, 2))) is None
+
+
+def _blocks(exps, first):
+    return exps[:first], exps[first:]
 
 
 def test_split_blocks():
     s = is_odd_bipalindromic(Cycle((1, 2, 1, 3)))
-    assert s.blocks_of((1, 2, 1, 3)) == ((1, 2, 1), (3,))
+    assert _blocks((1, 2, 1, 3), s) == ((1, 2, 1), (3,))
 
 
 @settings(max_examples=150, deadline=None)
@@ -71,7 +74,7 @@ def test_generated_cycles_are_recognized(seed):
     cyc = random_odd_bipalindromic_cycle(rng)
     split = is_odd_bipalindromic(cyc)
     assert split is not None
-    b1, b2 = split.blocks_of(cyc.exponents)
+    b1, b2 = _blocks(cyc.exponents, split)
     assert b1 == b1[::-1] and b2 == b2[::-1]
     assert len(b1) % 2 == 1 and len(b2) % 2 == 1
 
@@ -98,8 +101,8 @@ def _assert_matches_reference(exps):
         return
     # a split at any rotation implies one at rotation 0, so the least
     # reference split is the unrotated one the scan finds
-    assert reference == (0, split.first_block_len)
-    b1, b2 = split.blocks_of(exps)
+    assert reference == (0, split)
+    b1, b2 = _blocks(exps, split)
     assert b1 == b1[::-1] and b2 == b2[::-1]
     assert len(b1) % 2 == 1 and len(b2) % 2 == 1
 
@@ -137,7 +140,7 @@ def _split_by_scan(exps):
     for first in range(1, len(exps), 2):
         b1, b2 = exps[:first], exps[first:]
         if b1 == b1[::-1] and b2 == b2[::-1]:
-            return Split(first)
+            return first
     return None
 
 
@@ -277,7 +280,7 @@ def _factors_by_mirror_pair(m):
     elif cls.kind == "parabolic":
         j1, j2 = Mat2(1, 0, cls.shift, -1), (REFL_DIAG if cls.sign == 1 else -REFL_DIAG)
     else:
-        b1, b2 = is_odd_bipalindromic(cls.cycle).blocks_of(cls.cycle.exponents)
+        b1, b2 = _blocks(cls.cycle.exponents, is_odd_bipalindromic(cls.cycle))
         a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, b1)
         j1 = Mat2(a, -b, c, -d)  # sign W1 D
         j2 = Mat2(*_times_word(1, 0, 0, -1, b2, False))  # D W2
@@ -448,7 +451,7 @@ def _factors_reference(m):
     """(c_plus, c_minus) of a real hyperbolic m, one reflection factor per run."""
     cls = classify(m)
     exps, conj = cls.cycle.exponents, cls.conjugator
-    f = is_odd_bipalindromic(cls.cycle).first_block_len
+    f = is_odd_bipalindromic(cls.cycle)
     blocks = []
     for block in (range(f), range(f, len(exps))):
         a, b, c, d = conj.a, conj.b, conj.c, conj.d
@@ -486,7 +489,7 @@ def _hyperbolic_factors_by_hand(m):
     from the conjugator, the inverse is built from its entries, and the
     sign is flipped on the finished first factor."""
     cls = classify(m)
-    b1, b2 = is_odd_bipalindromic(cls.cycle).blocks_of(cls.cycle.exponents)
+    b1, b2 = _blocks(cls.cycle.exponents, is_odd_bipalindromic(cls.cycle))
     conj = cls.conjugator
     ca, cb, cc, cd = conj.a, conj.b, conj.c, conj.d
     conj_inv = Mat2(cd, -cb, -cc, ca)
@@ -716,8 +719,6 @@ BIG = 10**4400  # past the int/str conversion limit
 @pytest.mark.parametrize(
     "call, error",
     [
-        (lambda: greedy_factor(Mat2(BIG, 0, 0, 1)), NotFactorable),
-        (lambda: greedy_factor(Mat2(1, -BIG, 0, 1)), NotFactorable),
         (lambda: Mat2(2 * BIG, 0, 0, 1).inverse(), NotUnimodular),
         (lambda: central_factorization(Mat2(1, BIG, 0, 1)), CentralInput),
         (lambda: RealFactorization(Mat2(1, BIG, 0, 1), REFL_DIAG), NotARealStructure),
@@ -725,8 +726,6 @@ BIG = 10**4400  # past the int/str conversion limit
         (lambda: factor_real(Word((BIG, 1, 2, 3), "U").matrix()), NotReal),
     ],
     ids=[
-        "greedy_factor-det",
-        "greedy_factor-negative",
         "inverse",
         "central_factorization",
         "RealFactorization",

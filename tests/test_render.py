@@ -30,7 +30,7 @@ from sl2real import (
 
 from sl2real.render import _Vertices, _axis_overlay, _geodesic, _point
 
-from conftest import random_hyperbolic
+from conftest import random_hyperbolic, surd_float
 
 AXIS_M = Mat2(2, 1, 1, 1)
 
@@ -493,8 +493,8 @@ def test_geodesics_match_float_reference():
 def test_axis_geodesic_matches_float_reference(seed):
     fig = farey_figure(0, random_hyperbolic(random.Random(seed)))
     path = re.search(r'class="axis" d="M \S+ \S+ ([^"]*)"', render_svg(fig)).group(1)
-    p1 = _disk_point_real(float(fig.axis.repelling))
-    p2 = _disk_point_real(float(fig.axis.attracting))
+    p1 = _disk_point_real(surd_float(fig.axis.repelling))
+    p2 = _disk_point_real(surd_float(fig.axis.attracting))
     det = p1[0] * p2[1] - p1[1] * p2[0]
     _assert_matches(path, _segment(p1, p2, abs(det) < 1e-12))
 
