@@ -34,8 +34,8 @@ from .render import render_farey
 __all__ = ["main"]
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# one encoder for every record: json.dumps with separators builds a new one per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _input_matrices(arg: str) -> Iterator[Mat2]:

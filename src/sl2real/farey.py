@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd, isqrt
 
 from .errors import NotHyperbolic, NotSL2
-from .mat2 import Mat2, _quote, _unchecked_mat2
+from .mat2 import Mat2, _conjugated, _quote, _unchecked_mat2
 
 __all__ = [
     "Surd",
@@ -341,8 +341,14 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     tr(P^j) = |tr m|: U-first, of even length, and its runs never
     merge.  The traces t_k = tr(P^k) follow t_0 = 2, t_1 = tr P and
     t_{k+1} = tr P * t_k - t_{k-1}, and grow strictly since tr P > 2.
-    The cycle is P at its least even rotation, repeated j times, so the
-    check raises P, multiplied out once for its trace, to the j-th power.
+    The cycle is P at its least even rotation, repeated j times.  The
+    check needs P^j, which Cayley-Hamilton (P^2 = tr P * P - I) reads
+    off the last two traces: P^k = s_k P - s_{k-1} I, where s_0 = 0,
+    s_1 = 1 and s_{k+1} = tr P * s_k - s_{k-1}.  Taking traces gives
+    t_k = tr P * s_k - 2 s_{k-1}, and the eigenvalues give
+    t_{k+1} - t_{k-1} = ((tr P)^2 - 4) s_k, so s_j and s_{j-1} come from
+    t_j and t_{j-1} by two exact divisions.  The identity is then
+    checked on plain ints.
     """
     digits, entry = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
     return _cycle_of_orbit(m, digits, entry)
@@ -352,6 +358,7 @@ def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int,
     """cutting_cycle of m from the Gauss orbit of its attracting point."""
     t = m.trace
     sign = 1 if t > 0 else -1
+    t = abs(t)
 
     period = digits[entry:]
     if entry % 2:
@@ -363,15 +370,20 @@ def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int,
     ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry] + period[:best])
     period = period[best:] + period[:best]
 
-    pw = _unchecked_mat2(*_times_word(1, 0, 0, 1, period))  # the period's word P
-    t_prev, t_k, j = 2, pw.trace, 1
-    while t_k < abs(t):
-        t_prev, t_k, j = t_k, pw.trace * t_k - t_prev, j + 1
+    pa, pb, pc, pd = _times_word(1, 0, 0, 1, period)  # the period's word P
+    tr = pa + pd
+    t_prev, t_k, j = 2, tr, 1
+    while t_k < t:
+        t_prev, t_k, j = t_k, tr * t_k - t_prev, j + 1
+    if j > 1:  # P^j == s_j P - s_{j-1} I
+        s = (tr * t_k - 2 * t_prev) // (tr * tr - 4)
+        s_prev = (tr * s - t_k) // 2
+        pa, pb, pc, pd = s * pa - s_prev, s * pb, s * pc, s * pd - s_prev
+    if sign < 0:
+        pa, pb, pc, pd = -pa, -pb, -pc, -pd
 
-    conj = _unchecked_mat2(ca, cb, cc, cd)
-    conj_inv = _unchecked_mat2(cd, -cb, -cc, ca)  # a U/V word has det 1
-    reconstructed = conj @ pw**j @ conj_inv
-    if (reconstructed if sign == 1 else -reconstructed) != m:
+    conj = _unchecked_mat2(ca, cb, cc, cd)  # a U/V word has det 1
+    if _conjugated(conj, pa, pb, pc, pd) != (m.a, m.b, m.c, m.d):
         raise RuntimeError("cutting-cycle verification failed")
     return _unchecked_cycle(tuple(period) * j), sign, conj
 

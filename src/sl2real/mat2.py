@@ -114,14 +114,15 @@ class Mat2:
 
     @classmethod
     def from_text(cls, text: str) -> "Mat2":
-        """Parse ``"a,b;c,d"`` with optional whitespace."""
+        """Parse ``"a,b;c,d"`` with optional whitespace.  The grammar
+        checks every entry, so the matrix is built unchecked."""
         match = cls._TEXT.match(text)
         if match is None:
             raise MatrixParseError(
                 f"expected 'a,b;c,d' with integer entries, got {_quote(text)}"
             )
         try:
-            return cls(*(int(group) for group in match.groups()))
+            return _unchecked_mat2(*(int(group) for group in match.groups()))
         except ValueError:
             # the interpreter's int/str conversion limit (4,300 digits by
             # default) is the input size cap
@@ -142,6 +143,8 @@ class Mat2:
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "Mat2":
+        """Parse rows [[a, b], [c, d]] of ints or decimal strings.  Each
+        cell is checked here, so the matrix is built unchecked."""
         if not (
             isinstance(obj, list)
             and len(obj) == 2
@@ -162,7 +165,7 @@ class Mat2:
                         raise MatrixParseError(f"bad matrix entry {_quote(cell)}") from None
                 else:
                     raise MatrixParseError(f"bad matrix entry {_quote(cell)}")
-        return cls(*entries)
+        return _unchecked_mat2(*entries)
 
     def __str__(self) -> str:
         return f"({self.a} {self.b}; {self.c} {self.d})"
@@ -190,6 +193,15 @@ def _unchecked_mat2(a: int, b: int, c: int, d: int) -> Mat2:
     entries = m.__dict__
     entries["a"], entries["b"], entries["c"], entries["d"] = a, b, c, d
     return m
+
+
+def _conjugated(g: Mat2, a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """g @ (a b; c d) @ adj(g) on plain ints, where adj(g) = (gd -gb; -gc ga)
+    is det g times g^-1; so g @ x @ g^-1 is this of det g * x."""
+    ga, gb, gc, gd = g.a, g.b, g.c, g.d
+    xa, xb = ga * a + gb * c, ga * b + gb * d  # the rows of g @ x
+    xc, xd = gc * a + gd * c, gc * b + gd * d
+    return xa * gd - xb * gc, xb * ga - xa * gb, xc * gd - xd * gc, xd * ga - xc * gb
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

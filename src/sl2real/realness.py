@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, PARABOLIC, MatClass, classify
+from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
 from .errors import CentralInput, NotARealStructure, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
@@ -27,6 +27,7 @@ from .mat2 import (
     REFL_DIAG,
     Mat2,
     RealStructureKind,
+    _conjugated,
     _quote,
     _unchecked_mat2,
     real_structure_kind,
@@ -116,7 +117,11 @@ class RealFactorization:
 
 
 # j @ R is the swap (0 1; 1 0) for the elliptic representative R of each trace
-_ELLIPTIC_MIRRORS: dict[int, Mat2] = {0: REFL_DIAG, 1: Mat2(1, 0, 1, -1), -1: Mat2(-1, 0, -1, 1)}
+_ELLIPTIC_MIRRORS: dict[int, tuple[int, int, int, int]] = {
+    0: (1, 0, 0, -1),
+    1: (1, 0, 1, -1),
+    -1: (-1, 0, -1, 1),
+}
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,8 @@ def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
     Each non-central kind gives one mirror j of R with j @ R a real
     structure: the elliptic table (j @ R the swap); (1 0; s -1) for
     sign * (1 0; s 1) (sign * D); sign * W1 D for the split word
-    sign * W1 W2 (D W2).  Then c_plus = c @ j @ c^-1 and
+    sign * W1 W2 (D W2).  Then c_plus = c @ j @ c^-1, computed on
+    plain ints as c @ (det c * j) @ adj(c), and
     c_minus = c_plus @ m = c @ j @ R @ c^-1.  Their product is not
     checked: RealFactorization finds tr c_plus = 0 and det c_plus = -1,
     so c_plus^2 = I by Cayley-Hamilton and c_plus @ c_minus = m.  A
@@ -152,18 +158,18 @@ def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
     """
     if cls.kind == CENTRAL:
         return Analysis(cls, central_factorization(m))
-    if cls.kind == ELLIPTIC:
-        j = _ELLIPTIC_MIRRORS[cls.trace]
-    elif cls.kind == PARABOLIC:
-        j = _unchecked_mat2(1, 0, cls.shift, -1)
-    else:
+    conj = cls.conjugator
+    if cls.kind == HYPERBOLIC:  # conj is in SL(2,Z)
         first = is_odd_bipalindromic(cls.cycle)
         if first is None:
             return Analysis(cls, None)
-        w1 = cls.cycle.exponents[:first]
-        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, w1)
-        j = _unchecked_mat2(a, -b, c, -d)  # sign W1 D
-    c_plus = cls.conjugator @ j @ cls.conjugator.inverse()
+        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, cls.cycle.exponents[:first])
+        b, d = -b, -d  # sign W1 D
+    else:
+        a, b, c, d = _ELLIPTIC_MIRRORS[cls.trace] if cls.kind == ELLIPTIC else (1, 0, cls.shift, -1)
+        if conj.det == -1:
+            a, b, c, d = -a, -b, -c, -d
+    c_plus = _unchecked_mat2(*_conjugated(conj, a, b, c, d))
     try:
         fac = RealFactorization(c_plus, c_plus @ m)
     except NotARealStructure as exc:

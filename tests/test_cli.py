@@ -10,6 +10,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,18 @@ from hypothesis import given, settings, strategies as st
 import sl2real.cli as cli
 import sl2real.farey as farey
 import sl2real.realness as realness
-from sl2real import IDENTITY, Mat2, Word, attracting_fixed_point, conjugacy_test, u_pow, v_pow
+from sl2real import (
+    IDENTITY,
+    REFL_DIAG,
+    ROT_2PI3,
+    ROT_PI,
+    Mat2,
+    Word,
+    attracting_fixed_point,
+    conjugacy_test,
+    u_pow,
+    v_pow,
+)
 from sl2real.cli import main
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
@@ -429,6 +441,49 @@ def test_stream_output_pinned(capsys, monkeypatch, command, digest):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
+def _non_hyperbolic_corpus():
+    """Seeded stdin lines for the other kinds: both centrals, elliptics of
+    each trace and parabolics of both signs and shifts (one of 61 digits),
+    moved by conjugators of det 1 and -1, in the three line spellings in
+    turn (rows of ints, rows of strings, the compact form)."""
+    rng = random.Random(1818)
+    rotations = [ROT_PI, ROT_2PI3, -ROT_2PI3, ROT_PI.inverse(), ROT_2PI3.inverse()]
+    reps = rotations * 2 + [v_pow(rng.choice((-1, 1)) * rng.randint(1, 50)) for _ in range(24)]
+    reps += [v_pow(10**60 + 7), -v_pow(-(10**40))]
+    ms = [IDENTITY, -IDENTITY]
+    for r in reps:
+        for _ in range(2):
+            g = random_unimodular(rng, rng.randint(0, 9))
+            if rng.random() < 0.5:
+                g = g @ REFL_DIAG
+            m = g @ r @ g.inverse()
+            ms.append(m if rng.random() < 0.5 else -m)
+    lines = []
+    for i, m in enumerate(ms):
+        if i % 3 == 0:
+            lines.append(json.dumps([[m.a, m.b], [m.c, m.d]]))
+        elif i % 3 == 1:
+            lines.append(json.dumps([[str(m.a), str(m.b)], [str(m.c), str(m.d)]]))
+        else:
+            lines.append(json.dumps(m.to_text()))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "command, digest",
+    [
+        ("classify", "fd45cd3a7a9ca41745af764c363129a5ae0ea4ea6aea93db089fbc15d1ed5226"),
+        ("real", "250bb900c236ce7054e30029a8fc6b377196ff297758e57aa841d458f8c10e27"),
+    ],
+)
+def test_non_hyperbolic_stream_output_pinned(capsys, monkeypatch, command, digest):
+    # digests taken while c_plus was still built as Mat2 products
+    monkeypatch.setattr("sys.stdin", io.StringIO(_non_hyperbolic_corpus()))
+    code, out, err = run(capsys, command, "-")
+    assert code == 0 and err == "" and out.count("\n") == 74
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def _necklaces_reference(n, k):
     """Every tuple, kept when it is its own least rotation."""
     for exps in product(range(1, k + 1), repeat=n):
@@ -602,11 +657,89 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
         return digits[:entry] + period[2:] + period[:2], entry
 
     monkeypatch.setattr(farey, "_gauss_orbit", rotated)
-    # an even period, an odd one of negative trace, and an odd pre-period
-    for matrix in ("15,4;11,3", "-121,-36;-84,-25", "7,-18;-5,13"):
+    # an even period, an odd one of negative trace, and an odd pre-period;
+    # then proper squares (j = 2) of the first and third, of both signs.
+    # A golden power such as 13,8;8,5 cannot serve: its period is all
+    # ones, so no rotation leaves its conjugator off.
+    matrices = ("15,4;11,3", "-121,-36;-84,-25", "7,-18;-5,13")
+    powers = ("269,72;198,53", "-269,-72;-198,-53", "139,-360;-100,259")
+    for matrix in matrices + powers:
         with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
             main(["cycle", matrix])
         assert capsys.readouterr().out == ""
+
+
+_MUTANT_CELLS = (
+    "true", "false", "null", "1.5", "1e3", "-0", "[1]", "[[1]]", "{}", '""', '" 7 "',
+    '"1_0"', '"+5"', '"\\u0661"', '"\\uff15"', '"1\\u0000"', "9" * 4301, '"' + "9" * 4301 + '"',
+)
+_MUTANT_ENTRIES = ("1_0", "+5", "\u0661", "\uff15", "1\x00", "1.5", "", " 3 ", "9" * 4301, "--1")
+_MUTANT_LINES = ("[]", "{}", "[[1,0],[0]]", "[[1,0],[0,1],[1,1]]", "[" * 2000 + "]" * 2000, '"1,0;0"')
+
+
+@st.composite
+def _stdin_lines(draw):
+    """(line, entries): one JSONL line in one of the three spellings, and
+    its matrix's entries, or None when a mutation may have changed them."""
+    m = IDENTITY
+    for is_u, e in draw(st.lists(st.tuples(st.booleans(), st.integers(-(10**20), 10**20)), max_size=5)):
+        m = m @ (u_pow(e) if is_u else v_pow(e))
+    m = draw(st.sampled_from((m, -m)))
+    entries = [m.a, m.b, m.c, m.d]
+    mutation = draw(st.sampled_from(("none", "cell", "line", "char")))
+    spelling = draw(st.sampled_from(("ints", "strings", "mixed", "text")))
+    if spelling == "text":
+        texts = [str(x) for x in entries]
+        if mutation == "cell":
+            texts[draw(st.integers(0, 3))] = draw(st.sampled_from(_MUTANT_ENTRIES))
+        line = json.dumps("{},{};{},{}".format(*texts))
+    else:
+        quoted = {"ints": False, "strings": True}.get(spelling)
+        cells = [
+            f'"{x}"' if (draw(st.booleans()) if quoted is None else quoted) else str(x)
+            for x in entries
+        ]
+        if mutation == "cell":
+            cells[draw(st.integers(0, 3))] = draw(st.sampled_from(_MUTANT_CELLS))
+        line = "[[{},{}],[{},{}]]".format(*cells)
+    if mutation == "line":
+        line = draw(st.sampled_from(_MUTANT_LINES))
+    elif mutation == "char":
+        i = draw(st.integers(0, len(line)))
+        line = line[:i] + draw(st.sampled_from("_+-.e\x00\u0661 [],;\"")) + line[i:]
+    return line, entries if mutation == "none" else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stdin_lines())
+def test_each_stdin_line_parses_to_checked_ints_or_exits_2(case):
+    line, entries = case
+    parsed = []
+    view = cli._VIEWS["classify"]
+
+    def recorded(m):
+        parsed.append(m)
+        return view[1](m)
+
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._VIEWS, {"classify": (view[0], recorded)}), mock.patch(
+        "sys.stdin", io.StringIO(line + "\n")
+    ), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", "-"])
+    if parsed:
+        (m,) = parsed
+        ints = (m.a, m.b, m.c, m.d)
+        assert all(type(x) is int for x in ints) and m == Mat2(*ints)
+        assert entries is None or list(ints) == entries
+        if m.det == 1:
+            assert code == 0 and out.getvalue().count("\n") == 1 and err.getvalue() == ""
+            return
+        assert code == 3  # NotSL2
+    else:
+        assert entries is None and code == 2
+    text = err.getvalue()
+    assert text.startswith("error: ") and text.count("\n") == 1 and "Traceback" not in text
+    assert len(text.encode("utf-8", "surrogatepass")) < 300 and out.getvalue() == ""
 
 
 def test_svg_stdout(capsys):
