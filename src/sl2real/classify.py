@@ -17,7 +17,6 @@ from .errors import NotSL2
 from .farey import Cycle, cutting_cycle
 from .mat2 import (
     IDENTITY,
-    NEG_IDENTITY,
     REFL_DIAG,
     REFL_SWAP,
     ROT_2PI3,
@@ -86,10 +85,8 @@ def classify(m: Mat2) -> MatClass:
     """
     if m.det != 1:
         raise NotSL2("det != 1")
-    if m == IDENTITY:
-        return MatClass(CENTRAL, sign=1)
-    if m == NEG_IDENTITY:
-        return MatClass(CENTRAL, sign=-1)
+    if m.is_central():
+        return MatClass(CENTRAL, sign=m.a)
     t = m.trace
     if -2 < t < 2:
         return MatClass(ELLIPTIC, trace=t, conjugator=_elliptic_conjugator(m, t))

@@ -94,10 +94,9 @@ def attracting_fixed_point(m: Mat2) -> Surd:
     if t * t <= 4:
         raise NotHyperbolic(f"trace {t} is not hyperbolic")
     disc = t * t - 4
-    # z = (lambda - d)/c for the dominant eigenvalue lambda = (t +- sqrt(disc))/2
-    if t > 0:
-        return Surd(m.a - m.d, disc, 2 * m.c)
-    return Surd(m.d - m.a, disc, -2 * m.c)
+    # z = (lambda - d)/c for the dominant eigenvalue lambda = (t + e sqrt(disc))/2
+    e = 1 if t > 0 else -1  # the sign of t
+    return Surd(e * (m.a - m.d), disc, 2 * e * m.c)
 
 
 @dataclass(frozen=True)

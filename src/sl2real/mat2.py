@@ -95,12 +95,11 @@ class Mat2:
         return self.a + self.d
 
     def inverse(self) -> "Mat2":
-        # only unimodular matrices are invertible over Z
-        if self.det == 1:
-            return _unchecked_mat2(self.d, -self.b, -self.c, self.a)
-        if self.det == -1:
-            return _unchecked_mat2(-self.d, self.b, self.c, -self.a)
-        raise NotUnimodular("det is not invertible over the integers")
+        # only unimodular matrices are invertible over Z: det times the adjugate
+        det = self.det
+        if det != 1 and det != -1:
+            raise NotUnimodular("det is not invertible over the integers")
+        return _unchecked_mat2(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
     def is_central(self) -> bool:
         return self == IDENTITY or self == NEG_IDENTITY

@@ -88,33 +88,21 @@ class LatticeBasis:
         return len(self.vectors)
 
     def coefficients_of(self, vec) -> tuple[int, ...] | None:
-        """Integer coordinates of vec in this basis, or None."""
+        """Integer coordinates of vec in this basis, or None; read off
+        the first invertible minor, then checked on all four entries."""
         if isinstance(vec, Mat2):
             vec = (vec.a, vec.b, vec.c, vec.d)
-        k = len(self.vectors)
-        if k == 0:
-            return () if not any(vec) else None
-        rows = [
-            [Fraction(v[i]) for v in self.vectors] + [Fraction(vec[i])]
-            for i in range(4)
-        ]
-        for col in range(k):
-            pivot = next((i for i in range(col, 4) if rows[i][col] != 0), None)
-            if pivot is None:
-                return None
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            pv = rows[col][col]
-            rows[col] = [x / pv for x in rows[col]]
-            for i in range(4):
-                if i != col and rows[i][col] != 0:
-                    f = rows[i][col]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-        if any(rows[i][k] != 0 for i in range(k, 4)):
+        minor = _invertible_minor(self.vectors)
+        if minor is None:
             return None
-        coeffs = [rows[j][k] for j in range(k)]
+        rows, inv = minor
+        coeffs = [sum(r[p] * vec[i] for p, i in enumerate(rows)) for r in inv]
         if any(c.denominator != 1 for c in coeffs):
             return None
-        return tuple(int(c) for c in coeffs)
+        coeffs = tuple(int(c) for c in coeffs)
+        if any(sum(c * v[i] for c, v in zip(coeffs, self.vectors)) != vec[i] for i in range(4)):
+            return None
+        return coeffs
 
     def contains(self, vec) -> bool:
         return self.coefficients_of(vec) is not None
@@ -179,8 +167,11 @@ def _commutation_rows(a: Mat2, b: Mat2) -> list[list[int]]:
 def integer_kernel(m: Mat2) -> LatticeBasis:
     """Solution lattice of Q @ m == m.inverse() @ Q over the integers.
 
-    Rank 2 for every non-central m; rank 4 for +-identity.  Any lattice
-    point Q with det Q = -1 satisfies both Q m Q^-1 = m^-1 and
+    Rank 2 for every non-central m and 4 for +-identity, never 0: as
+    m^-1 = tr(m) I - m, Q anticommutes with the traceless
+    N = 2m - tr(m) I, and Q N + N Q = tr(Q) N + tr(Q N) I, so the
+    system is tr Q = 0 and tr(Q N) = 0, independent unless N = 0.  Any
+    lattice point Q with det Q = -1 satisfies both Q m Q^-1 = m^-1 and
     Q^-1 m Q = m^-1.
     """
     if m.det != 1:
@@ -189,37 +180,37 @@ def integer_kernel(m: Mat2) -> LatticeBasis:
     return LatticeBasis(tuple(integer_column_kernel(rows)))
 
 
-def _fraction_inverse(sq: list[list[Fraction]]) -> list[list[Fraction]] | None:
-    k = len(sq)
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(k)] for i, row in enumerate(sq)]
-    for col in range(k):
-        pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[k:] for row in aug]
+def _invertible_minor(vectors) -> tuple[tuple[int, ...], list[list[Fraction]]] | None:
+    """(rows, inverse) for the first k of the four entries, in
+    lexicographic order, on which the k vectors (as columns) form an
+    invertible k x k matrix; None when the vectors are dependent."""
+    k = len(vectors)
+    for rows in combinations(range(4), k):
+        aug = [[Fraction(v[i]) for v in vectors] + [int(i == j) for j in rows] for i in rows]
+        for col in range(k):
+            pivot = next((i for i in range(col, k) if aug[i][col] != 0), None)
+            if pivot is None:
+                break
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            pv = aug[col][col]
+            aug[col] = [x / pv for x in aug[col]]
+            for i in range(k):
+                if i != col and aug[i][col] != 0:
+                    f = aug[i][col]
+                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+        else:
+            return rows, [row[k:] for row in aug]
+    return None
 
 
 def _coefficient_box(vectors, bound: int) -> tuple[int, ...]:
     """Per-coordinate search radius covering every lattice point with
     entries bounded by `bound`, via the inverse of an invertible k x k
     submatrix of the basis."""
-    k = len(vectors)
-    for rows_idx in combinations(range(4), k):
-        sub = [[Fraction(vectors[j][i]) for j in range(k)] for i in rows_idx]
-        inv = _fraction_inverse(sub)
-        if inv is not None:
-            return tuple(
-                int(bound * sum(abs(inv[j][i]) for i in range(k))) + 1
-                for j in range(k)
-            )
-    raise RuntimeError("lattice basis vectors are not independent")
+    minor = _invertible_minor(vectors)
+    if minor is None:
+        raise RuntimeError("lattice basis vectors are not independent")
+    return tuple(int(bound * sum(abs(x) for x in row)) + 1 for row in minor[1])
 
 
 def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:
@@ -232,8 +223,6 @@ def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:
     if m.det != 1:
         raise NotSL2("det != 1")
     basis = integer_kernel(m)
-    if basis.rank == 0:
-        return None
     box = _coefficient_box(basis.vectors, bound)
     for coeffs in product(*(range(-r, r + 1) for r in box)):
         entries = [

@@ -16,15 +16,14 @@ half, ``_analysis_of``, directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
-from .classify import CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
+from .classify import _ELLIPTIC_REPS, CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
 from .errors import CentralInput, NotARealStructure, NotReal
 from .farey import Cycle, _times_word
 from .mat2 import (
-    IDENTITY,
-    NEG_IDENTITY,
     REFL_DIAG,
+    REFL_SWAP,
     Mat2,
     RealStructureKind,
     _conjugated,
@@ -116,11 +115,9 @@ class RealFactorization:
         }
 
 
-# j @ R is the swap (0 1; 1 0) for the elliptic representative R of each trace
+# j = S R^-1, so j @ R is the swap S, for the elliptic representative R of each trace
 _ELLIPTIC_MIRRORS: dict[int, tuple[int, int, int, int]] = {
-    0: (1, 0, 0, -1),
-    1: (1, 0, 1, -1),
-    -1: (-1, 0, -1, 1),
+    t: astuple(REFL_SWAP @ r.inverse()) for t, r in _ELLIPTIC_REPS.items()
 }
 
 
@@ -194,11 +191,9 @@ def factor_real(m: Mat2) -> RealFactorization:
 
 def central_factorization(m: Mat2) -> RealFactorization:
     """Degenerate splittings of the center: I and -I are both real."""
-    if m == IDENTITY:
-        return RealFactorization(REFL_DIAG, REFL_DIAG)
-    if m == NEG_IDENTITY:
-        return RealFactorization(-REFL_DIAG, REFL_DIAG)
-    raise CentralInput("matrix is not +-identity")
+    if not m.is_central():
+        raise CentralInput("matrix is not +-identity")
+    return RealFactorization(m @ REFL_DIAG, REFL_DIAG)
 
 
 def is_real(m: Mat2) -> bool:

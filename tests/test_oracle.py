@@ -2,6 +2,7 @@
 
 import ast
 import random
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -94,6 +95,7 @@ def test_brute_force_factor_finds_witness():
 def test_brute_force_factor_negative_cases():
     assert brute_force_factor(Mat2(2, 1, 1, 1), 0) is None
     assert brute_force_factor(Mat2(12, 5, 7, 3), 12) is None
+    assert brute_force_factor(Mat2(7, -18, -5, 13), 3) is None
 
 
 def test_brute_force_factor_deterministic():
@@ -154,6 +156,74 @@ def test_lattice_membership():
     assert basis.coefficients_of((1, 1, 0, 0)) is None
 
 
+def test_lattice_coordinates_edge_cases():
+    halves = LatticeBasis(((1, 0, 0, 0), (0, 2, 0, 0)))
+    assert halves.coefficients_of((1, 1, 0, 0)) is None  # coordinates (1, 1/2)
+    assert halves.coefficients_of((1, 2, 0, 0)) == (1, 1)
+    assert halves.coefficients_of((1, 2, 1, 0)) is None  # outside the span
+    dependent = LatticeBasis(((1, 2, 0, 0), (2, 4, 0, 0)))
+    assert dependent.coefficients_of((1, 2, 0, 0)) is None
+    assert dependent.coefficients_of((0, 0, 0, 0)) is None
+    assert LatticeBasis(()).coefficients_of((0, 0, 0, 0)) == ()
+    assert LatticeBasis(()).coefficients_of((0, 0, 1, 0)) is None
+
+
+def _coefficients_of_reference(vectors, vec):
+    # Gauss-Jordan elimination on the 4 x (k + 1) system (vectors | vec)
+    k = len(vectors)
+    if k == 0:
+        return () if not any(vec) else None
+    rows = [[Fraction(v[i]) for v in vectors] + [Fraction(vec[i])] for i in range(4)]
+    for col in range(k):
+        pivot = next((i for i in range(col, 4) if rows[i][col] != 0), None)
+        if pivot is None:
+            return None
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        pv = rows[col][col]
+        rows[col] = [x / pv for x in rows[col]]
+        for i in range(4):
+            if i != col and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
+    if any(rows[i][k] != 0 for i in range(k, 4)):
+        return None
+    coeffs = [rows[j][k] for j in range(k)]
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return tuple(int(c) for c in coeffs)
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _basis_and_vector(draw):
+    """A basis of 0 to 4 small vectors, sometimes made dependent, and a
+    vector that is an integer combination of it, that combination
+    divided by 2 or 3 where that stays integral, or any small vector."""
+    vectors = draw(st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), max_size=4))
+    if len(vectors) >= 2 and draw(st.booleans()):
+        s, t = draw(_SMALL), draw(_SMALL)
+        vectors[-1] = tuple(s * x + t * y for x, y in zip(vectors[0], vectors[1]))
+    coeffs = draw(st.lists(_SMALL, min_size=len(vectors), max_size=len(vectors)))
+    vec = tuple(sum(c * v[i] for c, v in zip(coeffs, vectors)) for i in range(4))
+    kind = draw(st.sampled_from(["combination", "fraction", "any"]))
+    if kind == "fraction":
+        d = draw(st.sampled_from([2, 3]))
+        if all(x % d == 0 for x in vec):
+            vec = tuple(x // d for x in vec)
+    elif kind == "any":
+        vec = draw(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL))
+    return tuple(vectors), vec
+
+
+@settings(max_examples=400, deadline=None)
+@given(_basis_and_vector())
+def test_lattice_coordinates_match_the_elimination_reference(case):
+    vectors, vec = case
+    assert LatticeBasis(vectors).coefficients_of(vec) == _coefficients_of_reference(vectors, vec)
+
+
 def test_lattice_contains_the_constructed_conjugator():
     rng = random.Random(11)
     for _ in range(20):
@@ -175,6 +245,7 @@ def test_lattice_basis_validation():
 def test_brute_force_conjugator_pinned():
     assert brute_force_conjugator(ROT_PI, 2) == Mat2(0, -1, -1, 0)
     assert brute_force_conjugator(Mat2(12, 5, 7, 3), 25) is None
+    assert brute_force_conjugator(Mat2(7, -18, -5, 13), 3) is None
 
 
 def test_brute_force_conjugator_verifies():
