@@ -173,9 +173,9 @@ def _parabolic_reduce(m: Mat2) -> tuple[int, Mat2, int]:
         gamma = pow(p, -1, q)  # least nonnegative inverse of p mod q
         delta = (1 - p * gamma) // q
         w = Mat2(q, -p, gamma, delta)
-    shifted = w @ b @ w.inverse()
-    if (shifted.a, shifted.b, shifted.d) != (1, 0, 1):
-        raise RuntimeError("parabolic reduction failed")
-    k = shifted.c
+    k = (w @ b @ w.inverse()).c
     conj = w.inverse() if k > 0 else w.inverse() @ REFL_DIAG
+    rep = _unchecked_mat2(sign, 0, sign * abs(k), sign)
+    if conj @ rep @ conj.inverse() != m:
+        raise RuntimeError("parabolic reduction verification failed")
     return sign, conj, abs(k)

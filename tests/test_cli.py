@@ -148,6 +148,12 @@ def test_oracle_factor_without_witness(capsys):
     assert obj["query"] == "factor" and obj["witness"] is None and obj["verified"] is True
 
 
+@pytest.mark.parametrize("mode", ["factor", "conjugator"])
+def test_oracle_non_real_without_witness(capsys, mode):
+    code, out, err = run(capsys, "oracle", "7,-18;-5,13", "--bound", "3", "--mode", mode)
+    assert code == 0 and '"witness":null' in out
+
+
 def test_series_check(capsys):
     (obj,) = run_json(capsys, "series-check", "2,1;1,1")
     assert obj["consistent"] is True and obj["repetition"] == 2
@@ -669,6 +675,24 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
         assert capsys.readouterr().out == ""
 
 
+def test_parabolic_conjugator_is_checked_before_output(capsys, monkeypatch):
+    # without diag(1,-1) a negative k keeps c = w^-1, which carries
+    # (1 0; |k| 1) to a matrix other than the input
+    monkeypatch.setattr(classify_module, "REFL_DIAG", IDENTITY)
+    for argv in (["conjugate", "1,0;1,1", "1,0;-1,1", "--group", "sl"], ["real", "1,0;-1,1"]):
+        with pytest.raises(RuntimeError, match="parabolic reduction verification failed"):
+            main(argv)
+        assert capsys.readouterr().out == ""
+
+
+def test_elliptic_conjugator_is_checked_before_output(capsys, monkeypatch):
+    # 0,-1;1,0 is reduced already, and its mover is REFL_DIAG
+    monkeypatch.setitem(classify_module._STABILIZER_TABLE, (0, -1, 1, 0), IDENTITY)
+    with pytest.raises(RuntimeError, match="elliptic reduction verification failed"):
+        main(["classify", "0,-1;1,0"])
+    assert capsys.readouterr().out == ""
+
+
 _MUTANT_CELLS = (
     "true", "false", "null", "1.5", "1e3", "-0", "[1]", "[[1]]", "{}", '""', '" 7 "',
     '"1_0"', '"+5"', '"\\u0661"', '"\\uff15"', '"1\\u0000"', "9" * 4301, '"' + "9" * 4301 + '"',
@@ -804,6 +828,11 @@ def test_svg_negative_axis_and_matrix_like_output_name(tmp_path, monkeypatch, ca
 def test_svg_depth_too_large(capsys):
     code, out, err = run(capsys, "svg", "--depth", "13")
     assert code == 3 and "DepthTooLarge" in err
+
+
+def test_svg_negative_depth_exit_2(capsys):
+    code, out, err = run(capsys, "svg", "--depth", "-1")
+    assert code == 2 and out == "" and "must be >= 0" in err
 
 
 def test_bad_flags_exit_2(capsys):

@@ -696,6 +696,11 @@ def test_weakly_real_pinned():
     assert r.is_real and r.witness == Mat2(0, -1, -1, 0)
     assert r.inverse_conjugator is not None
 
+    # real, but bound 0 leaves only the zero matrix to try
+    r = weakly_real(Mat2(15, 4, 11, 3), 0)
+    assert r.is_real and r.witness is None and r.consistent
+    assert r.note == "bound insufficient for a witness"
+
 
 def test_weakly_real_json_shape():
     obj = weakly_real(Mat2(2, 1, 1, 1), 5).to_json_obj()
