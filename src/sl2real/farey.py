@@ -10,7 +10,7 @@ cycle.  Everything in this module is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd, isqrt
 
 from .errors import NotHyperbolic, NotSL2
@@ -33,13 +33,16 @@ class Surd:
 
     Invariants: q != 0, d > 0 and not a perfect square, and q divides
     d - p^2.  The divisibility is what keeps the Gauss-map recurrence
-    inside the integers.  Equality and hashing are by real value, not
+    inside the integers; its quotient (d - p^2) / q is kept as
+    ``_cofactor``, the denominator a Gauss walk holds beside q (see
+    _gauss_orbit).  Equality and hashing are by real value, not
     representation.
     """
 
     p: int
     d: int
     q: int
+    _cofactor: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         for entry in (self.p, self.d, self.q):
@@ -49,8 +52,10 @@ class Surd:
             raise ValueError("zero denominator")
         if self.d <= 0 or isqrt(self.d) ** 2 == self.d:
             raise ValueError(f"{_quote(self.d)} is not a positive non-square")
-        if (self.d - self.p * self.p) % self.q != 0:
+        cofactor, rest = divmod(self.d - self.p * self.p, self.q)
+        if rest:
             raise ValueError("q must divide d - p^2")
+        self.__dict__["_cofactor"] = cofactor
 
     # value identity: x is a root of q^2 t^2 - 2pq t + (p^2 - d), and the
     # sign of q selects which of the two roots
@@ -68,8 +73,9 @@ class Surd:
         return hash(self._key())
 
     def conjugate(self) -> "Surd":
-        """The Galois conjugate (p - sqrt(d)) / q."""
-        return Surd(-self.p, self.d, -self.q)
+        """The Galois conjugate (p - sqrt(d)) / q, whose cofactor is
+        this one's negated, so it needs no check."""
+        return _unchecked_surd(-self.p, self.d, -self.q, -self._cofactor)
 
     def compare_rational(self, num: int, den: int) -> int:
         """Sign of self - num/den for den > 0; never 0 (self is irrational)."""
@@ -86,17 +92,36 @@ class Surd:
         return f"({self.p}+sqrt({self.d}))/{self.q}"
 
 
+def _unchecked_surd(p: int, d: int, q: int, cofactor: int) -> Surd:
+    """Surd without the checks, for a state known to be valid with
+    q * cofactor == d - p^2."""
+    x = object.__new__(Surd)
+    x.__dict__.update(p=p, d=d, q=q, _cofactor=cofactor)
+    return x
+
+
 def attracting_fixed_point(m: Mat2) -> Surd:
-    """Boundary fixed point of m with eigenvalue of modulus > 1."""
-    if m.det != 1:
-        raise NotSL2("det != 1")
+    """Boundary fixed point of m with eigenvalue of modulus > 1.
+
+    For m = (a b; c d) of trace t with sign e, the point is
+    z = (lambda - d) / c for the dominant eigenvalue
+    lambda = (t + e sqrt(t^2 - 4)) / 2, that is (p + sqrt(D)) / q with
+    p = e (a - d), D = t^2 - 4 and q = 2 e c.  Its cofactor needs no
+    division: D - p^2 = (a + d)^2 - (a - d)^2 - 4 = 4 (ad - 1), which is
+    4bc exactly when det m = 1, and q = 2ec, so (D - p^2) / q = 2eb
+    (e^2 = 1); the repelling point's is -2eb.  So the one product
+    q * 2eb == D - p^2 checks det m = 1 and the Surd invariant at once.
+    D is no square when |t| > 2, since (t - k)(t + k) = 4 forces t = 2,
+    and q != 0, since c = 0 with det 1 forces |t| = 2.
+    """
     t = m.trace
-    if t * t <= 4:
-        raise NotHyperbolic(f"trace {t} is not hyperbolic")
-    disc = t * t - 4
-    # z = (lambda - d)/c for the dominant eigenvalue lambda = (t + e sqrt(disc))/2
     e = 1 if t > 0 else -1  # the sign of t
-    return Surd(e * (m.a - m.d), disc, 2 * e * m.c)
+    p, disc, q, cofactor = e * (m.a - m.d), t * t - 4, 2 * e * m.c, 2 * e * m.b
+    if q * cofactor != disc - p * p:
+        raise NotSL2("det != 1")
+    if disc <= 0:
+        raise NotHyperbolic(f"trace {t} is not hyperbolic")
+    return _unchecked_surd(p, disc, q, cofactor)
 
 
 @dataclass(frozen=True)
@@ -172,10 +197,22 @@ class Cycle:
 
     @property
     def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation, found on first use and kept."""
+        """Lexicographically least rotation, found on first use and kept.
+
+        A cycle that cutting_cycle reads off a period is a power of its
+        ``_root``, the period at its least even rotation; then only an
+        odd rotation of the root can be less, and one scan of the odd
+        starts, over the root alone, finds the least rotation.
+        """
         least = self.__dict__.get("_canonical")
         if least is None:
-            least = self.__dict__["_canonical"] = _least_rotation(self.exponents)
+            root = self.__dict__.get("_root")
+            if root is None:
+                least = _least_rotation(self.exponents)
+            else:
+                least = min(root, _least_rotation(root[1:] + root[:1], 2))
+                least *= len(self.exponents) // len(root)
+            self.__dict__["_canonical"] = least
         return least
 
     def __eq__(self, other: object) -> bool:
@@ -201,18 +238,20 @@ class Cycle:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
 
-def _unchecked_cycle(exponents: tuple[int, ...]) -> Cycle:
-    """Cycle without the checks, for exponents read off a checked period."""
-    cyc = object.__new__(Cycle)
-    cyc.__dict__["exponents"] = exponents
-    return cyc
-
-
 def _necklace_cycle(necklace: tuple[int, ...]) -> Cycle:
     """Unchecked Cycle of a necklace of positive ints and even length,
     which is its own least rotation and so kept as its canonical form."""
-    cyc = _unchecked_cycle(necklace)
-    cyc.__dict__["_canonical"] = necklace
+    cyc = object.__new__(Cycle)
+    cyc.__dict__["exponents"] = cyc.__dict__["_canonical"] = necklace
+    return cyc
+
+
+def _cycle_of_root(root: tuple[int, ...], j: int) -> Cycle:
+    """Unchecked Cycle root^j, for a checked period at its least even
+    rotation, kept as the cycle's ``_root`` (see canonical)."""
+    cyc = object.__new__(Cycle)
+    entries = cyc.__dict__
+    entries["exponents"], entries["_root"] = root * j, root
     return cyc
 
 
@@ -254,20 +293,79 @@ def _least_rotation(exponents: tuple[int, ...], step: int = 1) -> tuple[int, ...
     return exponents[r:] + exponents[:r]
 
 
-def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
-    """CF digits of x through one full period: digits[entry:] is the period.
+# A walk whose first denominator has more bits than _LEHMER_MIN_BITS takes
+# its pre-period in chunks of digits read off _CHUNK_BITS-bit ints, while
+# the denominator has more bits than those (see _gauss_orbit)
+_LEHMER_MIN_BITS = 2_000
+_CHUNK_BITS = 480
+
+
+def _lehmer_chunk(p: int, q: int, s: int) -> tuple[list[int], int, int, int, int]:
+    """Leading CF digits of x = (p + sqrt(d)) / q, for s = isqrt(d) and
+    |q| past _CHUNK_BITS bits, with the product (A B; C D) of their
+    digit matrices (a 1; 1 0), all read off short ints (Lehmer).
+
+    x lies strictly between lo/den and (lo + 1)/den, where lo/den is
+    (p + s)/q with den = |q|.  Both ends are cut outward to their top
+    _CHUNK_BITS bits, to L <= lo/den and H >= (lo + 1)/den; that needs
+    lo >= 0, so a state below 1/den gives no digits, as does one past
+    about 2^_CHUNK_BITS.  While floor(L) == floor(H) == a, the digit of x is
+    a too, and y -> 1/(y - a), decreasing on (a, a + 1), carries the
+    bracket to one around x's next state, its ends swapped.  The chunk
+    stops at the first digit the ends disagree on; when L == a, the
+    next upper end is 1/0 and stops it one digit later.
+
+    The matrix is found once, not digit by digit: each end u/v steps as
+    (u, v) = M' (u', v') with M' the digit matrix, so the ends' first
+    pairs are M times their last, and M = E_0 adj(E_k) / det E_k for
+    the matrices E_i whose columns are L's and H's pairs.  det E_k is
+    +-det E_0, which is not 0 as L < H.
+    """
+    lo, den = (p + s, q) if q > 0 else (-p - s - 1, -q)
+    k = max((lo + 1).bit_length(), den.bit_length()) - _CHUNK_BITS
+    lo_u, lo_v = lo >> k, (den >> k) + 1  # L
+    hi_u, hi_v = ((lo + 1) >> k) + 1, den >> k  # H
+    digits: list[int] = []
+    if lo < 0 or not hi_v:
+        return digits, 1, 0, 0, 1
+    u0, v0, u1, v1 = lo_u, lo_v, hi_u, hi_v
+    while True:
+        a, r0 = divmod(u0, v0)
+        r1 = u1 - a * v1  # > 0, as H > x > a
+        if r1 >= v1:  # floor(H) != a
+            break
+        digits.append(a)
+        u0, v0, u1, v1 = v1, r1, v0, r0  # 1/(H - a) < next state < 1/(L - a)
+    if len(digits) % 2:
+        u0, v0, u1, v1 = u1, v1, u0, v0  # L's pair first
+    det = u0 * v1 - u1 * v0
+    return (
+        digits,
+        (lo_u * v1 - hi_u * v0) // det,
+        (hi_u * u0 - lo_u * u1) // det,
+        (lo_v * v1 - hi_v * v0) // det,
+        (hi_v * u0 - lo_v * u1) // det,
+    )
+
+
+def _gauss_orbit(x: Surd) -> tuple[list[int], int, list[tuple[int, int, int, int, int]]]:
+    """CF digits of x through one full period, (digits, entry, chunks):
+    digits[entry:] is the period, and each chunk (end, A, B, C, D)
+    holds the product (A B; C D) of the digit matrices (a 1; 1 0) of
+    the digits after the previous chunk's end, up to its own.  The
+    chunks cover a head of the pre-period, possibly none of it.
 
     The walk holds each state x_i = (p + sqrt(d)) / q as plain ints
     (p, q, q_prev) with q * q_prev == d - p^2, where q_prev is the
-    previous state's denominator (one division finds x's own).  With
-    a = floor(x_i) the next state is 1 / (x_i - a) = (p1 + sqrt(d)) / q1
-    for p1 = a q - p and q1 = (d - p1^2) / q.  Since
-    d - p1^2 = (d - p^2) + (p - p1)(p + p1) and p + p1 = a q, the
-    quotient is q1 = q_prev + a (p - p1).  So a step multiplies by the
-    digit a and never divides d - p1^2, which is twice as long as q.
-    The floor a = (p + s) // q uses s = isqrt(d), computed once, and
-    divides numbers of about the same length, so a step costs linear
-    big-int work unless the digit itself is large.
+    previous state's denominator; x's own is its Surd cofactor, found
+    by the check that built x.  With a = floor(x_i) the next state is
+    1 / (x_i - a) = (p1 + sqrt(d)) / q1 for p1 = a q - p and
+    q1 = (d - p1^2) / q.  Since d - p1^2 = (d - p^2) + (p - p1)(p + p1)
+    and p + p1 = a q, the quotient is q1 = q_prev + a (p - p1).  So a
+    step multiplies by the digit a and never divides d - p1^2, which is
+    twice as long as q.  The floor a = (p + s) // q uses s = isqrt(d),
+    computed once, and divides numbers of about the same length, so a
+    step costs linear big-int work unless the digit itself is large.
 
     (p, q) fixes the state's value, because sqrt(d) is irrational.  By
     Galois's theorem a quadratic irrational has a purely periodic
@@ -279,6 +377,34 @@ def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
     state comes back; no pre-period state is kept.  The invariant is
     re-checked exactly on the closing state, whose entries are below
     2 sqrt(d).
+
+    A long pre-period is walked in chunks (Lehmer, Amer. Math. Monthly
+    45, 1938; Knuth, TAOCP vol. 2, 4.5.2).  When |q| has more than
+    _LEHMER_MIN_BITS bits, a test made once per walk, _lehmer_chunk
+    reads the next digits off the top _CHUNK_BITS bits of the state,
+    and their matrix M = (A B; C D) moves it in one pass: x_i = M x_k,
+    so x_k is a root of the state's form q X^2 - 2p XY - q_prev Y^2
+    taken through M, which is
+
+        p' = p (AD + BC) - q AB + q_prev CD
+        q' = q A^2 - 2p AC - q_prev C^2
+        q_prev' = q_prev D^2 + 2p BD - q B^2,
+
+    all three negated when the chunk has odd length (det M = -1 swaps
+    which root carries +sqrt(d)).  det M = (-1)^length is checked, so a
+    chunk keeps the discriminant d and the walk still reaches the
+    period and its closing check.  A chunk is kept only if it lands on
+    a state that is not reduced.  The Gauss map keeps reduced states
+    reduced, so no state inside a kept chunk is reduced, and the
+    period's entry is still found by the plain loop; a chunk that
+    lands on a reduced state is dropped and replayed plainly.  A state
+    that gives no chunk takes one plain step as a chunk of one digit.
+    Chunks stop when |q| is down to _CHUNK_BITS bits.  Each chunk
+    costs nine products of the state by short ints, where its digits
+    would cost a pass over the state each: walks of 2,000-digit
+    conjugates took 0.33 to 0.6 times as long (README, Cost).  Below
+    _LEHMER_MIN_BITS the chunks did not pay off, and every walk there
+    runs the plain loop alone.
 
     By Lagrange's theorem the expansion is eventually periodic, so the
     walk ends after the pre-period plus one period, and both are bounded
@@ -299,9 +425,29 @@ def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
     """
     d = x.d
     s = isqrt(d)
-    p, q = x.p, x.q
-    q_prev = (d - p * p) // q  # exact by the Surd invariant
+    p, q, q_prev = x.p, x.q, x._cofactor
     digits: list[int] = []
+    chunks: list[tuple[int, int, int, int, int]] = []
+    if q.bit_length() > _LEHMER_MIN_BITS:
+        while q.bit_length() > _CHUNK_BITS:
+            run, A, B, C, D = _lehmer_chunk(p, q, s)
+            if not run:
+                a = (p + s) // q if q > 0 else (p + s + 1) // q
+                run, A, B, C, D = [a], a, 1, 1, 0
+            ad_bc = A * D + B * C
+            odd = len(run) % 2
+            if ad_bc - 2 * B * C != (-1 if odd else 1):
+                raise RuntimeError("Lehmer chunk matrix has the wrong determinant")
+            p1 = p * ad_bc - q * (A * B) + q_prev * (C * D)
+            q1 = q * (A * A) - 2 * p * (A * C) - q_prev * (C * C)
+            r1 = q_prev * (D * D) + 2 * p * (B * D) - q * (B * B)
+            if odd:
+                p1, q1, r1 = -p1, -q1, -r1
+            if 0 < p1 <= s and s - p1 < q1 <= s + p1:
+                break  # the chunk reaches the period: replay it plainly
+            p, q, q_prev = p1, q1, r1
+            digits += run
+            chunks.append((len(digits), A, B, C, D))
     entry = None
     while True:
         if entry is None:
@@ -310,7 +456,7 @@ def _gauss_orbit(x: Surd) -> tuple[list[int], int]:
         elif p == p_entry and q == q_entry:
             if q * q_prev != d - p * p:
                 raise RuntimeError("Gauss orbit invariant q * q_prev == d - p^2 failed")
-            return digits, entry
+            return digits, entry, chunks
         # s < sqrt(d) < s + 1 strictly, so these integer quotients are exact
         a = (p + s) // q if q > 0 else (p + s + 1) // q
         p1 = a * q - p
@@ -338,23 +484,30 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     P of the period read from the even entry, doubled when the period
     is odd.  So sign * c^-1 m c is P^j for the one j >= 1 with
     tr(P^j) = |tr m|: U-first, of even length, and its runs never
-    merge.  The traces t_k = tr(P^k) follow t_0 = 2, t_1 = tr P and
-    t_{k+1} = tr P * t_k - t_{k-1}, and grow strictly since tr P > 2.
-    The cycle is P at its least even rotation, repeated j times.  The
-    check needs P^j, which Cayley-Hamilton (P^2 = tr P * P - I) reads
-    off the last two traces: P^k = s_k P - s_{k-1} I, where s_0 = 0,
-    s_1 = 1 and s_{k+1} = tr P * s_k - s_{k-1}.  Taking traces gives
-    t_k = tr P * s_k - 2 s_{k-1}, and the eigenvalues give
-    t_{k+1} - t_{k-1} = ((tr P)^2 - 4) s_k, so s_j and s_{j-1} come from
-    t_j and t_{j-1} by two exact divisions.  The identity is then
-    checked on plain ints.
+    merge.  The cycle is P at its least even rotation, repeated j times
+    (see _period_power for j and P^j).  The identity is then checked
+    on plain ints.
     """
-    digits, entry = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
-    return _cycle_of_orbit(m, digits, entry)
+    digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
+    return _cycle_of_orbit(m, digits, entry, chunks)
 
 
-def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int, Mat2]:
-    """cutting_cycle of m from the Gauss orbit of its attracting point."""
+def _cycle_of_orbit(
+    m: Mat2, digits: list[int], entry: int, chunks: list
+) -> tuple[Cycle, int, Mat2]:
+    """cutting_cycle of m from the Gauss orbit of its attracting point.
+
+    The conjugator is the product of the digit matrices (a 1; 1 0) of
+    the even pre-period and of the even pick's head of the period.  The
+    walk's chunks already hold the product over their digits; the rest
+    is a U/V word, since (a 1; 1 0) = U^a S for the swap
+    S = (0 1; 1 0) and S U^b S = V^b.  That word starts after the
+    chunks, so an odd chunked head leaves one S over at its end.
+
+    The even pick is one scan over the period's even starts.  The
+    returned Cycle keeps the picked period as its root, so its
+    canonical form, when asked for, scans only the root's odd starts.
+    """
     t = m.trace
     sign = 1 if t > 0 else -1
     t = abs(t)
@@ -366,25 +519,62 @@ def _cycle_of_orbit(m: Mat2, digits: list[int], entry: int) -> tuple[Cycle, int,
     if len(period) % 2:
         period += period
     best = _least_start(period, 2)
-    ca, cb, cc, cd = _times_word(1, 0, 0, 1, digits[:entry] + period[:best])
-    period = period[best:] + period[:best]
+    ca, cb, cc, cd = 1, 0, 0, 1
+    for _, a, b, c, d in chunks:
+        ca, cb, cc, cd = ca * a + cb * c, ca * b + cb * d, cc * a + cd * c, cc * b + cd * d
+    head = chunks[-1][0] if chunks else 0
+    ca, cb, cc, cd = _times_word(ca, cb, cc, cd, digits[head:entry] + period[:best])
+    if head % 2:
+        ca, cb, cc, cd = cb, ca, cd, cc  # times S
+    exponents = tuple(period[best:] + period[:best])
 
-    pa, pb, pc, pd = _times_word(1, 0, 0, 1, period)  # the period's word P
-    tr = pa + pd
-    t_prev, t_k, j = 2, tr, 1
-    while t_k < t:
-        t_prev, t_k, j = t_k, tr * t_k - t_prev, j + 1
-    if j > 1:  # P^j == s_j P - s_{j-1} I
-        s = (tr * t_k - 2 * t_prev) // (tr * tr - 4)
-        s_prev = (tr * s - t_k) // 2
-        pa, pb, pc, pd = s * pa - s_prev, s * pb, s * pc, s * pd - s_prev
+    j, pa, pb, pc, pd = _period_power(*_times_word(1, 0, 0, 1, exponents), t)
     if sign < 0:
         pa, pb, pc, pd = -pa, -pb, -pc, -pd
 
-    conj = _unchecked_mat2(ca, cb, cc, cd)  # a U/V word has det 1
+    conj = _unchecked_mat2(ca, cb, cc, cd)  # an even number of digit matrices, det -1 each
     if _conjugated(conj, pa, pb, pc, pd) != (m.a, m.b, m.c, m.d):
         raise RuntimeError("cutting-cycle verification failed")
-    return _unchecked_cycle(tuple(period) * j), sign, conj
+    return _cycle_of_root(exponents, j), sign, conj
+
+
+def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int, int, int, int]:
+    """(j, P^j) for P = (pa pb; pc pd) with tr P > 2 and the first j >= 1
+    with tr(P^j) >= t, found by doubling.
+
+    The traces t_k = tr(P^k) follow t_0 = 2, t_1 = tr P and
+    t_{k+1} = tr P * t_k - t_{k-1}, and grow strictly since tr P > 2.
+    They double as t_2k = t_k^2 - 2 and t_2k+1 = t_k t_k+1 - tr P.  As
+    y -> y^2 - 2 is increasing for y >= 0, t_{n 2^i} <= T exactly when
+    t_n <= tau_i, for tau_0 = T and tau_{i+1} = isqrt(tau_i + 2).  So
+    the last K with t_K <= t - 1 has as many bits as there are tau_i
+    from t - 1 that are >= tr P, and each bit below the top one is set
+    exactly when the next odd index passes the test; j = K + 1.  That
+    is O(log j) products, where stepping the recurrence took j.  The
+    result is P^j = s_j P - s_{j-1} I by Cayley-Hamilton
+    (P^2 = tr P * P - I), where s_0 = 0, s_1 = 1 and
+    s_{k+1} = tr P * s_k - s_{k-1}.  Taking traces gives
+    t_k = tr P * s_k - 2 s_{k-1}, and the eigenvalues give
+    t_{k+1} - t_{k-1} = ((tr P)^2 - 4) s_k, so s_j and s_{j-1} come
+    from t_j and t_{j-1} by two exact divisions.
+    """
+    tr = pa + pd
+    if tr >= t:
+        return 1, pa, pb, pc, pd
+    taus = [t - 1]
+    while taus[-1] >= tr:
+        taus.append(isqrt(taus[-1] + 2))
+    k, t_k, t_next = 1, tr, tr * tr - 2  # K's top bit
+    for tau in reversed(taus[:-2]):
+        t_odd = t_k * t_next - tr
+        if t_odd <= tau:
+            k, t_k, t_next = 2 * k + 1, t_odd, t_next * t_next - 2
+        else:
+            k, t_k, t_next = 2 * k, t_k * t_k - 2, t_odd
+    j, t_prev, t_j = k + 1, t_k, t_next
+    s = (tr * t_j - 2 * t_prev) // (tr * tr - 4)
+    s_prev = (tr * s - t_j) // 2
+    return j, s * pa - s_prev, s * pb, s * pc, s * pd - s_prev
 
 
 @dataclass(frozen=True)
@@ -419,10 +609,10 @@ def series_crosscheck(m: Mat2) -> SeriesReport:
     always has even length), tiles the reversed cycle up to rotation.
     """
     att = attracting_fixed_point(m)  # checks det and trace
-    digits, entry = _gauss_orbit(att)
-    cyc, sign, _ = _cycle_of_orbit(m, digits, entry)
+    digits, entry, chunks = _gauss_orbit(att)
+    cyc, sign, _ = _cycle_of_orbit(m, digits, entry, chunks)
     period = tuple(digits[entry:])
-    rep_digits, rep_entry = _gauss_orbit(att.conjugate())
+    rep_digits, rep_entry, _ = _gauss_orbit(att.conjugate())
     tile = tuple(rep_digits[rep_entry:])
     if len(tile) % 2:
         tile += tile

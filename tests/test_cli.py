@@ -619,6 +619,31 @@ def test_each_hyperbolic_input_walks_one_orbit(capsys, monkeypatch, argv, hyperb
     assert len(calls) == hyperbolic_inputs
 
 
+@pytest.mark.parametrize(
+    "command, matrix, scanned",
+    [
+        # the even pick of the period (1, 2, 1, 3); real prints no cycle
+        ("real", "15,4;11,3", [4]),
+        # then the odd starts of the picked period, for the canonical form
+        ("cycle", "15,4;11,3", [4, 4]),
+        ("classify", "7,-18;-5,13", [4, 4]),
+        # a proper square: both scans cover the period, not the cycle
+        ("classify", "269,72;198,53", [4, 4]),
+    ],
+)
+def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
+    calls = []
+    least_start = farey._least_start
+
+    def counted(seq, step=1):
+        calls.append((len(seq), step))
+        return least_start(seq, step)
+
+    monkeypatch.setattr(farey, "_least_start", counted)
+    assert run(capsys, command, matrix)[0] == 0
+    assert calls == [(n, 2) for n in scanned]
+
+
 def test_series_check_walks_each_fixed_point_once(capsys, monkeypatch):
     calls = _count_gauss_orbits(monkeypatch)
     assert run(capsys, "series-check", "15,4;11,3")[0] == 0
@@ -658,9 +683,9 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
     walk = farey._gauss_orbit
 
     def rotated(x):
-        digits, entry = walk(x)
+        digits, entry, chunks = walk(x)
         period = digits[entry:]
-        return digits[:entry] + period[2:] + period[:2], entry
+        return digits[:entry] + period[2:] + period[:2], entry, chunks
 
     monkeypatch.setattr(farey, "_gauss_orbit", rotated)
     # an even period, an odd one of negative trace, and an odd pre-period;

@@ -28,6 +28,7 @@ from sl2real import (
     v_pow,
 )
 import sl2real.farey as farey
+from sl2real.cli import main
 from sl2real.farey import _gauss_orbit
 
 from conftest import (
@@ -450,8 +451,8 @@ def _corrupt_repelling_walk(monkeypatch, m, corrupt):
     walk = farey._gauss_orbit
 
     def walked(x):
-        digits, entry = walk(x)
-        return (corrupt(x, digits, entry) if x == rep else digits), entry
+        digits, entry, chunks = walk(x)
+        return (corrupt(x, digits, entry) if x == rep else digits), entry, chunks
 
     monkeypatch.setattr(farey, "_gauss_orbit", walked)
 
@@ -461,7 +462,7 @@ def _bump_first_period_digit(x, digits, entry):
 
 
 def _period_read_forward(x, digits, entry):
-    att_digits, att_entry = _gauss_orbit(x.conjugate())  # the unpatched walk
+    att_digits, att_entry, _ = _gauss_orbit(x.conjugate())  # the unpatched walk
     return digits[:entry] + att_digits[att_entry:]
 
 
@@ -541,7 +542,7 @@ def test_gauss_orbit_matches_reference_on_surds(data):
     if math.isqrt(d) ** 2 == d:
         return
     x = make_surd(p, d, q)
-    assert _gauss_orbit(x) == _gauss_orbit_reference(x)
+    assert _gauss_orbit(x)[:2] == _gauss_orbit_reference(x)
 
 
 @settings(max_examples=200, deadline=None)
@@ -550,7 +551,7 @@ def test_gauss_orbit_matches_reference_on_fixed_points(seed):
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_exp=50, conj_steps=12)  # either trace sign
     for x in (attracting_fixed_point(m), attracting_fixed_point(m).conjugate()):
-        digits, entry = _gauss_orbit(x)
+        digits, entry, _ = _gauss_orbit(x)
         assert (digits, entry) == _gauss_orbit_reference(x)
         assert len(digits) <= _walk_bound(m)
 
@@ -578,10 +579,169 @@ def test_gauss_orbit_matches_reference_exhaustively():
         count += 1
         x = attracting_fixed_point(m)
         for y in (x, x.conjugate()):
-            digits, entry = _gauss_orbit(y)
+            digits, entry, _ = _gauss_orbit(y)
             assert (digits, entry) == _gauss_orbit_reference(y)
             assert len(digits) <= _walk_bound(m)
     assert count == 7832
+
+
+def _near_limit_conjugate(seed, sign, power, emax):
+    """sign * g W^power g^-1 for a random word W and a random g in U^e, V^e
+    with |e| <= emax, with entries just under the 4,300-digit input limit."""
+    rng = random.Random(seed)
+    w = random_word(rng, max_runs=6, max_exp=9).matrix() ** power
+    target = (14_000 - w.max_abs_entry().bit_length()) // 2
+    g = IDENTITY
+    while g.max_abs_entry().bit_length() < target:
+        e = rng.choice((-1, 1)) * rng.randint(1, emax)
+        g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
+    m = g @ w @ g.inverse()
+    assert 10**3500 < m.max_abs_entry() < 10**4300
+    return m if sign == 1 else -m
+
+
+# the reference takes about a second a walk at this size, so the cases are few
+@pytest.mark.parametrize(
+    "seed, sign, power, emax",
+    [(1, 1, 1, 999), (2, -1, 2, 999), (3, 1, 3, 999), (4, -1, 1, 9)],
+)
+def test_chunked_walk_matches_reference_near_the_limit(seed, sign, power, emax):
+    # past _LEHMER_MIN_BITS the pre-period is walked in Lehmer chunks
+    m = _near_limit_conjugate(seed, sign, power, emax)
+    x = attracting_fixed_point(m)
+    for y in (x, x.conjugate()):
+        digits, entry, chunks = _gauss_orbit(y)
+        assert y.q.bit_length() > farey._LEHMER_MIN_BITS and chunks
+        assert (digits, entry) == _gauss_orbit_reference(y)
+        # the chunks tile a head of the pre-period, each with its digits' matrix
+        start = 0
+        for end, *matrix in chunks:
+            assert start < end < entry
+            assert tuple(matrix) == _digit_matrix_product(digits[start:end])
+            start = end
+
+
+def _digit_matrix_product(digits):
+    a, b, c, d = 1, 0, 0, 1
+    for e in digits:
+        a, b, c, d = a * e + b, a, c * e + d, c
+    return a, b, c, d
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((4, 8, 16)),
+    st.integers(min_value=0, max_value=8),
+)
+def test_lehmer_chunk_reads_a_prefix_of_the_digits(seed, bits, steps):
+    # from any state of either fixed point's walk, with |q| past the cut:
+    # the chunk's digits are the state's next digits, and its matrix is
+    # their product (short cuts make ends that land on integers common)
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_runs=4, max_exp=rng.choice((3, 5000)), conj_steps=10)
+    x = attracting_fixed_point(m)
+    for y in (x, x.conjugate()):
+        for _ in range(steps):
+            y = cf_step(y)[1]
+        if y.q.bit_length() <= bits:
+            continue
+        expected, z = [], y
+        for _ in range(100):
+            digit, z = cf_step(z)
+            expected.append(digit)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(farey, "_CHUNK_BITS", bits)
+            digits, *matrix = farey._lehmer_chunk(y.p, y.q, math.isqrt(y.d))
+        assert digits == expected[: len(digits)]
+        assert tuple(matrix) == _digit_matrix_product(digits)
+
+
+def test_chunk_into_the_period_is_replayed(monkeypatch):
+    # a walk's _lehmer_chunk calls past its kept chunks are the one chunk
+    # it dropped because it landed on a reduced state
+    calls = []
+    chunk = farey._lehmer_chunk
+
+    def counted(*args):
+        calls.append(args)
+        return chunk(*args)
+
+    monkeypatch.setattr(farey, "_lehmer_chunk", counted)
+    # the golden ratio is reduced, so the one chunk taken from the
+    # 13,885-bit first state of (2 1; 1 1)^10000 lands in the period
+    x = attracting_fixed_point(_GOLDEN_10000)
+    assert x.q.bit_length() > farey._LEHMER_MIN_BITS
+    assert _gauss_orbit(x) == ([1], 0, [])
+    assert len(calls) == 1
+    # chunks read off 16-bit ends: short chunks, plain one-digit steps,
+    # and, where the trace is large, chunks that reach the period
+    monkeypatch.setattr(farey, "_LEHMER_MIN_BITS", 0)
+    monkeypatch.setattr(farey, "_CHUNK_BITS", 16)
+    rng = random.Random(16)
+    dropped = kept = 0
+    for _ in range(300):
+        m = random_hyperbolic(rng, max_runs=4, max_exp=rng.choice((9, 1000)), conj_steps=12)
+        x = attracting_fixed_point(m)
+        for y in (x, x.conjugate()):
+            del calls[:]
+            digits, entry, chunks = _gauss_orbit(y)
+            assert (digits, entry) == _gauss_orbit_reference(y)
+            assert len(calls) - len(chunks) in (0, 1)
+            dropped += len(calls) - len(chunks)
+            kept += len(chunks)
+    assert dropped > 50 and kept > 500, (dropped, kept)
+
+
+def test_corrupted_chunk_is_caught_before_output(capsys, monkeypatch):
+    # one chunk matrix off by one entry leaves the conjugator wrong, and
+    # the cycle certificate refuses it before anything is printed
+    walk = farey._gauss_orbit
+
+    def corrupted(x):
+        digits, entry, chunks = walk(x)
+        assert chunks
+        end, a, b, c, d = chunks[len(chunks) // 2]
+        chunks[len(chunks) // 2] = (end, a + 1, b, c, d)
+        return digits, entry, chunks
+
+    monkeypatch.setattr(farey, "_gauss_orbit", corrupted)
+    for sign in (1, -1):
+        m = _near_limit_conjugate(2, sign, 1, 999)
+        with pytest.raises(RuntimeError, match="cutting-cycle verification failed"):
+            main(["cycle", m.to_text()])
+        assert capsys.readouterr().out == ""
+
+
+def test_chunk_of_wrong_determinant_is_refused(capsys, monkeypatch):
+    # a chunk matrix that is not unimodular would move the walk off its
+    # discriminant, where it need not close; the walk refuses it
+    chunk = farey._lehmer_chunk
+
+    def corrupted(p, q, s):
+        digits, a, b, c, d = chunk(p, q, s)
+        return digits, a + 1, b, c, d
+
+    monkeypatch.setattr(farey, "_lehmer_chunk", corrupted)
+    m = _near_limit_conjugate(2, 1, 1, 999)
+    with pytest.raises(RuntimeError, match="Lehmer chunk matrix has the wrong determinant"):
+        main(["real", m.to_text()])
+    assert capsys.readouterr().out == ""
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2, 3)), st.integers(0, 3))
+def test_checked_surd_accepts_every_first_state(seed, power, scale):
+    # attracting_fixed_point builds its state unchecked, with the
+    # cofactor 2eb checked by one product; the checked constructor agrees
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_exp=10**scale, conj_steps=4 * scale + 2) ** power
+    x = attracting_fixed_point(m)
+    for y in (x, x.conjugate()):
+        checked = Surd(y.p, y.d, y.q)
+        assert checked == y and checked._cofactor == y._cofactor
+    e = 1 if m.trace > 0 else -1
+    assert x._cofactor == 2 * e * m.b
 
 
 def _cutting_cycle_by_peel(m):
@@ -590,7 +750,7 @@ def _cutting_cycle_by_peel(m):
     even pre-period's digit matrices (a 1; 1 0), then move the peeled
     word to its least even rotation by a doubled-slice scan."""
     sign = 1 if m.trace > 0 else -1
-    digits, entry = _gauss_orbit(attracting_fixed_point(m))
+    digits, entry, _ = _gauss_orbit(attracting_fixed_point(m))
     c = IDENTITY
     for a in digits[: entry + entry % 2]:
         c = c @ Mat2(a, 1, 1, 0)
@@ -645,6 +805,51 @@ def test_cutting_cycle_of_odd_period_powers():
             cyc, sign, conj = cutting_cycle(m)
             assert cyc.exponents == (1, 1) * k
             _check_certificate(m, cyc, sign, conj)
+
+
+def _period_power_reference(p, t):
+    """(j, P^j) for the first j >= 1 with tr(P^j) >= t, one trace step
+    per k: the linear recurrence t_{k+1} = tr P * t_k - t_{k-1}."""
+    tr = p.trace
+    t_prev, t_k, j = 2, tr, 1
+    while t_k < t:
+        t_prev, t_k, j = t_k, tr * t_k - t_prev, j + 1
+    return j, p**j
+
+
+# primitive period words: golden, odd and even lengths, a large trace
+_PRIMITIVE_PERIODS = [
+    Word(e).matrix()
+    for e in ((1, 1), (1, 2), (2, 1, 1, 3), (5, 1), (1, 1, 1, 2), (1, 2, 3, 4, 5, 6), (1000, 1))
+]
+
+
+@pytest.mark.parametrize("p", _PRIMITIVE_PERIODS, ids=str)
+def test_period_power_matches_linear_recurrence(p):
+    for j in range(1, 301):
+        t_j = (p**j).trace
+        for t in (t_j - 1, t_j, t_j + 1):
+            want_j, want = _period_power_reference(p, t)
+            got_j, *got = farey._period_power(p.a, p.b, p.c, p.d, t)
+            assert (got_j, tuple(got)) == (want_j, (want.a, want.b, want.c, want.d))
+        assert farey._period_power(p.a, p.b, p.c, p.d, t_j)[0] == j
+
+
+@pytest.mark.parametrize("j", [2, 3, 1000, 4096, 4097, 9999, 10_000, 12_345, 20_000])
+def test_period_power_of_golden_powers(j):
+    golden = Mat2(2, 1, 1, 1)
+    power = golden**j
+    assert farey._period_power(2, 1, 1, 1, power.trace) == (j, power.a, power.b, power.c, power.d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=4))
+def test_cycle_canonical_is_a_fresh_least_rotation(seed, k):
+    # the canonical form of a cutting cycle scans only its root's odd starts
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_runs=8, max_exp=3, conj_steps=4) ** k
+    cyc = cutting_cycle(m)[0]
+    assert cyc.canonical == farey._least_rotation(cyc.exponents)
 
 
 # exponents spread over the decades up to 10^6
