@@ -48,11 +48,11 @@ class MatClass:
     left out of equality, repr and JSON.  It is None for a central m;
     otherwise it is the c with c @ R @ c^-1 == m for the class
     representative R: the rotation of trace t (ROT_PI, ROT_2PI3,
-    -ROT_2PI3), sign * (1 0; shift 1), or sign * W for the positive word
-    W in U, V with exponents ``cycle.exponents``, starting with U.  A
-    hyperbolic c is in SL(2,Z).  For elliptic and parabolic m no det -1
-    matrix commutes with R, so det c tells apart the two SL(2,Z) classes
-    that make up the GL(2,Z) class.
+    -ROT_2PI3), sign * (1 0; shift 1), or sign * P^j for the positive
+    word P in U, V with exponents ``cycle.root``, starting with U, and
+    j = ``cycle.j``.  A hyperbolic c is in SL(2,Z).  For elliptic and
+    parabolic m no det -1 matrix commutes with R, so det c tells apart
+    the two SL(2,Z) classes that make up the GL(2,Z) class.
     """
 
     kind: str

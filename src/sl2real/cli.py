@@ -25,7 +25,7 @@ from typing import Callable, Iterator
 
 from .classify import _ELLIPTIC_REPS, HYPERBOLIC, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import _necklace_cycle, _times_word, cutting_cycle, series_crosscheck
+from .farey import _times_word, _unchecked_cycle, cutting_cycle, series_crosscheck
 from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
 from .realness import Analysis, RealFactorization, _analysis_of, analyze, conjugacy_test
@@ -123,16 +123,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _necklaces(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def _necklaces(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Necklaces (least rotations) of length n over 1..k, in lexicographic
-    order, by Fredricksen-Kessler-Maiorana in constant amortized time each
-    (Ruskey, Savage and Wang, J. Algorithms 13, 1992): the next prenecklace
-    raises the last entry below k, at position p, and repeats the first p
-    entries; it is a necklace when its period p divides n."""
+    order, each with its least period p, by Fredricksen-Kessler-Maiorana
+    in constant amortized time each (Ruskey, Savage and Wang, J.
+    Algorithms 13, 1992): the next prenecklace raises the last entry
+    below k, at position p, and repeats the first p entries; it is a
+    necklace when its period p divides n."""
     a, p = [1] * n, 1
     while True:
         if n % p == 0:
-            yield tuple(a)
+            yield tuple(a), p
         p = n
         while p and a[p - 1] == k:
             p -= 1
@@ -156,6 +157,8 @@ def _atlas_representatives(max_entry: int) -> Iterator[tuple[Mat2, Analysis]]:
     classify(sign * W) has the necklace as its cycle and I as its
     conjugator, and the cycle certificate sign * W == rep holds by
     construction; RealFactorization still checks each factorization.
+    The cycle's root is the necklace's first p entries, 2p when p is
+    odd, and its canonical form is the necklace, so it scans nothing.
     """
     for rep in (IDENTITY, NEG_IDENTITY, *_ELLIPTIC_REPS.values()):
         yield rep, analyze(rep)
@@ -163,8 +166,9 @@ def _atlas_representatives(max_entry: int) -> Iterator[tuple[Mat2, Analysis]]:
         for rep in (v_pow(n), -v_pow(n)):
             yield rep, analyze(rep)
     for length in range(2, 2 * max_entry + 1, 2):
-        for exps in _necklaces(length, max_entry):  # one per cyclic word
-            cycle = _necklace_cycle(exps)
+        for exps, p in _necklaces(length, max_entry):  # one per cyclic word
+            root = exps[: 2 * p if p % 2 else p]
+            cycle = _unchecked_cycle(root, length // len(root), exps)
             a, b, c, d = _times_word(1, 0, 0, 1, exps)
             for sign in (1, -1):
                 rep = _unchecked_mat2(sign * a, sign * b, sign * c, sign * d)

@@ -175,44 +175,57 @@ def _times_word(a: int, b: int, c: int, d: int, exponents, u_first: bool = True)
 class Cycle:
     """Cyclic word U^{e1} V^{e2} ... V^{e_2n}, stored at a concrete rotation.
 
+    It is held once, as its ``root`` and a power ``j`` >= 1: the root is
+    the least even-length period of the stored exponents, which are
+    ``root * j``.  A proper power of a matrix has its root's cycle
+    repeated, so its realness and class are decided on the root alone.
+    ``Cycle(exponents)`` checks the tuple and reduces it to its root in
+    the same pass.  That pass spells the exponents as one character
+    each, so a checked cycle has at most 1,114,112 distinct exponents
+    (see is_odd_bipalindromic).
+
     Equality and hashing quotient by all rotations (the GL-conjugacy
     level).  Even rotations preserve which letter carries which
     exponent; :meth:`equal_up_to_even_rotation` tests that finer,
-    SL-level relation on the stored tuples.
+    SL-level relation on the roots.
     """
 
-    exponents: tuple[int, ...]
+    root: tuple[int, ...]
+    j: int = field(default=1, init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        n = len(self.exponents)
+        exps = tuple(self.root)
+        n = len(exps)
         if n < 2 or n % 2:
             raise ValueError(f"cycle length must be even and >= 2, got {n}")
-        for e in self.exponents:
+        codes: dict[int, int] = {}
+        letters = []
+        for e in exps:
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise ValueError(f"exponents must be positive ints, got {_quote(e)}")
+            letters.append(chr(codes.setdefault(e, len(codes))))
+        # the least period is where the word first recurs in its square,
+        # and divides n; the least even period is it or its double
+        word = "".join(letters)
+        p = (word + word).find(word, 1)
+        p = 2 * p if p % 2 else p
+        self.__dict__.update(root=exps[:p], j=n // p)
+
+    @property
+    def exponents(self) -> tuple[int, ...]:
+        return self.root * self.j
 
     def __len__(self) -> int:
-        return len(self.exponents)
+        return len(self.root) * self.j
 
     @property
     def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation, found on first use and kept.
-
-        A cycle that cutting_cycle reads off a period is a power of its
-        ``_root``, the period at its least even rotation; then only an
-        odd rotation of the root can be less, and one scan of the odd
-        starts, over the root alone, finds the least rotation.
-        """
+        """Lexicographically least rotation, found on first use and kept:
+        the root's least rotation, repeated j times, as every rotation
+        of root * j is a rotation of the root repeated."""
         least = self.__dict__.get("_canonical")
         if least is None:
-            root = self.__dict__.get("_root")
-            if root is None:
-                least = _least_rotation(self.exponents)
-            else:
-                least = min(root, _least_rotation(root[1:] + root[:1], 2))
-                least *= len(self.exponents) // len(root)
-            self.__dict__["_canonical"] = least
+            least = self.__dict__["_canonical"] = _least_rotation(self.root) * self.j
         return least
 
     def __eq__(self, other: object) -> bool:
@@ -223,13 +236,11 @@ class Cycle:
     def __hash__(self) -> int:
         return hash(self.canonical)
 
-    def reversed_cycle(self) -> "Cycle":
-        return Cycle(tuple(reversed(self.exponents)))
-
     def equal_up_to_even_rotation(self, other: "Cycle") -> bool:
-        if len(other.exponents) != len(self.exponents):
-            return False
-        return _least_rotation(self.exponents, 2) == _least_rotation(other.exponents, 2)
+        """Same j and roots equal up to even rotation: an even rotation
+        of root * j is one of the root, repeated, as the root has even
+        length."""
+        return self.j == other.j and _least_rotation(self.root, 2) == _least_rotation(other.root, 2)
 
     def to_json_obj(self) -> list[str]:
         return [str(e) for e in self.canonical]
@@ -238,20 +249,13 @@ class Cycle:
         return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
 
-def _necklace_cycle(necklace: tuple[int, ...]) -> Cycle:
-    """Unchecked Cycle of a necklace of positive ints and even length,
-    which is its own least rotation and so kept as its canonical form."""
+def _unchecked_cycle(root: tuple[int, ...], j: int, canonical: tuple | None = None) -> Cycle:
+    """Cycle root * j without the checks, for positive int exponents and
+    a root that is its own least even-length period; ``canonical``, when
+    given, is its least rotation, kept so canonical scans nothing."""
     cyc = object.__new__(Cycle)
-    cyc.__dict__["exponents"] = cyc.__dict__["_canonical"] = necklace
-    return cyc
-
-
-def _cycle_of_root(root: tuple[int, ...], j: int) -> Cycle:
-    """Unchecked Cycle root^j, for a checked period at its least even
-    rotation, kept as the cycle's ``_root`` (see canonical)."""
-    cyc = object.__new__(Cycle)
-    entries = cyc.__dict__
-    entries["exponents"], entries["_root"] = root * j, root
+    entries = cyc.__dict__  # plain stores: the atlas builds one per necklace
+    entries["root"], entries["j"], entries["_canonical"] = root, j, canonical
     return cyc
 
 
@@ -471,11 +475,11 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
 
         m == sign * conjugator @ W @ conjugator.inverse()
 
-    where W is the alternating U-first word whose run lengths are the
-    stored ``cycle.exponents``.  The conjugator is in SL(2,Z): the CF
-    pre-period is forced even (each digit matrix has det -1), and the
-    later rotation of the word is by an even number of runs.  The
-    identity is re-verified before returning, with W = P^j (see below).
+    where W = P^j for the alternating U-first word P whose run lengths
+    are ``cycle.root`` and j = ``cycle.j``.  The conjugator is in
+    SL(2,Z): the CF pre-period is forced even (each digit matrix has
+    det -1), and the later rotation of the word is by an even number of
+    runs.  The identity is re-verified before returning.
 
     The digit matrices pair up as (a 1; 1 0)(b 1; 1 0) = U^a V^b, so the
     even pre-period c multiplies out as a word.  Then c^-1 m c fixes
@@ -484,7 +488,7 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     P of the period read from the even entry, doubled when the period
     is odd.  So sign * c^-1 m c is P^j for the one j >= 1 with
     tr(P^j) = |tr m|: U-first, of even length, and its runs never
-    merge.  The cycle is P at its least even rotation, repeated j times
+    merge.  The cycle's root is P at its least even rotation, its power j
     (see _period_power for j and P^j).  The identity is then checked
     on plain ints.
     """
@@ -505,8 +509,9 @@ def _cycle_of_orbit(
     chunks, so an odd chunked head leaves one S over at its end.
 
     The even pick is one scan over the period's even starts.  The
-    returned Cycle keeps the picked period as its root, so its
-    canonical form, when asked for, scans only the root's odd starts.
+    period, doubled when odd, is the least even-length period of the
+    digits, since a state and its digits fix each other; so the picked
+    rotation is the returned Cycle's root, and j its power.
     """
     t = m.trace
     sign = 1 if t > 0 else -1
@@ -535,7 +540,7 @@ def _cycle_of_orbit(
     conj = _unchecked_mat2(ca, cb, cc, cd)  # an even number of digit matrices, det -1 each
     if _conjugated(conj, pa, pb, pc, pd) != (m.a, m.b, m.c, m.d):
         raise RuntimeError("cutting-cycle verification failed")
-    return _cycle_of_root(exponents, j), sign, conj
+    return _unchecked_cycle(exponents, j), sign, conj
 
 
 def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int, int, int, int]:
@@ -606,7 +611,8 @@ def series_crosscheck(m: Mat2) -> SeriesReport:
     multiplication.  The check walks the repelling point x' on its own:
     by Galois's theorem -1/x' has the reversed period of a reduced x,
     so the repelling period, doubled when its length is odd (a cycle
-    always has even length), tiles the reversed cycle up to rotation.
+    always has even length), is the cycle's root reversed, up to
+    rotation.  One period of each is compared, whatever the power j.
     """
     att = attracting_fixed_point(m)  # checks det and trace
     digits, entry, chunks = _gauss_orbit(att)
@@ -616,7 +622,6 @@ def series_crosscheck(m: Mat2) -> SeriesReport:
     tile = tuple(rep_digits[rep_entry:])
     if len(tile) % 2:
         tile += tile
-    n = len(cyc)
-    consistent = n % len(tile) == 0 and Cycle(tile * (n // len(tile))) == cyc.reversed_cycle()
-    repetition = n // len(period) if consistent else 0
+    consistent = _least_rotation(tile) == _least_rotation(cyc.root[::-1])
+    repetition = len(cyc) // len(period) if consistent else 0
     return SeriesReport(period, cyc, sign, repetition, consistent)

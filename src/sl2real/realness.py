@@ -49,7 +49,7 @@ __all__ = [
 
 def is_odd_bipalindromic(cycle: Cycle) -> int | None:
     """Length of the first block of the least odd-bipalindromic split of
-    the stored exponents, or None.
+    the stored exponents, or None; decided on the cycle's root.
 
     Rotating first never helps.  Write c for the stored exponents,
     indexed mod their even length n.  Rotating by r and cutting after an
@@ -61,18 +61,20 @@ def is_odd_bipalindromic(cycle: Cycle) -> int | None:
 
     The cut after f entries is a split iff c[i] == c[f - 1 - i] for all
     i, that is iff c rotated left by f equals c reversed.  So the splits
-    are the odd places where c reversed occurs in c + c, found by one
-    linear ``str.find`` on a string with one character per distinct
-    exponent.  The occurrences are f0 + k p for the first one f0 < p
-    and the least period p of c, which divides n: when f0 is even, the
-    least odd one is f0 + p < n if p is odd, and there is none if p is
-    even.  Code points bound the distinct exponents to 1,114,112; a
-    matrix under the input limit has a cycle of at most about 20,600
-    runs, because the trace of a word of n runs is at least the n-th
-    Lucas number.
+    are the odd places where c reversed occurs in c + c.  They are
+    f0 + k p for the first one f0 < p and the least period p of c, which
+    divides n: when f0 is even, the least odd one is f0 + p if p is odd,
+    and there is none if p is even.  The root has length p or 2p (p
+    doubled when odd), so the least odd split lies inside it, and the
+    root, with the same p, gives the same answer as c = root * j.  It is
+    found by one linear ``str.find`` on a string with one character per
+    distinct exponent.  Code points bound the distinct exponents to
+    1,114,112; a matrix under the input limit has a cycle of at most
+    about 20,600 runs, because the trace of a word of n runs is at least
+    the n-th Lucas number.
     """
     codes: dict[int, int] = {}
-    word = "".join([chr(codes.setdefault(e, len(codes))) for e in cycle.exponents])
+    word = "".join([chr(codes.setdefault(e, len(codes))) for e in cycle.root])
     dbl = word + word
     first = dbl.find(word[::-1])
     if first < 0:
@@ -160,7 +162,7 @@ def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
         first = is_odd_bipalindromic(cls.cycle)
         if first is None:
             return Analysis(cls, None)
-        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, cls.cycle.exponents[:first])
+        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, cls.cycle.root[:first])
         b, d = -b, -d  # sign W1 D
     else:
         a, b, c, d = _ELLIPTIC_MIRRORS[cls.trace] if cls.kind == ELLIPTIC else (1, 0, cls.shift, -1)

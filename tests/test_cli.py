@@ -491,11 +491,12 @@ def test_non_hyperbolic_stream_output_pinned(capsys, monkeypatch, command, diges
 
 
 def _necklaces_reference(n, k):
-    """Every tuple, kept when it is its own least rotation."""
+    """Every tuple, kept when it is its own least rotation, with the
+    first rotation that gives it back, its least period."""
     for exps in product(range(1, k + 1), repeat=n):
         dbl = exps + exps
         if min(dbl[i : i + n] for i in range(n)) == exps:
-            yield exps
+            yield exps, next(p for p in range(1, n + 1) if dbl[p : p + n] == exps)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -547,6 +548,9 @@ def test_atlas_records_match_analyze():
             slow = realness.analyze(rep)
             assert analysis == slow
             assert analysis.matclass.conjugator == slow.matclass.conjugator
+            cycle, slow_cycle = analysis.matclass.cycle, slow.matclass.cycle
+            if cycle is not None:  # the same root and power, not only equal
+                assert (cycle.root, cycle.j) == (slow_cycle.root, slow_cycle.j)
 
 
 @st.composite
@@ -623,15 +627,16 @@ def test_each_hyperbolic_input_walks_one_orbit(capsys, monkeypatch, argv, hyperb
     "command, matrix, scanned",
     [
         # the even pick of the period (1, 2, 1, 3); real prints no cycle
-        ("real", "15,4;11,3", [4]),
-        # then the odd starts of the picked period, for the canonical form
-        ("cycle", "15,4;11,3", [4, 4]),
-        ("classify", "7,-18;-5,13", [4, 4]),
+        ("real", "15,4;11,3", [(4, 2)]),
+        # then the least rotation of the cycle's root, for the canonical form
+        ("cycle", "15,4;11,3", [(4, 2), (4, 1)]),
+        ("classify", "7,-18;-5,13", [(4, 2), (4, 1)]),
         # a proper square: both scans cover the period, not the cycle
-        ("classify", "269,72;198,53", [4, 4]),
+        ("classify", "269,72;198,53", [(4, 2), (4, 1)]),
     ],
 )
 def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
+    # each scan as (length, step)
     calls = []
     least_start = farey._least_start
 
@@ -641,7 +646,7 @@ def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
 
     monkeypatch.setattr(farey, "_least_start", counted)
     assert run(capsys, command, matrix)[0] == 0
-    assert calls == [(n, 2) for n in scanned]
+    assert calls == scanned
 
 
 def test_series_check_walks_each_fixed_point_once(capsys, monkeypatch):

@@ -300,11 +300,13 @@ def test_cycle_even_rotation_is_finer():
     assert not Cycle((1, 2)).equal_up_to_even_rotation(Cycle((2, 1)))
     assert Cycle((1, 2, 1, 3)).equal_up_to_even_rotation(Cycle((1, 3, 1, 2)))
     assert not Cycle((1, 2, 1, 3)).equal_up_to_even_rotation(Cycle((3, 1, 2, 1)))
+    # the same root to different powers
+    assert not Cycle((1, 2)).equal_up_to_even_rotation(Cycle((1, 2, 1, 2)))
 
 
 def test_cycle_reversed():
-    assert Cycle((1, 2, 1, 3)).reversed_cycle() == Cycle((3, 1, 2, 1))
-    assert Cycle((1, 1)).reversed_cycle() == Cycle((1, 1))
+    assert Cycle(Cycle((1, 2, 1, 3)).exponents[::-1]) == Cycle((3, 1, 2, 1))
+    assert Cycle(Cycle((1, 1)).exponents[::-1]) == Cycle((1, 1))
 
 
 def test_cycle_json():
@@ -390,7 +392,7 @@ def test_cutting_cycle_of_inverse_reverses(seed):
     m = random_hyperbolic(rng, max_exp=6)
     cyc, sign, _ = cutting_cycle(m)
     inv_cyc, inv_sign, _ = cutting_cycle(m.inverse())
-    assert inv_cyc == cyc.reversed_cycle()
+    assert inv_cyc == Cycle(cyc.exponents[::-1])
     assert inv_sign == sign
 
 
@@ -468,7 +470,7 @@ def _period_read_forward(x, digits, entry):
 
 def test_series_crosscheck_skew_cycle_is_consistent():
     rep = series_crosscheck(_SKEW)
-    assert rep.cycle == Cycle((1, 2, 3, 4)) != rep.cycle.reversed_cycle()
+    assert rep.cycle == Cycle((1, 2, 3, 4)) != Cycle(rep.cycle.exponents[::-1])
     assert rep.consistent and rep.repetition == 1
 
 
@@ -845,7 +847,7 @@ def test_period_power_of_golden_powers(j):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=4))
 def test_cycle_canonical_is_a_fresh_least_rotation(seed, k):
-    # the canonical form of a cutting cycle scans only its root's odd starts
+    # the canonical form of a cutting cycle is its root's least rotation, repeated
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_runs=8, max_exp=3, conj_steps=4) ** k
     cyc = cutting_cycle(m)[0]
@@ -895,6 +897,14 @@ def _least_rotation_reference(exponents):
     n = len(exponents)
     dbl = exponents + exponents
     return min(dbl[i : i + n] for i in range(n))
+
+
+def _root_reference(exponents):
+    """The least even p dividing the length whose first p exponents,
+    repeated, give them all back: the tuple's least even period."""
+    n = len(exponents)
+    p = next(p for p in range(2, n + 1, 2) if n % p == 0 and exponents[:p] * (n // p) == exponents)
+    return exponents[:p]
 
 
 def _least_start_reference(seq, step):
@@ -976,7 +986,19 @@ def test_cycle_canonical_is_computed_once(exponents, shift):
         assert x == y and y == x and hash(x) == hash(y)
         assert x.to_json_obj() == y.to_json_obj() == [str(e) for e in x.canonical]
         assert x.canonical == y.canonical == _least_rotation_reference(exponents)
-    assert sorted(calls) == sorted([exponents, rotated])
+    # one scan per cycle, over its root alone
+    assert sorted(calls) == sorted([_root_reference(exponents), _root_reference(rotated)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_ROTATION_INPUTS.filter(lambda w: len(w) % 2 == 0))
+def test_cycle_is_its_root_to_a_power(w):
+    cyc = Cycle(w)
+    assert cyc.root * cyc.j == cyc.exponents == w and len(cyc) == len(w)
+    # the root is primitive: no shorter even period
+    assert cyc.root == _root_reference(cyc.root) == _root_reference(w)
+    assert cyc == Cycle(w[1:] + w[:1])
+    assert cyc.equal_up_to_even_rotation(Cycle(w[2:] + w[:2]))
 
 
 # ------------------------------------------------------- scale gates
@@ -1010,6 +1032,32 @@ def test_golden_power_factors_in_budget():
     with budget(0.5):
         fac = analyze(_GOLDEN_10000).factorization
     assert fac.c_plus @ fac.c_minus == _GOLDEN_10000
+
+
+def test_golden_power_is_decided_on_its_root(monkeypatch):
+    # the cycle is (1, 1) repeated 10,000 times; every rotation scan runs
+    # on the two-run root, and no checked Cycle spells the whole cycle
+    scanned, checked = [], []
+    least_start, check_cycle = farey._least_start, farey.Cycle.__post_init__
+
+    def counted_scan(seq, step=1):
+        scanned.append(len(seq))
+        return least_start(seq, step)
+
+    def counted_check(self):
+        check_cycle(self)
+        checked.append(len(self))
+
+    monkeypatch.setattr(farey, "_least_start", counted_scan)
+    monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
+    g = u_pow(3) @ v_pow(-2)
+    assert classify(_GOLDEN_10000).to_json_obj()["cycle"] == ["1"] * 20_000
+    assert analyze(_GOLDEN_10000).is_real
+    rep = series_crosscheck(_GOLDEN_10000)
+    assert rep.consistent and rep.repetition == 20_000 and len(rep.cycle) == 20_000
+    assert conjugacy_test(_GOLDEN_10000, g @ _GOLDEN_10000 @ g.inverse(), "sl")
+    assert scanned and max(scanned) == 2
+    assert max(checked, default=0) <= 2
 
 
 def test_golden_power_sl_conjugacy_in_budget():

@@ -161,8 +161,21 @@ _PERIODIC_CYCLES = st.tuples(
 ).map(_periodic_cycle)
 
 
+# powers of real roots, so the split is decided on a root shorter than
+# the cycle: two odd palindromes, or one doubled, whose least period is odd
+_PERIODIC_BIPALINDROMES = st.tuples(
+    st.one_of(_ROTATED_BIPALINDROMES, _ODD_PALINDROMES),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=71),
+).map(_periodic_cycle)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(_PERIODIC_CYCLES, _EVEN_LENGTH_WORDS, _ROTATED_BIPALINDROMES))
+@given(
+    st.one_of(
+        _PERIODIC_CYCLES, _PERIODIC_BIPALINDROMES, _EVEN_LENGTH_WORDS, _ROTATED_BIPALINDROMES
+    )
+)
 def test_split_matches_quadratic_scan(exps):
     exps = tuple(exps)
     assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
