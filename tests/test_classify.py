@@ -1,10 +1,12 @@
 """Trace trichotomy and the conjugators that certify it."""
 
 import random
+import sys
 from math import gcd
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sl2real import (
     CENTRAL,
@@ -13,6 +15,7 @@ from sl2real import (
     IDENTITY,
     NEG_IDENTITY,
     PARABOLIC,
+    REFL_DIAG,
     ROT_2PI3,
     ROT_PI,
     U,
@@ -25,12 +28,21 @@ from sl2real import (
     u_pow,
     v_pow,
 )
-from sl2real.classify import _STABILIZER_TABLE
+from sl2real.classify import _STABILIZER_TABLE, _parabolic_reduce
 
 from conftest import random_unimodular
 
+classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
+
 ELLIPTIC_REPS = (ROT_PI, ROT_2PI3, -ROT_2PI3)
 ELLIPTIC_REP = {rep.trace: rep for rep in ELLIPTIC_REPS}
+
+
+def _uv_word(factors):
+    g = IDENTITY
+    for is_u, e in factors:
+        g = g @ (u_pow(e) if is_u else v_pow(e))
+    return g
 
 
 def test_classify_central():
@@ -97,14 +109,38 @@ def test_classify_rejects_non_sl2():
         classify(Mat2(1, 0, 0, -1))
     with pytest.raises(NotSL2):
         classify(Mat2(2, 0, 0, 2))
+    with pytest.raises(NotSL2):  # trace 2 and b == c == 0, but det -3: not central
+        classify(Mat2(3, 0, 0, -1))
 
 
 # ------------------------------------------------------------ elliptic
 # classify's conjugator c carries the representative of m's trace to m
 
 
+class _RecordingTable(dict):
+    """The stabilizer table, keeping each key the reduction loop looks up."""
+
+    def __init__(self, table):
+        super().__init__(table)
+        self.met = set()
+
+    def __getitem__(self, key):
+        self.met.add(key)
+        return super().__getitem__(key)
+
+
+def _keys_met(matrices):
+    table = _RecordingTable(_STABILIZER_TABLE)
+    with mock.patch.object(classify_module, "_STABILIZER_TABLE", table):
+        for m in matrices:
+            classify(m)
+    return table.met
+
+
 def test_stabilizer_table():
-    assert len(_STABILIZER_TABLE) == 10
+    # every row is one the loop ends on, and each mover carries the
+    # representative of its trace to its key
+    assert _keys_met(_box_elliptics(30)) == set(_STABILIZER_TABLE)
     for key, mover in _STABILIZER_TABLE.items():
         m = Mat2(*key)
         assert m == mover @ ELLIPTIC_REP[m.trace] @ mover.inverse()
@@ -211,6 +247,49 @@ def test_parabolic_shift_of_inverse_flips_sign(seed, n):
     assert classify(m).shift == classify(m.inverse()).shift == n
 
 
+def _parabolic_reduce_reference(m):
+    """Reference: the reduction by a probe conjugation, with checked
+    matrices; reading n and p/q off sign*m - I replaced it."""
+    sign = m.trace // 2
+    b = m if sign == 1 else -m
+    if b.c == 0:
+        # fixed point is infinity; rotate it onto 0
+        w = Mat2(0, -1, 1, 0)
+    else:
+        num, den = b.a - b.d, 2 * b.c
+        g = gcd(num, den)
+        p, q = num // g, den // g  # fixed point p/q in lowest terms
+        if q < 0:
+            p, q = -p, -q
+        gamma = pow(p, -1, q)
+        delta = (1 - p * gamma) // q
+        w = Mat2(q, -p, gamma, delta)
+    k = (w @ b @ w.inverse()).c
+    conj = w.inverse() if k > 0 else w.inverse() @ REFL_DIAG
+    assert conj @ Mat2(sign, 0, sign * abs(k), sign) @ conj.inverse() == m
+    return sign, conj, abs(k)
+
+
+_BIG_UV_FACTOR = st.tuples(st.booleans(), st.integers(min_value=-(10**300), max_value=10**300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((1, -1)),
+    st.integers(min_value=-(10**1000), max_value=10**1000).filter(bool),
+    st.booleans(),
+    st.lists(_BIG_UV_FACTOR, max_size=8),
+)
+@example(1, -4, False, [(True, 5)])  # c == 0
+@example(-1, 3, True, [(False, -7)])  # b == 0
+@example(1, -(10**999) - 3, True, [(True, 10**300), (False, -(10**300) + 1)])  # 1,000 digits
+def test_parabolic_reduce_matches_probe_reference(sign, k, lower, factors):
+    g = _uv_word(factors)
+    base = v_pow(k) if lower else u_pow(k)
+    m = g @ (base if sign == 1 else -base) @ g.inverse()
+    assert _parabolic_reduce(m) == _parabolic_reduce_reference(m)
+
+
 def _entry_sign_class(m):
     # sign*m - I = g (0 0; k 0) g^-1 for g = (p q; r s) in SL(2,Z): its
     # lower-left entry is k s^2, its upper-right -k q^2, and the gcd of
@@ -299,8 +378,18 @@ _UV_FACTOR = st.tuples(st.booleans(), st.integers(min_value=-(10**6), max_value=
     st.lists(_UV_FACTOR, max_size=40),
 )
 def test_elliptic_conjugator_matches_fixed_point_loop_on_conjugates(rep, factors):
-    g = IDENTITY
-    for is_u, e in factors:
-        g = g @ (u_pow(e) if is_u else v_pow(e))
+    g = _uv_word(factors)
     m = g @ rep @ g.inverse()
     assert classify(m).conjugator == _elliptic_conjugator_by_fixed_point(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_UV_FACTOR, max_size=40))
+def test_stabilizer_table_rows_met_on_conjugates(factors):
+    # m, -m, m^-1 and -m^-1 share m's fixed point, so the loop makes the
+    # same moves on each and ends on K, -K, K^-1 and -K^-1 for the key K
+    # of m: both rows of trace 0 for a conjugate of ROT_PI, all four of
+    # trace +-1 for one of ROT_2PI3
+    g = _uv_word(factors)
+    reps = (ROT_PI, -ROT_PI, ROT_2PI3, -ROT_2PI3, ROT_2PI3.inverse(), -ROT_2PI3.inverse())
+    assert _keys_met(g @ rep @ g.inverse() for rep in reps) == set(_STABILIZER_TABLE)

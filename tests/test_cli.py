@@ -706,9 +706,11 @@ def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
 
 
 def test_parabolic_conjugator_is_checked_before_output(capsys, monkeypatch):
-    # without diag(1,-1) a negative k keeps c = w^-1, which carries
-    # (1 0; |k| 1) to a matrix other than the input
-    monkeypatch.setattr(classify_module, "REFL_DIAG", IDENTITY)
+    # a conjugator built without its diag(1,-1) factor: for 1,0;-1,1
+    # (n = -1, fixed point 0/1) c = diag(1,-1) becomes I, which carries
+    # (1 0; 1 1) to a matrix other than the input
+    built = classify_module._unchecked_mat2
+    monkeypatch.setattr(classify_module, "_unchecked_mat2", lambda a, b, c, d: built(a, abs(b), c, abs(d)))
     for argv in (["conjugate", "1,0;1,1", "1,0;-1,1", "--group", "sl"], ["real", "1,0;-1,1"]):
         with pytest.raises(RuntimeError, match="parabolic reduction verification failed"):
             main(argv)
