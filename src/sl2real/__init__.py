@@ -36,7 +36,6 @@ from .farey import (
     Cycle,
     SeriesReport,
     Surd,
-    Word,
     attracting_fixed_point,
     cutting_cycle,
     series_crosscheck,
@@ -122,7 +121,6 @@ __all__ = [
     "U",
     "V",
     "WeaklyRealReport",
-    "Word",
     "analyze",
     "attracting_fixed_point",
     "brute_force_conjugator",

@@ -17,6 +17,7 @@ bound; signs, traces, and flags stay plain JSON numbers.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import re
@@ -40,6 +41,11 @@ _dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 def _input_matrices(arg: str) -> Iterator[Mat2]:
     if arg == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            # a byte stdin's encoding cannot decode becomes a lone
+            # surrogate, as under the C locale, so it fails its own line
+            # (exit 2), not the decoding of the whole chunk it was read in
+            sys.stdin.reconfigure(errors="surrogateescape")
         for line in sys.stdin:
             line = line.strip()
             if not line:
@@ -211,7 +217,7 @@ def _cmd_svg(args) -> int:
 
 # Caps on the flags whose work grows without a bound of its own: atlas
 # --max-entry 6 would print 375,336,811 records, and the oracle's
-# searches grow as bound^2.
+# searches walk boxes whose sides grow with the bound (README, Limits).
 _MAX_ATLAS_ENTRY = 5
 _MAX_ORACLE_BOUND = 1_000
 

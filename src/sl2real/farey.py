@@ -18,7 +18,6 @@ from .mat2 import Mat2, _conjugated, _quote, _unchecked_mat2
 
 __all__ = [
     "Surd",
-    "Word",
     "Cycle",
     "SeriesReport",
     "attracting_fixed_point",
@@ -88,9 +87,6 @@ class Surd:
             s = 1 if den * den * self.d > k * k else -1
         return s if self.q > 0 else -s
 
-    def __str__(self) -> str:
-        return f"({self.p}+sqrt({self.d}))/{self.q}"
-
 
 def _unchecked_surd(p: int, d: int, q: int, cofactor: int) -> Surd:
     """Surd without the checks, for a state known to be valid with
@@ -124,50 +120,17 @@ def attracting_fixed_point(m: Mat2) -> Surd:
     return _unchecked_surd(p, disc, q, cofactor)
 
 
-@dataclass(frozen=True)
-class Word:
-    """Nonempty alternating positive word in U and V, run-length encoded.
-
-    ``Word((1, 2), "U")`` is U^1 V^2; ``Word((3,), "V")`` is V^3.
-    """
-
-    exponents: tuple[int, ...]
-    starts_with: str = "U"
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponents", tuple(self.exponents))
-        if not self.exponents:
-            raise ValueError("empty word")
-        for e in self.exponents:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 1:
-                raise ValueError(f"exponents must be positive ints, got {_quote(e)}")
-        if self.starts_with not in ("U", "V"):
-            raise ValueError(f"starts_with must be 'U' or 'V', got {_quote(self.starts_with)}")
-
-    def runs(self) -> tuple[tuple[str, int], ...]:
-        letter = self.starts_with
-        out = []
-        for e in self.exponents:
-            out.append((letter, e))
-            letter = "V" if letter == "U" else "U"
-        return tuple(out)
-
-    def matrix(self) -> Mat2:
-        return _unchecked_mat2(*_times_word(1, 0, 0, 1, self.exponents, self.starts_with == "U"))
-
-    def __str__(self) -> str:
-        return "".join(f"{letter}^{e}" for letter, e in self.runs())
-
-
-def _times_word(a: int, b: int, c: int, d: int, exponents, u_first: bool = True) -> tuple:
-    """(a b; c d) times the alternating word of these runs (any int
-    exponents), on plain ints."""
+def _times_word(a: int, b: int, c: int, d: int, exponents) -> tuple:
+    """(a b; c d) times the alternating U-first word of these runs (any
+    int exponents), on plain ints; a leading 0 starts the word with V,
+    as U^0 = I."""
+    u_next = True
     for e in exponents:
-        if u_first:
+        if u_next:
             b, d = a * e + b, c * e + d  # times U^e = (1 e; 0 1)
         else:
             a, c = a + b * e, c + d * e  # times V^e = (1 0; e 1)
-        u_first = not u_first
+        u_next = not u_next
     return a, b, c, d
 
 
@@ -244,9 +207,6 @@ class Cycle:
 
     def to_json_obj(self) -> list[str]:
         return [str(e) for e in self.canonical]
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(e) for e in self.exponents) + "]"
 
 
 def _unchecked_cycle(root: tuple[int, ...], j: int, canonical: tuple | None = None) -> Cycle:

@@ -206,11 +206,21 @@ def _invertible_minor(vectors) -> tuple[tuple[int, ...], list[list[Fraction]]] |
 def _coefficient_box(vectors, bound: int) -> tuple[int, ...]:
     """Per-coordinate search radius covering every lattice point with
     entries bounded by `bound`, via the inverse of an invertible k x k
-    submatrix of the basis."""
+    submatrix of the basis.
+
+    A lattice point x = sum_j c_j v_j has coordinates c = inv x_R, for
+    the minor's rows R and its inverse inv, so
+    |c_i| <= sum_j |inv_ij| |x_R_j| <= bound * S_i with
+    S_i = sum_j |inv_ij| when every |x_R_j| <= bound.  c_i is an
+    integer, so |c_i| <= floor(bound * S_i), the radius returned (int
+    of a non-negative Fraction is its floor).  Every coefficient tuple
+    past it has an entry over the bound, so the search skips only
+    tuples it would reject, and finds the same first witness.
+    """
     minor = _invertible_minor(vectors)
     if minor is None:
         raise RuntimeError("lattice basis vectors are not independent")
-    return tuple(int(bound * sum(abs(x) for x in row)) + 1 for row in minor[1])
+    return tuple(int(bound * sum(abs(x) for x in row)) for row in minor[1])
 
 
 def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:

@@ -104,10 +104,6 @@ class RealFactorization:
         object.__setattr__(self, "kind_plus", real_structure_kind(self.c_plus))
         object.__setattr__(self, "kind_minus", real_structure_kind(self.c_minus))
 
-    @property
-    def matrix(self) -> Mat2:
-        return self.c_plus @ self.c_minus
-
     def to_json_obj(self) -> dict:
         return {
             "c_plus": self.c_plus.to_json_obj(),
@@ -241,21 +237,6 @@ class WeaklyRealReport:
     inverse_conjugator: Mat2 | None
     consistent: bool
     note: str
-
-    def to_json_obj(self) -> dict:
-        return {
-            "matrix": self.matrix.to_json_obj(),
-            "bound": self.bound,
-            "is_real": self.is_real,
-            "witness": None if self.witness is None else self.witness.to_json_obj(),
-            "inverse_conjugator": (
-                None
-                if self.inverse_conjugator is None
-                else self.inverse_conjugator.to_json_obj()
-            ),
-            "consistent": self.consistent,
-            "note": self.note,
-        }
 
 
 def weakly_real(m: Mat2, bound: int) -> WeaklyRealReport:

@@ -59,39 +59,12 @@ class AxisOverlay:
 class FareyFigure:
     """Tessellation after `depth` mediant rounds, optionally with an axis.
 
-    Only the depth and the axis are held.  `arcs` (2^(depth+2) - 3) and
-    `triangles` (2^(depth+1) - 2) are built from the mediant walk on
-    first use of either and then kept; `render_svg` reads neither.
+    Only the depth and the axis are held: `render_svg` draws the
+    2^(depth+2) - 3 arcs from one mediant walk (`_arc_paths`).
     """
 
     depth: int
     axis: AxisOverlay | None
-
-    @property
-    def arcs(self) -> tuple[tuple[Frac, Frac], ...]:
-        return self._tessellation()[0]
-
-    @property
-    def triangles(self) -> tuple[Tri, ...]:
-        return self._tessellation()[1]
-
-    def _tessellation(self) -> tuple[tuple[tuple[Frac, Frac], ...], tuple[Tri, ...]]:
-        """Arcs and triangles in walk order, each insertion followed by
-        its mirror image; every mirrored vertex is one tuple shared by
-        its arcs and triangles."""
-        built = self.__dict__.get("_arcs_and_triangles")
-        if built is None:
-            base = ((0, 1), (1, 0))
-            arcs: list[tuple[Frac, Frac]] = [base]
-            triangles: list[Tri] = []
-            mirror = {f: f for f in base}  # 0 and infinity are their own mirrors
-            for u, w, v in _mediants(self.depth):
-                mu, mv = mirror[u], mirror[v]
-                mw = mirror[w] = (-w[0], w[1])  # w is finite
-                arcs += [(u, w), (w, v), (mu, mw), (mw, mv)]
-                triangles += [(u, w, v), (mu, mw, mv)]
-            built = self.__dict__["_arcs_and_triangles"] = (tuple(arcs), tuple(triangles))
-        return built
 
 
 def _mediants(depth: int) -> Iterator[Tri]:
@@ -161,8 +134,8 @@ def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
 def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
     """Tessellation after `depth` mediant rounds, optionally with an axis.
 
-    Validates the depth and computes the axis overlay; the arcs and
-    triangles wait for first use (see FareyFigure).
+    Validates the depth and computes the axis overlay; the arcs are
+    drawn by `render_svg` (see FareyFigure).
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {_quote(depth)}")
@@ -246,7 +219,8 @@ _ARC_TAIL = '" fill="none" stroke="#404040" stroke-width="0.004"/>'
 
 
 def _arc_paths(depth: int) -> Iterator[str]:
-    """The arc elements of the depth-d figure, in `FareyFigure.arcs` order.
+    """The arc elements of the depth-d figure: the base diameter, then
+    each insertion's two arcs followed by their mirror images.
 
     Right-half Farey neighbours u < w have det -1 and k = u.w > 0, so
     `_geodesic` draws (u, w) as an arc of radius 1/k with sweep 1, and
@@ -276,8 +250,7 @@ def render_svg(fig: FareyFigure) -> str:
     """SVG document of a figure: the crossed triangles, tinted by label,
     under the arcs, and the axis on top.
 
-    The arcs come from one mediant walk (`_arc_paths`); `fig.arcs` and
-    `fig.triangles` are not built.
+    The arcs come from one mediant walk (`_arc_paths`).
     """
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

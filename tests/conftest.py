@@ -10,7 +10,8 @@ import time
 from contextlib import contextmanager
 from math import isqrt
 
-from sl2real import Cycle, Mat2, Surd, Word, u_pow, v_pow
+from sl2real import Cycle, Mat2, Surd, u_pow, v_pow
+from sl2real.farey import _times_word
 
 IDENT = Mat2(1, 0, 0, 1)
 
@@ -57,10 +58,15 @@ def random_unimodular(rng: random.Random, steps: int = 8) -> Mat2:
     return m
 
 
-def random_word(rng: random.Random, max_runs: int = 6, max_exp: int = 9) -> Word:
+def word_matrix(exponents) -> Mat2:
+    """The alternating U-first word of these runs; a leading 0 starts it with V."""
+    return Mat2(*_times_word(1, 0, 0, 1, exponents))
+
+
+def random_word(rng: random.Random, max_runs: int = 6, max_exp: int = 9) -> tuple[int, ...]:
     # even run count so the word is U-first and V-last
     n = 2 * rng.randint(1, max(1, max_runs // 2))
-    return Word(tuple(rng.randint(1, max_exp) for _ in range(n)), "U")
+    return tuple(rng.randint(1, max_exp) for _ in range(n))
 
 
 def random_hyperbolic(
@@ -70,7 +76,7 @@ def random_hyperbolic(
     conj_steps: int = 6,
 ) -> Mat2:
     g = random_unimodular(rng, conj_steps)
-    m = g @ random_word(rng, max_runs, max_exp).matrix() @ g.inverse()
+    m = g @ word_matrix(random_word(rng, max_runs, max_exp)) @ g.inverse()
     return m if rng.random() < 0.5 else -m
 
 

@@ -19,7 +19,6 @@ from sl2real import (
     Cycle,
     Mat2,
     NotReal,
-    Word,
     brute_force_conjugator,
     brute_force_factor,
     cutting_cycle,
@@ -36,6 +35,7 @@ from conftest import (
     random_odd_bipalindromic_cycle,
     random_unimodular,
     random_word,
+    word_matrix,
 )
 
 ELLIPTIC_REPS = (ROT_PI, ROT_2PI3, -ROT_2PI3)
@@ -96,7 +96,7 @@ def test_criterion_2_hyperbolic_positive():
     for _ in range(300):
         cyc = random_odd_bipalindromic_cycle(rng, max_len=10, max_exp=7)
         g = random_unimodular(rng)
-        m = g @ Word(cyc.exponents, "U").matrix() @ g.inverse()
+        m = g @ word_matrix(cyc.exponents) @ g.inverse()
         if rng.random() < 0.5:
             m = -m
         _check_factorization(m, factor_real(m))
@@ -150,13 +150,13 @@ def test_criterion_5_cycle_round_trip():
         w = random_word(rng, max_runs=8, max_exp=9)
         g = random_unimodular(rng)
         sign = rng.choice((1, -1))
-        m = g @ w.matrix() @ g.inverse()
+        m = g @ word_matrix(w) @ g.inverse()
         if sign == -1:
             m = -m
         cyc, got_sign, conj = cutting_cycle(m)
-        assert cyc == Cycle(w.exponents)
+        assert cyc == Cycle(w)
         assert got_sign == sign
-        recon = conj @ Word(cyc.exponents, "U").matrix() @ conj.inverse()
+        recon = conj @ word_matrix(cyc.exponents) @ conj.inverse()
         assert (recon if got_sign == 1 else -recon) == m
 
 
@@ -198,12 +198,17 @@ def test_criterion_8_elliptic_orders():
 
 @criterion(9, "figures have the exact arc structure", 5.0)
 def test_criterion_9_svg():
-    from sl2real import farey_figure
+    """On what `svg` draws: the arc paths of each depth, and the mediant
+    walk's arcs with their mirror images, whose ends are Farey neighbours."""
+    from sl2real.render import _mediants
 
     for depth in range(9):
-        fig = farey_figure(depth)
-        assert len(fig.arcs) == 2 ** (depth + 2) - 3
-        for (m1, n1), (m2, n2) in fig.arcs:
+        doc = render_farey(depth)
+        ET.fromstring(doc)  # well-formed XML
+        assert doc.count('<path class="arc"') == 2 ** (depth + 2) - 3
+        arcs = [((0, 1), (1, 0))]
+        for u, w, v in _mediants(depth):
+            for (m1, n1), (m2, n2) in ((u, w), (w, v)):
+                arcs += [((m1, n1), (m2, n2)), ((-m1, n1), (-m2, n2))]
+        for (m1, n1), (m2, n2) in arcs:
             assert m1 * n2 - m2 * n1 in (1, -1)
-    doc = render_farey(6)
-    ET.fromstring(doc)  # well-formed XML

@@ -36,7 +36,7 @@ from math import isqrt
 
 from sl2real import Cycle, is_odd_bipalindromic
 
-MAX_TRACE = 300
+MAX_TRACE = 1_000
 
 
 def _classes(max_trace):
@@ -105,7 +105,9 @@ def test_real_classes_by_trace_match_genus_theory():
     real = Counter(t for t, word in classes if is_odd_bipalindromic(Cycle(word)) is not None)
     counts = {t: _real_class_count(t) for t in range(3, MAX_TRACE + 1)}
     assert [(t, real[t], n) for t, n in counts.items() if real[t] != n] == []
-    assert (len(classes), sum(real.values())) == (8769, 3493)
+    assert (len(classes), sum(real.values())) == (78_628, 16_734)
+    small = sum(t <= 300 for t, _ in classes), sum(n for t, n in real.items() if t <= 300)
+    assert small == (8_769, 3_493)
 
 
 def test_census_pins_small_traces():

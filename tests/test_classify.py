@@ -22,7 +22,6 @@ from sl2real import (
     Cycle,
     Mat2,
     NotSL2,
-    Word,
     classify,
     conjugacy_test,
     u_pow,
@@ -30,7 +29,7 @@ from sl2real import (
 )
 from sl2real.classify import _STABILIZER_TABLE, _parabolic_reduce
 
-from conftest import random_unimodular
+from conftest import random_unimodular, word_matrix
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
 
@@ -98,7 +97,7 @@ def test_classify_conjugator_is_a_witness_not_an_invariant(seed):
         assert c == d and hash(c) == hash(d)
         assert "conjugator" not in repr(c) and "conjugator" not in c.to_json_obj()
     w = classify(Mat2(15, 4, 11, 3)).conjugator
-    assert w @ Word((1, 2, 1, 3), "U").matrix() @ w.inverse() == Mat2(15, 4, 11, 3)
+    assert w @ word_matrix((1, 2, 1, 3)) @ w.inverse() == Mat2(15, 4, 11, 3)
     m = g @ Mat2(-1, 0, 3, -1) @ g.inverse()
     c = classify(m).conjugator
     assert c @ -v_pow(3) @ c.inverse() == m  # sign -1

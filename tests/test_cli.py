@@ -24,7 +24,6 @@ from sl2real import (
     ROT_2PI3,
     ROT_PI,
     Mat2,
-    Word,
     attracting_fixed_point,
     conjugacy_test,
     u_pow,
@@ -34,7 +33,13 @@ from sl2real.cli import main
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
 
-from conftest import budget, random_odd_bipalindromic_cycle, random_unimodular, random_word
+from conftest import (
+    budget,
+    random_odd_bipalindromic_cycle,
+    random_unimodular,
+    random_word,
+    word_matrix,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -141,6 +146,14 @@ def test_oracle_conjugator_witness(capsys):
     assert obj["witness"] == [["-1", "0"], ["1", "1"]] and obj["verified"] is True
     m, q = Mat2(2, 1, 1, 1), Mat2.from_json_obj(obj["witness"])
     assert q.det == -1 and q @ m @ q.inverse() == m.inverse()
+
+
+def test_oracle_identity_walks_no_layer_past_the_bound(capsys):
+    # +-I has a rank-4 lattice: a radius one past the bound would walk a
+    # whole (2r+1)^3 slab of rejected tuples before the first in-bound one
+    with budget(2.0):
+        (obj,) = run_json(capsys, "oracle", "1,0;0,1", "--bound", "100", "--mode", "conjugator")
+    assert obj["witness"] == [["-100", "-99"], ["-99", "-98"]] and obj["verified"] is True
 
 
 def test_oracle_factor_without_witness(capsys):
@@ -299,7 +312,7 @@ def _check_factorization(fac, m):
 
 def test_ten_thousand_run_word_answers_in_budget(capsys):
     # 2,091-digit entries; the cycle has 10,002 runs
-    m = Word((1,) * 10001 + (2,), "U").matrix()
+    m = word_matrix((1,) * 10001 + (2,))
     entries = (m.a, m.b, m.c, m.d)
     arg = f"{m.a},{m.b};{m.c},{m.d}"
     for command in ("classify", "cycle", "real", "series-check"):
@@ -333,8 +346,8 @@ def test_thousand_digit_conjugates_round_trip(seed, real, sign):
     while max(map(abs, g)).bit_length() < 3_330:  # over 10^3 digits
         e = rng.choice((-1, 1)) * rng.randint(1, 9)
         g = _mul(g, (1, e, 0, 1) if rng.random() < 0.5 else (1, 0, e, 1))
-    exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng).exponents
-    w = Word(exps, "U").matrix()
+    exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng)
+    w = word_matrix(exps)
     ga, gb, gc, gd = g
     m = tuple(sign * x for x in _mul(_mul(g, (w.a, w.b, w.c, w.d)), (gd, -gb, -gc, ga)))
     arg = ",".join(map(str, m[:2])) + ";" + ",".join(map(str, m[2:]))
@@ -407,12 +420,12 @@ def _stream_corpus():
     for _ in range(40):
         g = random_unimodular(rng, 6)
         real = rng.random() < 0.5
-        exps = (random_odd_bipalindromic_cycle(rng) if real else random_word(rng)).exponents
-        ms.append(g @ Word(exps, "U").matrix() @ g.inverse())
+        exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng)
+        ms.append(g @ word_matrix(exps) @ g.inverse())
     for k in range(1, 8):
         ms.append(Mat2(2, 1, 1, 1) ** k)  # the golden ratio's period has one digit
         ms.append(random_unimodular(rng, 4) @ (Mat2(3, 2, 1, 1) ** k))
-        w = Word(random_word(rng, max_runs=4, max_exp=4).exponents, "U").matrix()
+        w = word_matrix(random_word(rng, max_runs=4, max_exp=4))
         g = random_unimodular(rng, 5)
         ms.append(g @ w ** k @ g.inverse())
     for _ in range(12):
@@ -424,7 +437,7 @@ def _stream_corpus():
             exps = random_odd_bipalindromic_cycle(rng).exponents
         else:
             exps = (10**100 + rng.randint(0, 9), 3)
-        ms.append(g @ Word(exps, "U").matrix() @ g.inverse())
+        ms.append(g @ word_matrix(exps) @ g.inverse())
     ms = [m if rng.random() < 0.5 else -m for m in ms]
     return "".join(json.dumps([[str(m.a), str(m.b)], [str(m.c), str(m.d)]]) + "\n" for m in ms)
 
@@ -569,7 +582,7 @@ def _random_necklaces(draw):
 @settings(max_examples=300, deadline=None)
 @given(_random_necklaces(), st.sampled_from((1, -1)))
 def test_necklace_is_its_own_cutting_cycle(necklace, sign):
-    w = Word(necklace, "U").matrix()
+    w = word_matrix(necklace)
     cls = classify_module.classify(w if sign == 1 else -w)
     assert (cls.kind, cls.sign) == ("hyperbolic", sign)
     assert cls.cycle.exponents == necklace
@@ -577,9 +590,9 @@ def test_necklace_is_its_own_cutting_cycle(necklace, sign):
 
 
 _E = 10**300
-_LONG_CERTIFICATE = Word(
-    (_E + 1, 29, _E + 7, _E + 3, 8, _E + 3, _E + 7, 29, _E + 1, 8, 2, 10, 7, 10, 2, 8), "U"
-).matrix()  # 1,810-digit entries; real, with a factor of 5,423 digits
+_LONG_CERTIFICATE = word_matrix(
+    (_E + 1, 29, _E + 7, _E + 3, 8, _E + 3, _E + 7, 29, _E + 1, 8, 2, 10, 7, 10, 2, 8)
+)  # 1,810-digit entries; real, with a factor of 5,423 digits
 
 
 def test_certificate_too_long_to_print_is_a_domain_error(capsys):
@@ -672,8 +685,8 @@ def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
     # can catch the corruption
     times = realness._times_word
 
-    def raised(a, b, c, d, exponents, u_first=True):
-        return times(a, b, c, d, [e + 1 for e in exponents], u_first)
+    def raised(a, b, c, d, exponents):
+        return times(a, b, c, d, [e + 1 for e in exponents])
 
     monkeypatch.setattr(realness, "_times_word", raised)
     for matrix in ("15,4;11,3", "2,1;1,1", "-5,-2;-2,-1"):
@@ -819,7 +832,7 @@ def test_svg_to_file(tmp_path, capsys):
 def test_svg_huge_axis(capsys, e, depth):
     # entries of 401 and 2,601 digits: fixed points far past float range;
     # the crossings cost O(depth) comparisons, not one per triangle
-    m = Word((10**e, 1, 3, 10**e), "U").matrix()
+    m = word_matrix((10**e, 1, 3, 10**e))
     with budget(0.5):
         code, out, err = run(capsys, "svg", "--depth", str(depth), "--axis", f"{m.a},{m.b};{m.c},{m.d}")
     assert code == 0 and err == ""
@@ -993,3 +1006,25 @@ def test_closed_stdout_ends_quietly(tmp_path, argv):
         finally:
             proc.kill()
     assert stderr.read_bytes() == b""
+
+
+@pytest.mark.parametrize("data", [b"\xff\n", b"[[1,0],[0,1]]\n\xfe\n"], ids=["first", "second"])
+def test_undecodable_stdin_byte_is_one_error_line(data):
+    # a UTF-8 locale decodes stdin strictly; the bad byte fails its own
+    # line, so the lines before it are answered
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]),
+        "PYTHONIOENCODING": "utf-8",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "sl2real.cli", "real", "-"],
+        input=data, capture_output=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 300
+    assert proc.stderr.startswith(b"error: bad input line") and b"Traceback" not in proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert len(lines) == data.count(b"\n") - 1
+    if lines:
+        assert json.loads(lines[0])["is_real"] is True

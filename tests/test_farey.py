@@ -17,7 +17,6 @@ from sl2real import (
     NotHyperbolic,
     NotSL2,
     Surd,
-    Word,
     analyze,
     attracting_fixed_point,
     classify,
@@ -40,6 +39,7 @@ from conftest import (
     random_word,
     surd_float,
     surd_floor,
+    word_matrix,
 )
 
 GOLDEN = Surd(1, 5, 2)
@@ -120,7 +120,7 @@ def test_surd_floor_matches_float(data):
 
 def test_surd_float_with_discriminant_past_float_range():
     # d has about 800 digits, the value is 10^200
-    x = attracting_fixed_point(Word((10**200, 1, 3, 10**200), "U").matrix())
+    x = attracting_fixed_point(word_matrix((10**200, 1, 3, 10**200)))
     assert surd_float(x) == 1e200
     with pytest.raises(OverflowError):
         surd_float(make_surd(10**400, 2, 1))  # the value itself is past float range
@@ -246,25 +246,10 @@ def test_fixed_point_is_fixed(seed):
 
 
 def test_word_matrix_pinned():
-    assert Word((1, 1), "U").matrix() == Mat2(2, 1, 1, 1)
-    assert Word((1, 1), "V").matrix() == Mat2(1, 1, 1, 2)
-    assert Word((1, 2, 1, 3), "U").matrix() == Mat2(15, 4, 11, 3)
-    assert Word((2, 2), "U").matrix() == Mat2(5, 2, 2, 1)
-
-
-def test_word_validation():
-    with pytest.raises(ValueError):
-        Word((), "U")
-    with pytest.raises(ValueError):
-        Word((0, 1), "U")
-    with pytest.raises(ValueError):
-        Word((1, 1), "X")
-
-
-def test_word_runs():
-    w = Word((1, 2, 1, 3), "U")
-    assert w.runs() == (("U", 1), ("V", 2), ("U", 1), ("V", 3))
-    assert Word((2, 1), "V").runs() == (("V", 2), ("U", 1))
+    assert farey._times_word(1, 0, 0, 1, (1, 1)) == (2, 1, 1, 1)
+    assert farey._times_word(1, 0, 0, 1, (0, 1, 1)) == (1, 1, 1, 2)  # V first, as U^0 = I
+    assert farey._times_word(1, 0, 0, 1, (1, 2, 1, 3)) == (15, 4, 11, 3)
+    assert farey._times_word(1, 0, 0, 1, (2, 2)) == (5, 2, 2, 1)
 
 
 # -------------------------------------------------------------- cycles
@@ -318,7 +303,7 @@ def test_cycle_json():
 
 def _check_certificate(m, cyc, sign, conj):
     assert conj.det == 1
-    recon = conj @ Word(cyc.exponents, "U").matrix() @ conj.inverse()
+    recon = conj @ word_matrix(cyc.exponents) @ conj.inverse()
     assert (recon if sign == 1 else -recon) == m
 
 
@@ -362,13 +347,13 @@ def test_cutting_cycle_round_trip(seed):
     w = random_word(rng)
     g = random_unimodular(rng)
     sign = rng.choice((1, -1))
-    m = g @ w.matrix() @ g.inverse()
+    m = g @ word_matrix(w) @ g.inverse()
     if sign == -1:
         m = -m
     cyc, got_sign, conj = cutting_cycle(m)
-    assert cyc == Cycle(w.exponents)
+    assert cyc == Cycle(w)
     # conjugation by g (det +1) preserves the even-rotation class
-    assert cyc.equal_up_to_even_rotation(Cycle(w.exponents))
+    assert cyc.equal_up_to_even_rotation(Cycle(w))
     assert got_sign == sign
     _check_certificate(m, cyc, got_sign, conj)
 
@@ -445,7 +430,7 @@ def test_series_crosscheck_powers(seed, k):
 
 # a cycle that is no rotation of its reverse, so a repelling period read
 # forward would not tile the reversed cycle
-_SKEW = u_pow(2) @ v_pow(-3) @ Word((1, 2, 3, 4)).matrix() @ (u_pow(2) @ v_pow(-3)).inverse()
+_SKEW = u_pow(2) @ v_pow(-3) @ word_matrix((1, 2, 3, 4)) @ (u_pow(2) @ v_pow(-3)).inverse()
 
 
 def _corrupt_repelling_walk(monkeypatch, m, corrupt):
@@ -509,7 +494,8 @@ class NotFactorable(Exception):
 
 
 def _greedy_factor_reference(b):
-    """Peel one letter per step, then merge the letters into runs."""
+    """Peel one letter per step, then merge the letters into runs: the
+    exponents of the U-first word, led by a 0 when b's word starts with V."""
     if b.det != 1:
         raise NotFactorable("det != 1")
     if min(b.a, b.b, b.c, b.d) < 0:
@@ -533,7 +519,7 @@ def _greedy_factor_reference(b):
             runs[-1][1] += 1
         else:
             runs.append([letter, 1])
-    return Word(tuple(e for _, e in runs), runs[0][0])
+    return (0,) * (runs[0][0] == "V") + tuple(e for _, e in runs)
 
 
 @settings(max_examples=300, deadline=None)
@@ -591,7 +577,7 @@ def _near_limit_conjugate(seed, sign, power, emax):
     """sign * g W^power g^-1 for a random word W and a random g in U^e, V^e
     with |e| <= emax, with entries just under the 4,300-digit input limit."""
     rng = random.Random(seed)
-    w = random_word(rng, max_runs=6, max_exp=9).matrix() ** power
+    w = word_matrix(random_word(rng, max_runs=6, max_exp=9)) ** power
     target = (14_000 - w.max_abs_entry().bit_length()) // 2
     g = IDENTITY
     while g.max_abs_entry().bit_length() < target:
@@ -757,15 +743,13 @@ def _cutting_cycle_by_peel(m):
     for a in digits[: entry + entry % 2]:
         c = c @ Mat2(a, 1, 1, 0)
     body = c.inverse() @ m @ c
-    word = _greedy_factor_reference(body if sign == 1 else -body)
+    exps = _greedy_factor_reference(body if sign == 1 else -body)
     # sign * body is a positive power of the period's word
-    assert word.starts_with == "U" and len(word.exponents) % 2 == 0
-    exps = word.exponents
+    assert exps[0] != 0 and len(exps) % 2 == 0
     n = len(exps)
     dbl = exps + exps
     best = min(range(0, n, 2), key=lambda r: dbl[r : r + n])
-    for letter, e in word.runs()[:best]:
-        c = c @ (u_pow(e) if letter == "U" else v_pow(e))
+    c = c @ _word_matrix_reference(exps[:best])
     return dbl[best : best + n], sign, c
 
 
@@ -821,7 +805,7 @@ def _period_power_reference(p, t):
 
 # primitive period words: golden, odd and even lengths, a large trace
 _PRIMITIVE_PERIODS = [
-    Word(e).matrix()
+    word_matrix(e)
     for e in ((1, 1), (1, 2), (2, 1, 1, 3), (5, 1), (1, 1, 1, 2), (1, 2, 3, 4, 5, 6), (1000, 1))
 ]
 
@@ -876,21 +860,24 @@ def test_digit_matrix_pairs_are_u_v_runs(digits):
     assert Mat2(*farey._times_word(1, 0, 0, 1, digits)) == expected
 
 
-def _word_matrix_reference(w):
-    """One checked u_pow/v_pow factor per run, multiplied left to right."""
+def _word_matrix_reference(exponents, first="U"):
+    """One checked u_pow/v_pow factor per run, the first a `first`,
+    multiplied left to right."""
     result = IDENTITY
-    for letter, e in w.runs():
+    letter = first
+    for e in exponents:
         result = result @ (u_pow(e) if letter == "U" else v_pow(e))
+        letter = "V" if letter == "U" else "U"
     return result
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(big_exponent, min_size=1, max_size=12), st.sampled_from("UV"))
 def test_word_matrix_matches_run_by_run_product(exponents, first):
-    w = Word(tuple(exponents), first)
-    m = w.matrix()
-    assert m == _word_matrix_reference(w)
-    assert type(m) is Mat2 and hash(m) == hash(_word_matrix_reference(w))
+    # a V-first word is the U-first word led by U^0 = I
+    lead = (0,) if first == "V" else ()
+    m = Mat2(*farey._times_word(1, 0, 0, 1, lead + tuple(exponents)))
+    assert m == _word_matrix_reference(exponents, first)
 
 
 def _least_rotation_reference(exponents):
@@ -1073,10 +1060,10 @@ def test_ten_thousand_digit_conjugate_is_fast():
     while g.max_abs_entry().bit_length() < 16_700:  # about 5,000 digits
         e = rng.choice((-1, 1)) * rng.randint(1, 9)
         g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
-    w = Word((1, 2, 1, 3), "U")  # real: blocks (1, 2, 1) and (3)
-    m = g @ w.matrix() @ g.inverse()
+    w = (1, 2, 1, 3)  # real: blocks (1, 2, 1) and (3)
+    m = g @ word_matrix(w) @ g.inverse()
     assert m.max_abs_entry().bit_length() > 33_220  # over 10^4 digits
     with budget(1.0):
         result = analyze(m)
-    assert result.matclass.cycle == Cycle(w.exponents)
+    assert result.matclass.cycle == Cycle(w)
     assert result.is_real

@@ -20,7 +20,6 @@ from sl2real import (
     NotUnimodular,
     RealStructureKind,
     Surd,
-    Word,
     conjugacy_test,
     is_real_structure,
     real_structure_kind,
@@ -175,8 +174,6 @@ _LONG = "x" * 10**5
     [
         lambda: Mat2(_LONG, 0, 0, 1),
         lambda: Surd(_LONG, 5, 1),
-        lambda: Word((1, _LONG)),
-        lambda: Word((1,), _LONG),
         lambda: Cycle((1, _LONG)),
         lambda: Surd(1, -(10**4000), 1),
         lambda: conjugacy_test(U, U, _LONG),
@@ -184,8 +181,6 @@ _LONG = "x" * 10**5
     ids=[
         "Mat2",
         "Surd",
-        "Word-exponent",
-        "Word-starts_with",
         "Cycle",
         "Surd-d",
         "conjugacy_test-group",

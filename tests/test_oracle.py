@@ -27,8 +27,7 @@ from sl2real import (
 
 import sl2real.oracle
 
-from conftest import random_odd_bipalindromic_cycle, random_unimodular
-from sl2real import Word
+from conftest import random_odd_bipalindromic_cycle, random_unimodular, word_matrix
 
 
 def test_oracle_imports_only_errors_and_mat2():
@@ -229,7 +228,7 @@ def test_lattice_contains_the_constructed_conjugator():
     for _ in range(20):
         cyc = random_odd_bipalindromic_cycle(rng, max_len=6, max_exp=4)
         g = random_unimodular(rng)
-        m = g @ Word(cyc.exponents, "U").matrix() @ g.inverse()
+        m = g @ word_matrix(cyc.exponents) @ g.inverse()
         f = factor_real(m)
         assert integer_kernel(m).contains(f.c_plus)
 

@@ -44,8 +44,8 @@ from conftest import (
     random_odd_bipalindromic_cycle,
     random_unimodular,
     random_word,
+    word_matrix,
 )
-from sl2real import Word
 
 
 # -------------------------------------------------- split recognition
@@ -202,7 +202,7 @@ def test_split_scan_matches_all_rotations_exhaustively():
 
 def test_real_factorization_validates():
     f = RealFactorization(REFL_DIAG, REFL_SWAP)
-    assert f.matrix == REFL_DIAG @ REFL_SWAP
+    assert f.c_plus @ f.c_minus == REFL_DIAG @ REFL_SWAP
     with pytest.raises(NotARealStructure):
         RealFactorization(IDENTITY, REFL_SWAP)
     with pytest.raises(NotARealStructure):
@@ -254,7 +254,7 @@ def test_analyze_pinned():
     for m in (IDENTITY, NEG_IDENTITY, ROT_PI, -ROT_2PI3, Mat2(15, 4, 11, 3)):
         a = analyze(m)
         assert a.matclass == classify(m)
-        assert a.is_real and a.factorization.matrix == m
+        assert a.is_real and a.factorization.c_plus @ a.factorization.c_minus == m
     a = analyze(Mat2(12, 5, 7, 3))
     assert a.matclass == classify(Mat2(12, 5, 7, 3))
     assert not a.is_real and a.factorization is None
@@ -296,7 +296,7 @@ def _factors_by_mirror_pair(m):
         b1, b2 = _blocks(cls.cycle.exponents, is_odd_bipalindromic(cls.cycle))
         a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, b1)
         j1 = Mat2(a, -b, c, -d)  # sign W1 D
-        j2 = Mat2(*_times_word(1, 0, 0, -1, b2, False))  # D W2
+        j2 = Mat2(*_times_word(1, 0, 0, -1, (0, *b2)))  # D W2, V first
     conj, conj_inv = cls.conjugator, cls.conjugator.inverse()
     return conj @ j1 @ conj_inv, conj @ j2 @ conj_inv
 
@@ -342,7 +342,7 @@ def test_analyze_matches_mirror_pairs_on_conjugates(kind, seed, power, negate):
     elif kind == "parabolic":
         rep = v_pow(rng.choice((-1, 1)) * rng.randint(1, 10**6))
     else:
-        rep = Word(random_odd_bipalindromic_cycle(rng).exponents, "U").matrix() ** power
+        rep = word_matrix(random_odd_bipalindromic_cycle(rng).exponents) ** power
     g = IDENTITY
     for _ in range(rng.randint(1, 8)):
         e = rng.randint(-(10**6), 10**6)
@@ -359,9 +359,9 @@ def test_analyze_walks_no_run_per_power(monkeypatch):
     walked = []
     times = farey._times_word
 
-    def counted(a, b, c, d, exponents, u_first=True):
+    def counted(a, b, c, d, exponents):
         walked.append(len(exponents))
-        return times(a, b, c, d, exponents, u_first)
+        return times(a, b, c, d, exponents)
 
     monkeypatch.setattr(farey, "_times_word", counted)
     monkeypatch.setattr(realness, "_times_word", counted)
@@ -420,9 +420,9 @@ def test_factor_real_rejects_non_sl2():
 
 def test_central_factorization():
     f = central_factorization(IDENTITY)
-    assert f.matrix == IDENTITY
+    assert f.c_plus @ f.c_minus == IDENTITY
     f = central_factorization(NEG_IDENTITY)
-    assert f.matrix == NEG_IDENTITY
+    assert f.c_plus @ f.c_minus == NEG_IDENTITY
     with pytest.raises(CentralInput):
         central_factorization(U)
 
@@ -443,7 +443,7 @@ def test_factor_real_on_generated_cycles(seed):
     rng = random.Random(seed)
     cyc = random_odd_bipalindromic_cycle(rng, max_len=8, max_exp=5)
     g = random_unimodular(rng)
-    m = g @ Word(cyc.exponents, "U").matrix() @ g.inverse()
+    m = g @ word_matrix(cyc.exponents) @ g.inverse()
     if rng.random() < 0.5:
         m = -m
     f = factor_real(m)
@@ -489,7 +489,7 @@ palindrome = st.tuples(st.lists(big_exponent, max_size=3), big_exponent).map(
 @given(palindrome, palindrome, st.integers(min_value=0, max_value=10**6), st.booleans())
 def test_analyze_factors_match_reflection_factor_reference(b1, b2, seed, negate):
     g = random_unimodular(random.Random(seed))
-    m = g @ Word(tuple(b1 + b2), "U").matrix() @ g.inverse()
+    m = g @ word_matrix(tuple(b1 + b2)) @ g.inverse()
     if negate:
         m = -m
     f = analyze(m).factorization
@@ -508,7 +508,7 @@ def _hyperbolic_factors_by_hand(m):
     conj_inv = Mat2(cd, -cb, -cc, ca)
     a, b, c, d = _times_word(ca, cb, cc, cd, b1)
     c1 = Mat2(a, -b, c, -d) @ conj_inv  # conj W1 D conj^-1
-    a, b, c, d = _times_word(ca, -cb, cc, -cd, b2, False)
+    a, b, c, d = _times_word(ca, -cb, cc, -cd, (0, *b2))  # V first
     c2 = Mat2(a, b, c, d) @ conj_inv  # conj D W2 conj^-1
     return (c1 if cls.sign == 1 else -c1), c2
 
@@ -545,7 +545,7 @@ def test_analyze_matches_hand_assembly_on_big_conjugates(seed, negate):
     while g.max_abs_entry().bit_length() < 600:
         e = rng.randint(-(10**6), 10**6)
         g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
-    m = g @ Word(tuple(big_palindrome() + big_palindrome()), "U").matrix() @ g.inverse()
+    m = g @ word_matrix(tuple(big_palindrome() + big_palindrome())) @ g.inverse()
     if negate:
         m = -m
     assert len(str(m.max_abs_entry())) >= 500
@@ -715,20 +715,6 @@ def test_weakly_real_pinned():
     assert r.note == "bound insufficient for a witness"
 
 
-def test_weakly_real_json_shape():
-    obj = weakly_real(Mat2(2, 1, 1, 1), 5).to_json_obj()
-    assert set(obj) == {
-        "matrix",
-        "bound",
-        "is_real",
-        "witness",
-        "inverse_conjugator",
-        "consistent",
-        "note",
-    }
-    assert obj["is_real"] is True and obj["consistent"] is True
-
-
 # ------------------------------------------------- unprintable inputs
 
 BIG = 10**4400  # past the int/str conversion limit
@@ -741,7 +727,7 @@ BIG = 10**4400  # past the int/str conversion limit
         (lambda: central_factorization(Mat2(1, BIG, 0, 1)), CentralInput),
         (lambda: RealFactorization(Mat2(1, BIG, 0, 1), REFL_DIAG), NotARealStructure),
         (lambda: real_structure_kind(Mat2(1, BIG, 0, 1)), NotARealStructure),
-        (lambda: factor_real(Word((BIG, 1, 2, 3), "U").matrix()), NotReal),
+        (lambda: factor_real(word_matrix((BIG, 1, 2, 3))), NotReal),
     ],
     ids=[
         "inverse",

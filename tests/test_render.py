@@ -16,7 +16,6 @@ from sl2real import (
     IDENTITY,
     MAX_DEPTH,
     DepthTooLarge,
-    FareyFigure,
     Mat2,
     NotHyperbolic,
     Surd,
@@ -41,14 +40,15 @@ def _det(u, v):
 
 def test_arc_and_triangle_counts():
     for depth in range(7):
-        fig = farey_figure(depth)
-        assert len(fig.arcs) == 2 ** (depth + 2) - 3
-        assert len(fig.triangles) == 2 ** (depth + 1) - 2
+        arcs, triangles = _farey_by_mirroring(depth)
+        assert len(arcs) == 2 ** (depth + 2) - 3
+        assert len(triangles) == 2 ** (depth + 1) - 2
+        assert render_farey(depth).count('<path class="arc"') == len(arcs)
 
 
 def test_depth_limits():
     farey_figure(0)
-    assert len(farey_figure(MAX_DEPTH).arcs) == 2 ** (MAX_DEPTH + 2) - 3
+    assert render_farey(MAX_DEPTH).count('<path class="arc"') == 2 ** (MAX_DEPTH + 2) - 3
     with pytest.raises(DepthTooLarge):
         farey_figure(MAX_DEPTH + 1)
     with pytest.raises(DepthTooLarge):
@@ -57,15 +57,15 @@ def test_depth_limits():
 
 def test_arcs_join_farey_neighbours():
     for depth in range(6):
-        for u, v in farey_figure(depth).arcs:
+        for u, v in _farey_by_mirroring(depth)[0]:
             assert _det(u, v) in (1, -1)
             assert u[1] >= 0 and v[1] >= 0  # denominators normalized
 
 
 def test_triangles_have_pairwise_neighbour_vertices():
-    fig = farey_figure(4)
-    arcs = {frozenset(arc) for arc in fig.arcs}
-    for tri in fig.triangles:
+    arcs, triangles = _farey_by_mirroring(4)
+    arcs = {frozenset(arc) for arc in arcs}
+    for tri in triangles:
         a, b, c = tri
         for u, v in ((a, b), (b, c), (a, c)):
             assert _det(u, v) in (1, -1)
@@ -75,8 +75,7 @@ def test_triangles_have_pairwise_neighbour_vertices():
 def test_vertices_are_reduced_fractions():
     import math
 
-    fig = farey_figure(5)
-    for u, v in fig.arcs:
+    for u, v in _farey_by_mirroring(5)[0]:
         for m, n in (u, v):
             assert math.gcd(m, n) == 1
 
@@ -90,8 +89,9 @@ def test_axis_overlay_pinned():
     assert labels == ["R", "L", "R", "L", "R", "L"]
     crossed = [tri for tri, _ in fig.axis.crossings]
     assert len(set(crossed)) == len(crossed)
+    triangles = _farey_by_mirroring(3)[1]
     for tri in crossed:
-        assert tri in fig.triangles
+        assert tri in triangles
 
 
 def test_axis_overlay_depth_one():
@@ -201,12 +201,6 @@ def _axis_overlay_by_scan(m, triangles):
 S = Mat2(0, -1, 1, 0)  # x -> -1/x swaps 0 and infinity
 
 
-def test_figure_matches_mirroring_reference():
-    for depth in range(MAX_DEPTH + 1):
-        fig = farey_figure(depth)
-        assert (fig.arcs, fig.triangles) == _farey_by_mirroring(depth)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(min_value=0, max_value=10**6),
@@ -223,7 +217,7 @@ def test_descent_matches_scan(seed, depth, shift, swap, invert):
     m = g @ m @ g.inverse()
     if invert:
         m = m.inverse()
-    assert _axis_overlay(m, depth).crossings == _axis_overlay_by_scan(m, farey_figure(depth).triangles)
+    assert _axis_overlay(m, depth).crossings == _axis_overlay_by_scan(m, _farey_by_mirroring(depth)[1])
 
 
 @pytest.mark.parametrize(
@@ -240,14 +234,14 @@ def test_descent_matches_scan(seed, depth, shift, swap, invert):
 )
 def test_descent_matches_scan_pinned(m):
     for depth in range(MAX_DEPTH + 1):
-        triangles = farey_figure(depth).triangles
+        triangles = _farey_by_mirroring(depth)[1]
         for axis in (m, -m, m.inverse(), S @ m @ S.inverse()):
             assert _axis_overlay(axis, depth).crossings == _axis_overlay_by_scan(axis, triangles)
 
 
 def test_descent_matches_scan_exhaustive():
     # every hyperbolic element with entries in [-8, 8]
-    triangles = farey_figure(6).triangles
+    triangles = _farey_by_mirroring(6)[1]
     count = 0
     for a, b, c, d in product(range(-8, 9), repeat=4):
         if a * d - b * c == 1 and abs(a + d) > 2:
@@ -344,8 +338,9 @@ def test_svg_bytes_pinned(depth, axis, digest):
 
 
 def _render_svg_by_arcs(fig):
-    """`render_svg` drawing every arc of `fig.arcs` by `_geodesic`, each
-    vertex formatted by `_point`: the byte reference of the writer."""
+    """`render_svg` drawing every arc of `_farey_by_mirroring` by
+    `_geodesic`, each vertex formatted by `_point`: the byte reference of
+    the writer."""
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.05 -1.05 2.1 2.1" width="600" height="600">',
@@ -363,7 +358,7 @@ def _render_svg_by_arcs(fig):
                 f'<path class="tri-{label}" d="{d}" fill="{tints[label]}" '
                 'fill-opacity="0.8" stroke="none"/>'
             )
-    for f1, f2 in fig.arcs:
+    for f1, f2 in _farey_by_mirroring(fig.depth)[0]:
         d = f"M {_point(f1)} {_geodesic(f1, f2, _point(f2))}"
         parts.append(f'<path class="arc" d="{d}" fill="none" stroke="#404040" stroke-width="0.004"/>')
     if fig.axis is not None:
@@ -392,7 +387,7 @@ def test_writer_matches_reference_with_axis(seed, depth):
 def test_vertex_table_matches_point():
     # (1, 10^7) sits a hair east of 0 and (10^7, 10^7 + 1) a hair south
     # of 1, so their images print 0.000000 against -0.000000
-    fracs = {frac for arc in farey_figure(MAX_DEPTH).arcs for frac in arc if frac[0] >= 0}
+    fracs = {frac for arc in _farey_by_mirroring(MAX_DEPTH)[0] for frac in arc if frac[0] >= 0}
     near_zero = [(1, 10**7), (10**7, 10**7 + 1)]
     fracs |= {f for m, n in near_zero for f in ((m, n), (n, m))}
     vertex = _Vertices()
@@ -413,13 +408,11 @@ def test_render_walks_once_and_builds_no_tessellation(monkeypatch):
         walked.append(depth)
         return mediants(depth)
 
-    def refuse(self):
-        raise AssertionError("render_svg built the figure's arcs or triangles")
-
     monkeypatch.setattr(render_module, "_mediants", counted)
-    monkeypatch.setattr(FareyFigure, "_tessellation", refuse)
-    render_farey(MAX_DEPTH, Mat2(5, 2, 2, 1))
+    fig = farey_figure(MAX_DEPTH, Mat2(5, 2, 2, 1))
+    render_svg(fig)
     assert walked == [MAX_DEPTH]
+    assert vars(fig).keys() == {"depth", "axis"}  # nothing kept on the figure
 
 
 def test_svg_viewbox_and_size():
@@ -482,7 +475,7 @@ def _assert_matches(command, reference):
 
 def test_geodesics_match_float_reference():
     # every triangle edge is an arc, drawn one way round or the other
-    for u, v in farey_figure(9).arcs:
+    for u, v in _farey_by_mirroring(9)[0]:
         for f1, f2 in ((u, v), (v, u)):
             ref = _segment(_disk_point(f1), _disk_point(f2), _antipodal(f1, f2))
             _assert_matches(_geodesic(f1, f2, _point(f2)), ref)
