@@ -11,136 +11,28 @@ tessellation of the hyperbolic disk as SVG.
 All arithmetic is exact: plain Python integers and quadratic surds
 with integer data; only the oracle's linear algebra uses Fractions.
 Floating point appears only in the final coordinates of SVG output.
+
+The package's public names are those of its library modules, each
+declared once, in that module's ``__all__``.
 """
 
-from .classify import (
-    CENTRAL,
-    ELLIPTIC,
-    HYPERBOLIC,
-    PARABOLIC,
-    MatClass,
-    classify,
-)
-from .errors import (
-    CentralInput,
-    DepthTooLarge,
-    MatrixParseError,
-    NotARealStructure,
-    NotHyperbolic,
-    NotReal,
-    NotSL2,
-    NotUnimodular,
-    Sl2RealError,
-)
-from .farey import (
-    Cycle,
-    SeriesReport,
-    Surd,
-    attracting_fixed_point,
-    cutting_cycle,
-    series_crosscheck,
-)
-from .mat2 import (
-    IDENTITY,
-    NEG_IDENTITY,
-    REFL_DIAG,
-    REFL_SWAP,
-    ROT_2PI3,
-    ROT_PI,
-    U,
-    V,
-    Mat2,
-    RealStructureKind,
-    is_real_structure,
-    real_structure_kind,
-    u_pow,
-    v_pow,
-)
-from .oracle import (
-    LatticeBasis,
-    brute_force_conjugator,
-    brute_force_factor,
-    enumerate_involutions,
-    integer_kernel,
-)
-from .realness import (
-    Analysis,
-    RealFactorization,
-    WeaklyRealReport,
-    analyze,
-    central_factorization,
-    conjugacy_test,
-    factor_real,
-    is_odd_bipalindromic,
-    is_real,
-    weakly_real,
-)
-from .render import (
-    MAX_DEPTH,
-    AxisOverlay,
-    FareyFigure,
-    farey_figure,
-    render_farey,
-    render_svg,
-)
+# bound before the star imports, which rebind the name classify to the function
+from . import classify as _classify, errors as _errors, farey as _farey
+from . import mat2 as _mat2, oracle as _oracle, realness as _realness, render as _render
+
+# each module's __all__ is the one list of its public names
+from .classify import *
+from .errors import *
+from .farey import *
+from .mat2 import *
+from .oracle import *
+from .realness import *
+from .render import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis",
-    "AxisOverlay",
-    "CENTRAL",
-    "CentralInput",
-    "Cycle",
-    "DepthTooLarge",
-    "ELLIPTIC",
-    "FareyFigure",
-    "HYPERBOLIC",
-    "IDENTITY",
-    "LatticeBasis",
-    "MAX_DEPTH",
-    "Mat2",
-    "MatClass",
-    "MatrixParseError",
-    "NEG_IDENTITY",
-    "NotARealStructure",
-    "NotHyperbolic",
-    "NotReal",
-    "NotSL2",
-    "NotUnimodular",
-    "PARABOLIC",
-    "REFL_DIAG",
-    "REFL_SWAP",
-    "ROT_2PI3",
-    "ROT_PI",
-    "RealFactorization",
-    "RealStructureKind",
-    "SeriesReport",
-    "Sl2RealError",
-    "Surd",
-    "U",
-    "V",
-    "WeaklyRealReport",
-    "analyze",
-    "attracting_fixed_point",
-    "brute_force_conjugator",
-    "brute_force_factor",
-    "central_factorization",
-    "classify",
-    "conjugacy_test",
-    "cutting_cycle",
-    "enumerate_involutions",
-    "factor_real",
-    "farey_figure",
-    "integer_kernel",
-    "is_odd_bipalindromic",
-    "is_real",
-    "is_real_structure",
-    "real_structure_kind",
-    "render_farey",
-    "render_svg",
-    "series_crosscheck",
-    "u_pow",
-    "v_pow",
-    "weakly_real",
+    name
+    for module in (_classify, _errors, _farey, _mat2, _oracle, _realness, _render)
+    for name in module.__all__
 ]

@@ -207,8 +207,9 @@ def _cmd_svg(args) -> int:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(doc + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            print(f"error: cannot write {_quote(args.output)}: {reason}", file=sys.stderr)
             return 2
     else:
         print(doc)

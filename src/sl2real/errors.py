@@ -7,6 +7,18 @@ errors from argument-syntax errors in one ``except`` clause.
 
 from __future__ import annotations
 
+__all__ = [
+    "Sl2RealError",
+    "NotUnimodular",
+    "NotSL2",
+    "NotHyperbolic",
+    "NotARealStructure",
+    "NotReal",
+    "CentralInput",
+    "DepthTooLarge",
+    "MatrixParseError",
+]
+
 
 class Sl2RealError(Exception):
     """Base class for all domain errors raised by this package."""

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
+from math import isqrt
+from operator import mul
 from typing import Iterator
 
 from .errors import NotSL2
@@ -23,7 +25,6 @@ __all__ = [
     "brute_force_factor",
     "brute_force_conjugator",
     "integer_kernel",
-    "integer_column_kernel",
 ]
 
 
@@ -216,11 +217,22 @@ def _coefficient_box(vectors, bound: int) -> tuple[int, ...]:
     of a non-negative Fraction is its floor).  Every coefficient tuple
     past it has an entry over the bound, so the search skips only
     tuples it would reject, and finds the same first witness.
+
+    A minor can be near singular where the lattice is not: for
+    (0 -1; 1 t) the radius grows with t.  So a rank-2 radius is also cut
+    by the Gram bound: c_i = <x, w_i> for the dual basis w, whose squared
+    lengths are the diagonal of the inverse Gram matrix (g22, g11) / det,
+    and |x|^2 <= 4 bound^2, so c_i^2 <= 4 bound^2 g_jj / det.
     """
     minor = _invertible_minor(vectors)
     if minor is None:
         raise RuntimeError("lattice basis vectors are not independent")
-    return tuple(int(bound * sum(abs(x) for x in row)) for row in minor[1])
+    box = tuple(int(bound * sum(abs(x) for x in row)) for row in minor[1])
+    if len(vectors) == 2:
+        (g11, g12), (_, g22) = [[sum(map(mul, u, v)) for v in vectors] for u in vectors]
+        det = g11 * g22 - g12 * g12
+        box = tuple(min(r, isqrt(4 * bound * bound * g // det)) for r, g in zip(box, (g22, g11)))
+    return box
 
 
 def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:

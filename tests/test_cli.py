@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import xml.etree.ElementTree as ET
 from itertools import product
 from unittest import mock
@@ -811,6 +812,87 @@ def test_each_stdin_line_parses_to_checked_ints_or_exits_2(case):
     assert len(text.encode("utf-8", "surrogatepass")) < 300 and out.getvalue() == ""
 
 
+_ARGV_MATRICES = (
+    "2,1;1,1", "15,4;11,3", "-12,-5;-7,-3", "1,0;0,1", "-1,0;0,-1", "0,-1;1,0", "1,-4;0,1",
+    "2,1;1,2", "-",
+    # near the 4,300-digit limit: a 20,000-run cycle, a 2,141-digit
+    # exponent, and the oracle's near-singular minor; then past it
+    *(
+        f"{m.a},{m.b};{m.c},{m.d}"
+        for m in (Mat2(2, 1, 1, 1) ** 10_000, word_matrix((10**2140, 1, 3, 10**2140)))
+    ),
+    "0,-1;1," + "9" * 4300, "1," + "9" * 4301 + ";0,1",
+)
+_ARGV_JUNK = (
+    "", "1_0", "+1", "\u0663", "\uff11", "1\x00", "\ud800", "9" * 5000, "-1", "1.0", "x", "--", "1,0;0",
+)
+# valid values stay cheap: atlas --max-entry 5 alone takes most of a minute
+_ARGV_VALUES = {
+    "--bound": ("0", "1", "3", "1001"),
+    "--max-entry": ("1", "2", "3", "0", "6"),
+    "--depth": ("0", "3", "6", "1001"),
+    "--mode": ("factor", "conjugator"),
+    "--group": ("gl", "sl"),
+    "--axis": _ARGV_MATRICES,
+    "-o": ("out.svg", "-1,2.svg", "missing/x.svg", "d" * 400, "a\x00b.svg", "\ud800.svg"),
+}
+_ARGV_SLOTS = {
+    **dict.fromkeys(("classify", "cycle", "real", "series-check"), ("M",)),
+    "conjugate": ("M", "M", "--group"),
+    "oracle": ("M", "--bound", "--mode"),
+    "atlas": ("--max-entry", "--real-only"),
+    "svg": ("--depth", "--axis", "-o"),
+}
+_ARGV_STRAY = (
+    *_ARGV_VALUES, "--output", "--real-only", "-h", "--help", "--nope", "-x", "classif", "help",
+    *_ARGV_JUNK, *_ARGV_MATRICES, *(v for values in _ARGV_VALUES.values() for v in values),
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A command with its arguments, mostly well formed, then up to three
+    stray (an unknown command among them), dropped or repeated tokens."""
+    command = draw(st.sampled_from(tuple(_ARGV_SLOTS)))
+    argv = [command]
+    for slot in _ARGV_SLOTS[command]:
+        junk = draw(st.integers(0, 7)) == 7  # hypothesis leans to small draws
+        if slot == "M":
+            argv.append(draw(st.sampled_from(_ARGV_JUNK if junk else _ARGV_MATRICES)))
+        elif slot in ("--bound", "--max-entry", "--depth") or draw(st.booleans()):
+            argv.append(slot)
+            if slot in _ARGV_VALUES:
+                argv.append(draw(st.sampled_from(_ARGV_JUNK if junk else _ARGV_VALUES[slot])))
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2, 3)))):
+        i = draw(st.integers(0, len(argv)))
+        mutation = draw(st.sampled_from(("insert", "drop", "repeat")))
+        if mutation == "insert" or i == len(argv):
+            argv.insert(i, draw(st.sampled_from(_ARGV_STRAY)))
+        elif mutation == "drop":
+            del argv[i]
+        else:
+            argv[i:i] = argv[i : i + draw(st.integers(1, 2))]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs(), st.sampled_from(("", "[[2,1],[1,1]]\n", '[[2,1],[1,1]]\n"1,0;0"\n')))
+def test_each_argv_exits_0_2_or_3_with_a_short_error(argv, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # -o writes here
+        try:
+            with budget(2), mock.patch("sys.stdin", io.StringIO(stdin)):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.chdir(cwd)
+    text = err.getvalue()
+    assert code in (0, 2, 3) and (code == 0) == (text == "")
+    assert len(text.encode("utf-8", "surrogatepass")) < 300 and "Traceback" not in text
+
+
 def test_svg_stdout(capsys):
     code, out, _ = run(capsys, "svg", "--depth", "2")
     assert code == 0
@@ -842,12 +924,19 @@ def test_svg_huge_axis(capsys, e, depth):
     assert classes.count("axis") == 1
 
 
-def test_svg_unwritable_output(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.svg"
-    code, out, err = run(capsys, "svg", "--depth", "2", "-o", str(target))
+@pytest.mark.parametrize(
+    "name",
+    ["missing/x.svg", "d" * 400 + "/x.svg", "nodir/a\nb.svg", "a\x00b.svg", "\ud800.svg"],
+    ids=["missing", "long", "newline", "nul", "surrogate"],
+)
+def test_svg_unwritable_output(tmp_path, capsys, name):
+    # the name is quoted like every other bad input; a NUL or a lone
+    # surrogate, refused before the OS sees the name, is one line too
+    code, out, err = run(capsys, "svg", "--depth", "2", "-o", f"{tmp_path}/{name}")
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert not target.exists()
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert len(err.encode("utf-8", "surrogatepass")) < 300 and "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("flag", ["-o", "--output", "--out"])

@@ -7,7 +7,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sl2real import (
     IDENTITY,
@@ -27,7 +27,7 @@ from sl2real import (
 
 import sl2real.oracle
 
-from conftest import random_odd_bipalindromic_cycle, random_unimodular, word_matrix
+from conftest import budget, random_odd_bipalindromic_cycle, random_unimodular, word_matrix
 
 
 def test_oracle_imports_only_errors_and_mat2():
@@ -253,6 +253,28 @@ def test_brute_force_conjugator_verifies():
         assert q is not None
         assert q.det == -1
         assert q @ m @ q.inverse() == m.inverse()
+
+
+def test_brute_force_conjugator_near_singular_minor():
+    # the first invertible minor of (0 -1; 1 t)'s lattice has an inverse
+    # of size t, so its box alone walked 6t + 3 rows of coefficients
+    for t in (10**3, 10**50, 10**4000):
+        with budget(1):
+            assert brute_force_conjugator(Mat2(0, -1, 1, t), 3) == Mat2(0, -1, -1, 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), min_size=2, max_size=2), st.integers(0, 3))
+def test_coefficient_box_keeps_every_point_in_bound(vectors, bound):
+    # the minor's box holds every lattice point within the bound; the
+    # Gram cut must keep each of them
+    minor = sl2real.oracle._invertible_minor(vectors)
+    assume(minor is not None)
+    box = sl2real.oracle._coefficient_box(vectors, bound)
+    wide = [int(bound * sum(map(abs, row))) for row in minor[1]]
+    for coeffs in product(*(range(-r, r + 1) for r in wide)):
+        if all(abs(sum(c * v[i] for c, v in zip(coeffs, vectors))) <= bound for i in range(4)):
+            assert all(abs(c) <= r for c, r in zip(coeffs, box))
 
 
 def test_conjugator_presence_matches_realness_on_small_family():
