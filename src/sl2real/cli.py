@@ -225,6 +225,7 @@ _MAX_ORACLE_BOUND = 1_000
 
 def _int_at_least(low: int, name: str, high: int | None = None) -> Callable[[str], int]:
     def parse(text: str) -> int:
+        text = _given(text)
         # the grammar of a matrix entry: int() alone would also take
         # "1_0", "+5" and non-ASCII digits
         try:
@@ -252,6 +253,7 @@ class _Parser(argparse.ArgumentParser):
     """ArgumentParser with bounded error lines; subparsers share its class."""
 
     def error(self, message: str):
+        message = _ESCAPED_CHOICE.sub(r"\1", message)
         short = len(message.encode("utf-8", "surrogatepass")) <= _MAX_PARSER_MESSAGE
         super().error(message if short else _quote(message))
 
@@ -269,17 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, (help_text, _) in _VIEWS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("matrix", help='matrix "a,b;c,d", or - for JSONL on stdin')
+        p.add_argument("matrix", type=_given, help='matrix "a,b;c,d", or - for JSONL on stdin')
         p.set_defaults(func=_cmd_view)
 
     p = sub.add_parser("conjugate", help="conjugacy test for two matrices")
-    p.add_argument("matrix_a")
-    p.add_argument("matrix_b")
+    p.add_argument("matrix_a", type=_given)
+    p.add_argument("matrix_b", type=_given)
     p.add_argument("--group", choices=("gl", "sl"), default="gl")
     p.set_defaults(func=_cmd_conjugate)
 
     p = sub.add_parser("oracle", help="bounded brute-force cross-checks")
-    p.add_argument("matrix")
+    p.add_argument("matrix", type=_given)
     p.add_argument(
         "--bound", type=_int_at_least(0, "_nonneg_int", _MAX_ORACLE_BOUND), required=True
     )
@@ -295,32 +297,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("svg", help="Farey tessellation figure")
     p.add_argument("--depth", type=_int_at_least(0, "_nonneg_int"), required=True)
-    p.add_argument("--axis", help='hyperbolic matrix "a,b;c,d" to overlay')
-    p.add_argument("-o", "--output", help="write the SVG here instead of stdout")
+    p.add_argument("--axis", type=_given, help='hyperbolic matrix "a,b;c,d" to overlay')
+    p.add_argument("-o", "--output", type=_given, help="write the SVG here instead of stdout")
     p.set_defaults(func=_cmd_svg)
 
     return parser
 
 
 # Matrices like "-12,-5;-7,-3" would otherwise be eaten as option
-# strings; a leading space hides them from argparse and is stripped by
-# the matrix parser, whose grammar then judges them.  Options start "--"
-# or "-" and a letter, so "-ofile,name.svg" stays an option.  After -o,
-# --output or an abbreviation of it such a token is a file name, passed
-# as "--output=-1,2.svg".
+# strings; a leading space hides them from argparse.  Options start "--"
+# or "-" and a letter, so "-ofile,name.svg" stays an option.  An argument
+# that already starts with a space gets one more, so every argument that
+# starts with one was escaped, and the escape is undone exactly: each
+# value goes through `_given`, argparse's "invalid choice" message drops
+# the space after its quote, and main names unrecognized arguments.
 _MATRIXISH = re.compile(r"-(?![-A-Za-z])[^,]*,")
+_ESCAPED_CHOICE = re.compile(r"(invalid choice: ['\"]?) ")
 
 
 def _escape_matrix_args(argv: list[str]) -> list[str]:
-    out: list[str] = []
-    for tok in argv:
-        if not _MATRIXISH.match(tok):
-            out.append(tok)
-        elif out and (out[-1] == "-o" or len(out[-1]) > 2 and "--output".startswith(out[-1])):
-            out[-1] = "--output=" + tok
-        else:
-            out.append(" " + tok)
-    return out
+    return [" " + tok if tok[:1] == " " or _MATRIXISH.match(tok) else tok for tok in argv]
+
+
+def _given(arg: str) -> str:
+    """An argument as given, before `_escape_matrix_args`."""
+    return arg[1:] if arg[:1] == " " else arg
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -328,7 +329,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_escape_matrix_args(argv))
+        # parse_args would name the extras escaped
+        args, extras = parser.parse_known_args(_escape_matrix_args(argv))
+        if extras:
+            parser.error("unrecognized arguments: " + " ".join(map(_given, extras)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

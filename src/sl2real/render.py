@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
 
 from .errors import DepthTooLarge
 from .farey import Surd, attracting_fixed_point
@@ -60,24 +59,12 @@ class FareyFigure:
     """Tessellation after `depth` mediant rounds, optionally with an axis.
 
     Only the depth and the axis are held: `render_svg` draws the
-    2^(depth+2) - 3 arcs from one mediant walk (`_arc_paths`).
+    2^(depth+2) - 3 arcs from one walk over the rows of the right half
+    (`_arc_paths`).
     """
 
     depth: int
     axis: AxisOverlay | None
-
-
-def _mediants(depth: int) -> Iterator[Tri]:
-    """Right-half insertions (u, w, v), w the mediant of the frontier arc
-    u < v, round by round and from 0 to infinity within a round."""
-    row = [(0, 1), (1, 0)]
-    for _ in range(depth):
-        nxt = [row[0]]
-        for u, v in zip(row, row[1:]):
-            w = (u[0] + v[0], u[1] + v[1])
-            yield u, w, v
-            nxt += (w, v)
-        row = nxt
 
 
 def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
@@ -160,33 +147,6 @@ def _point(frac: Frac) -> str:
     return f"{2 * m * n / s:.6f} {-((m * m - n * n) / s):.6f}"
 
 
-def _flip(coordinate: str) -> str:
-    return coordinate[1:] if coordinate[0] == "-" else "-" + coordinate
-
-
-class _Vertices(dict):
-    """SVG coordinates (x, mirror x, y) of right-half vertices m/n.
-
-    x -> -x negates the SVG x and x -> 1/x negates the SVG y.  Int true
-    division rounds symmetrically, so an image's coordinate is the
-    vertex's with its sign character flipped, 0.000000 against
-    -0.000000 included; only where the numerator 2mn is exactly 0 (0 and
-    infinity, their own mirror images) is there no sign to flip.  So
-    only 0, infinity and 0 < m <= n go through `_point`.
-    """
-
-    def __missing__(self, frac: Frac) -> tuple[str, str, str]:
-        m, n = frac
-        if 0 < n < m:
-            x, mirror_x, y = self[(n, m)]
-            y = _flip(y)
-        else:
-            x, y = _point(frac).split(" ")
-            mirror_x = _flip(x) if m and n else x
-        entry = self[frac] = (x, mirror_x, y)
-        return entry
-
-
 def _geodesic(f1: Frac, f2: Frac, end: str) -> str:
     """Path command along the geodesic from f1 to f2 = `end` in SVG.
 
@@ -210,47 +170,85 @@ class _Radii(dict):
     neighbours with k = m1*m2 + n1*n2 > 0, formatted once per k."""
 
     def __missing__(self, k: int) -> str:
-        text = self[k] = f"A {1 / k:.6f} {1 / k:.6f} 0 0 "
+        r = f"{1 / k:.6f}"
+        text = self[k] = f"A {r} {r} 0 0 "
         return text
 
 
-_ARC_HEAD = '<path class="arc" d="M '
-_ARC_TAIL = '" fill="none" stroke="#404040" stroke-width="0.004"/>'
+Vertex = tuple[int, int, str, str]
 
 
-def _arc_paths(depth: int) -> Iterator[str]:
-    """The arc elements of the depth-d figure: the base diameter, then
-    each insertion's two arcs followed by their mirror images.
+def _next_row(row: list[Vertex], radius: _Radii, arcs: list[str]) -> list[Vertex]:
+    """One mediant round of the right half: the row after `row`, with
+    each insertion's two arcs and their mirror images appended to `arcs`.
 
-    Right-half Farey neighbours u < w have det -1 and k = u.w > 0, so
-    `_geodesic` draws (u, w) as an arc of radius 1/k with sweep 1, and
-    its mirror image with sweep 0; one radius string serves every arc
-    of the same k.  The base diameter from 0 to infinity is the chord.
+    A row entry (m, n, "x y", "mirror_x y") carries the SVG coordinates
+    of m/n and of its image -m/n, so an insertion formats only its
+    mediant.  Right-half Farey neighbours u < w have det -1 and
+    k = u.w > 0, so `_geodesic` draws (u, w) as an arc of radius 1/k with
+    sweep 1, and its mirror image with sweep 0.
+
+    A row is symmetric under x -> 1/x, which negates the SVG y, so a
+    mediant m/n > 1 comes after n/m in its round and takes n/m's point
+    with the y negated.  Int true division rounds symmetrically, so that
+    is `_point`'s string, 0.000000 against -0.000000 included: the y of
+    n/m < 1 is positive and carries no sign.  x -> -x negates the SVG x,
+    positive between 0 and infinity, so a mirror point is the point with
+    a "-" before it.
     """
-    vertex = _Vertices()
-    x0, _, y0 = vertex[(0, 1)]
-    xi, _, yi = vertex[(1, 0)]
-    yield f"{_ARC_HEAD}{x0} {y0} L {xi} {yi}{_ARC_TAIL}"
-    radius = _Radii()
-    for u, w, v in _mediants(depth):
-        xu, mxu, yu = vertex[u]
-        xw, mxw, yw = vertex[w]
-        xv, mxv, yv = vertex[v]
-        r1 = radius[u[0] * w[0] + u[1] * w[1]]
-        r2 = radius[w[0] * v[0] + w[1] * v[1]]
-        yield (
-            f"{_ARC_HEAD}{xu} {yu} {r1}1 {xw} {yw}{_ARC_TAIL}\n"
-            f"{_ARC_HEAD}{xw} {yw} {r2}1 {xv} {yv}{_ARC_TAIL}\n"
-            f"{_ARC_HEAD}{mxu} {yu} {r1}0 {mxw} {yw}{_ARC_TAIL}\n"
-            f"{_ARC_HEAD}{mxw} {yw} {r2}0 {mxv} {yv}{_ARC_TAIL}"
+    nxt = [row[0]]
+    last = 2 * len(row) - 2  # n/m's index in nxt is last - (m/n's)
+    for (mu, nu, pu, qu), v in zip(row, row[1:]):
+        mv, nv, pv, qv = v
+        m = mu + mv
+        n = nu + nv
+        if m > n:
+            pw = nxt[last - len(nxt)][2].replace(" ", " -")
+        else:
+            pw = _point((m, n))
+        qw = "-" + pw
+        r1 = radius[mu * m + nu * n]
+        r2 = radius[m * mv + n * nv]
+        arcs.append(
+            f'<path class="arc" d="M {pu} {r1}1 {pw}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {pw} {r2}1 {pv}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {qu} {r1}0 {qw}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {qw} {r2}0 {qv}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>'
         )
+        nxt += ((m, n, pw, qw), v)
+    return nxt
+
+
+def _arc_paths(depth: int) -> list[str]:
+    """The arc elements of the depth-d figure: the base diameter, then
+    each insertion's two arcs followed by their mirror images, round by
+    round and from 0 to infinity within a round.
+
+    The base diameter from 0 to infinity is the chord.  0 and infinity
+    are their own mirror images.
+    """
+    zero, infinity = _point((0, 1)), _point((1, 0))
+    arcs = [
+        f'<path class="arc" d="M {zero} L {infinity}" '
+        'fill="none" stroke="#404040" stroke-width="0.004"/>'
+    ]
+    radius = _Radii()
+    row = [(0, 1, zero, zero), (1, 0, infinity, infinity)]
+    for _ in range(depth):
+        row = _next_row(row, radius, arcs)
+    return arcs
 
 
 def render_svg(fig: FareyFigure) -> str:
     """SVG document of a figure: the crossed triangles, tinted by label,
     under the arcs, and the axis on top.
 
-    The arcs come from one mediant walk (`_arc_paths`).
+    The arcs come from one walk over the rows of the right half
+    (`_arc_paths`).
     """
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

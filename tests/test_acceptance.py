@@ -196,12 +196,24 @@ def test_criterion_8_elliptic_orders():
         assert m @ m != IDENTITY  # true order 3 or 6, never <= 2
 
 
+def _mediants(depth):
+    """Right-half insertions (u, w, v), w the mediant of the frontier arc
+    u < v, round by round and from 0 to infinity within a round: the
+    arcs `svg` draws, besides the base diameter and the mirror images."""
+    row = [(0, 1), (1, 0)]
+    for _ in range(depth):
+        nxt = [row[0]]
+        for u, v in zip(row, row[1:]):
+            w = (u[0] + v[0], u[1] + v[1])
+            yield u, w, v
+            nxt += (w, v)
+        row = nxt
+
+
 @criterion(9, "figures have the exact arc structure", 5.0)
 def test_criterion_9_svg():
     """On what `svg` draws: the arc paths of each depth, and the mediant
     walk's arcs with their mirror images, whose ends are Farey neighbours."""
-    from sl2real.render import _mediants
-
     for depth in range(9):
         doc = render_farey(depth)
         ET.fromstring(doc)  # well-formed XML

@@ -1076,6 +1076,44 @@ def test_non_ascii_negative_matrix_meets_the_grammar(capsys):
     assert cli._escape_matrix_args(["-ofig,1.svg"]) == ["-ofig,1.svg"]  # an option and its value
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (
+            ["series-check", "15,4;11,3", "-12,-5;-7,-3"],
+            "sl2real: error: unrecognized arguments: -12,-5;-7,-3",
+        ),
+        (["real", "1,0;0,1", " -1,2", "x"], "sl2real: error: unrecognized arguments:  -1,2 x"),
+        (["-1,2"], "sl2real: error: argument command: invalid choice: '-1,2'"),
+        ([" real"], "sl2real: error: argument command: invalid choice: ' real'"),
+        (
+            ["conjugate", "2,1;1,1", "2,1;1,1", "--group", "-1,2"],
+            "sl2real conjugate: error: argument --group: invalid choice: '-1,2'",
+        ),
+        (
+            ["svg", "--depth", "-1,2"],
+            "sl2real svg: error: argument --depth: invalid _nonneg_int value: '-1,2'",
+        ),
+        (["real", "-1,2"], "error: expected 'a,b;c,d' with integer entries, got '-1,2'"),
+        (
+            ["svg", "--depth", "1", "--axis", " -1,2"],
+            "error: expected 'a,b;c,d' with integer entries, got ' -1,2'",
+        ),
+    ],
+    ids=[
+        "unrecognized", "unrecognized-spaced", "command", "spaced-command",
+        "choice", "int-flag", "matrix", "axis",
+    ],
+)
+def test_error_names_the_argument_as_given(capsys, argv, line):
+    # the space that hides a negative matrix from argparse never shows;
+    # an argument given with a space keeps it.  The choices are cut off:
+    # how argparse lists them differs between Python versions
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1].split(" (choose from ")[0] == line
+
+
 @pytest.mark.parametrize("argv", [["atlas", "--max-entry", "4"], ["classify", "-"]])
 def test_closed_stdout_ends_quietly(tmp_path, argv):
     # far more output than a pipe holds, read one line, then close the pipe

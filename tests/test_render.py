@@ -27,7 +27,7 @@ from sl2real import (
     u_pow,
 )
 
-from sl2real.render import _Vertices, _axis_overlay, _geodesic, _point
+from sl2real.render import _Radii, _axis_overlay, _geodesic, _next_row, _point
 
 from conftest import random_hyperbolic, surd_float
 
@@ -334,7 +334,7 @@ def test_svg_bytes_pinned(depth, axis, digest):
     assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
 
 
-# -- the mediant-walk writer against one `_geodesic` per arc ------------
+# -- the row-walk writer against one `_geodesic` per arc ------------
 
 
 def _render_svg_by_arcs(fig):
@@ -384,34 +384,53 @@ def test_writer_matches_reference_with_axis(seed, depth):
     assert render_svg(fig) == _render_svg_by_arcs(fig)
 
 
-def test_vertex_table_matches_point():
-    # (1, 10^7) sits a hair east of 0 and (10^7, 10^7 + 1) a hair south
-    # of 1, so their images print 0.000000 against -0.000000
-    fracs = {frac for arc in _farey_by_mirroring(MAX_DEPTH)[0] for frac in arc if frac[0] >= 0}
-    near_zero = [(1, 10**7), (10**7, 10**7 + 1)]
-    fracs |= {f for m, n in near_zero for f in ((m, n), (n, m))}
-    vertex = _Vertices()
-    signed_zeros = set()
-    for m, n in fracs:
-        x, mirror_x, y = vertex[(m, n)]
-        assert f"{x} {y}" == _point((m, n))
-        assert f"{mirror_x} {y}" == _point((-m, n) if n else (1, 0))
-        signed_zeros |= {c for c in (x, mirror_x, y) if c.lstrip("-") == "0.000000"}
-    assert signed_zeros == {"0.000000", "-0.000000"}
+def _entry(m, n):
+    """A row entry as `_point` formats it: (m, n, "x y", "mirror_x y")."""
+    return m, n, _point((m, n)), _point((-m, n) if n else (1, 0))
+
+
+def test_row_entries_match_point():
+    rows = [[_entry(0, 1), _entry(1, 0)]]
+    for _ in range(MAX_DEPTH):
+        rows.append(_next_row(rows[-1], _Radii(), []))
+    # two rows symmetric under x -> 1/x whose mediants (1, 10^7), a hair
+    # east of 0, and (10^7, 10^7 + 1), a hair south of 1, print 0.000000
+    # against -0.000000: the x of (1, 10^7) and its mirror image, and the
+    # y of (10^7, 10^7 + 1) and of its reciprocal, which is not formatted
+    # but read off it
+    big = 10**7
+    near_zero = {}
+    for a, b in ((1, big - 1), (big, big)):
+        row = _next_row([_entry(0, 1), _entry(a, b), _entry(b, a), _entry(1, 0)], _Radii(), [])
+        rows.append(row)
+        near_zero |= {(m, n): (xy, mirror_xy) for m, n, xy, mirror_xy in row}
+    for row in rows:
+        for m, n, xy, mirror_xy in row:
+            assert xy == _point((m, n))
+            assert mirror_xy == _point((-m, n) if n else (1, 0))
+    assert [xy.split(" ")[0] for xy in near_zero[(1, big)]] == ["0.000000", "-0.000000"]
+    assert near_zero[(big, big + 1)][0].split(" ")[1] == "0.000000"
+    assert near_zero[(big + 1, big)][0].split(" ")[1] == "-0.000000"
 
 
 def test_render_walks_once_and_builds_no_tessellation(monkeypatch):
-    walked = []
-    mediants = render_module._mediants
+    walked, rounds = [], []
+    arc_paths, next_row = render_module._arc_paths, render_module._next_row
 
-    def counted(depth):
+    def counted_walk(depth):
         walked.append(depth)
-        return mediants(depth)
+        return arc_paths(depth)
 
-    monkeypatch.setattr(render_module, "_mediants", counted)
+    def counted_round(row, radius, arcs):
+        rounds.append(len(row))
+        return next_row(row, radius, arcs)
+
+    monkeypatch.setattr(render_module, "_arc_paths", counted_walk)
+    monkeypatch.setattr(render_module, "_next_row", counted_round)
     fig = farey_figure(MAX_DEPTH, Mat2(5, 2, 2, 1))
     render_svg(fig)
     assert walked == [MAX_DEPTH]
+    assert rounds == [2**r + 1 for r in range(MAX_DEPTH)]  # each row once
     assert vars(fig).keys() == {"depth", "axis"}  # nothing kept on the figure
 
 
