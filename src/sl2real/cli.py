@@ -29,7 +29,7 @@ from .errors import MatrixParseError, Sl2RealError
 from .farey import _times_word, _unchecked_cycle, cutting_cycle, series_crosscheck
 from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
-from .realness import Analysis, RealFactorization, _analysis_of, analyze, conjugacy_test
+from .realness import RealFactorization, _analysis_of, analyze, conjugacy_test
 from .render import render_farey
 
 __all__ = ["main"]
@@ -149,8 +149,34 @@ def _necklaces(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
         a = (a[:p] * (n // p + 1))[:n]
 
 
-def _atlas_representatives(max_entry: int) -> Iterator[tuple[Mat2, Analysis]]:
-    """One (representative, analysis) pair per atlas record.
+def _matrix_text(a: int, b: int, c: int, d: int) -> str:
+    """Mat2.to_json_obj as JSON text, from plain ints; atlas entries are
+    far below the int/str limit."""
+    return f'[["{a}","{b}"],["{c}","{d}"]]'
+
+
+def _factorization_text(fac: RealFactorization) -> str:
+    """RealFactorization.to_json_obj as JSON text."""
+    p, m = fac.c_plus, fac.c_minus
+    return (
+        f'{{"c_plus":{_matrix_text(p.a, p.b, p.c, p.d)},'
+        f'"c_minus":{_matrix_text(m.a, m.b, m.c, m.d)},'
+        f'"kind_plus":"{fac.kind_plus.value}","kind_minus":"{fac.kind_minus.value}"}}'
+    )
+
+
+def _atlas_record(matrix: str, cls: str, factorization: str, cycle: str) -> str:
+    """One atlas line from the JSON text of its parts; "null" is no
+    factorization (not real) or no cycle (not hyperbolic)."""
+    real = "false" if factorization == "null" else "true"
+    return (
+        f'{{"matrix":{matrix},"class":{cls},"is_real":{real},'
+        f'"factorization":{factorization},"cycle":{cycle}}}\n'
+    )
+
+
+def _cmd_atlas(args) -> int:
+    """One record per conjugacy class, written as text.
 
     The central, elliptic and parabolic representatives go through
     analyze.  A hyperbolic record is read off its necklace (e1, ..., e2n)
@@ -160,43 +186,49 @@ def _atlas_representatives(max_entry: int) -> Iterator[tuple[Mat2, Analysis]]:
     walk would enter the period at its first digit, with conjugator I.
     That period is the necklace's least period, and a necklace, the least
     of its rotations, is also the least of its even ones.  So
-    classify(sign * W) has the necklace as its cycle and I as its
-    conjugator, and the cycle certificate sign * W == rep holds by
-    construction; RealFactorization still checks each factorization.
-    The cycle's root is the necklace's first p entries, 2p when p is
-    odd, and its canonical form is the necklace, so it scans nothing.
+    classify(sign * W) has the necklace as its cycle, printed as it
+    stands, and I as its conjugator, and the cycle certificate
+    sign * W == rep holds by construction.  The cycle's root is the
+    necklace's first p entries, 2p when p is odd.
+
+    W and -W share the cycle, so one analysis serves both: W's mirror
+    c_plus comes from _analysis_of, and -W's is -c_plus, with the same
+    c_minus as (-c_plus)(-W) = c_plus W.  RealFactorization checks each
+    factor of both.
     """
-    for rep in (IDENTITY, NEG_IDENTITY, *_ELLIPTIC_REPS.values()):
-        yield rep, analyze(rep)
-    for n in range(1, max_entry + 1):
-        for rep in (v_pow(n), -v_pow(n)):
-            yield rep, analyze(rep)
-    for length in range(2, 2 * max_entry + 1, 2):
-        for exps, p in _necklaces(length, max_entry):  # one per cyclic word
-            root = exps[: 2 * p if p % 2 else p]
-            cycle = _unchecked_cycle(root, length // len(root), exps)
-            a, b, c, d = _times_word(1, 0, 0, 1, exps)
-            for sign in (1, -1):
-                rep = _unchecked_mat2(sign * a, sign * b, sign * c, sign * d)
-                cls = MatClass(HYPERBOLIC, sign, cycle=cycle, conjugator=IDENTITY)
-                yield rep, _analysis_of(cls, rep)
-
-
-def _cmd_atlas(args) -> int:
-    for rep, analysis in _atlas_representatives(args.max_entry):
-        if args.real_only and not analysis.is_real:
+    real_only, write = args.real_only, sys.stdout.write
+    small = [IDENTITY, NEG_IDENTITY, *_ELLIPTIC_REPS.values()]
+    for n in range(1, args.max_entry + 1):
+        small += (v_pow(n), -v_pow(n))
+    for rep in small:
+        analysis = analyze(rep)
+        fac = analysis.factorization
+        if fac is None and real_only:
             continue
-        cls_obj = analysis.matclass.to_json_obj()
-        print(
-            _dumps(
-                {
-                    "matrix": rep.to_json_obj(),
-                    "class": cls_obj,
-                    **_real_view(analysis.factorization),
-                    "cycle": cls_obj.get("cycle"),
-                }
-            )
-        )
+        cls = _dumps(analysis.matclass.to_json_obj())
+        fac_text = "null" if fac is None else _factorization_text(fac)
+        write(_atlas_record(_matrix_text(rep.a, rep.b, rep.c, rep.d), cls, fac_text, "null"))
+    for length in range(2, 2 * args.max_entry + 1, 2):
+        for exps, p in _necklaces(length, args.max_entry):  # one per cyclic word
+            root = exps[: 2 * p if p % 2 else p]
+            cls = MatClass(HYPERBOLIC, 1, cycle=_unchecked_cycle(root, length // len(root)),
+                           conjugator=IDENTITY)
+            a, b, c, d = _times_word(1, 0, 0, 1, exps)
+            w = _unchecked_mat2(a, b, c, d)
+            fac = _analysis_of(cls, w).factorization
+            if fac is None:
+                if real_only:
+                    continue
+                texts = ("null", "null")
+            else:
+                neg = -fac.c_plus
+                mirrored = RealFactorization(neg, neg @ -w)
+                texts = (_factorization_text(fac), _factorization_text(mirrored))
+            cycle = '["' + '","'.join(map(str, exps)) + '"]'
+            for sign, fac_text in zip((1, -1), texts):
+                cls_text = f'{{"kind":"hyperbolic","sign":{sign},"cycle":{cycle}}}'
+                matrix = _matrix_text(sign * a, sign * b, sign * c, sign * d)
+                write(_atlas_record(matrix, cls_text, fac_text, cycle))
     return 0
 
 

@@ -209,13 +209,12 @@ class Cycle:
         return [str(e) for e in self.canonical]
 
 
-def _unchecked_cycle(root: tuple[int, ...], j: int, canonical: tuple | None = None) -> Cycle:
+def _unchecked_cycle(root: tuple[int, ...], j: int) -> Cycle:
     """Cycle root * j without the checks, for positive int exponents and
-    a root that is its own least even-length period; ``canonical``, when
-    given, is its least rotation, kept so canonical scans nothing."""
+    a root that is its own least even-length period."""
     cyc = object.__new__(Cycle)
     entries = cyc.__dict__  # plain stores: the atlas builds one per necklace
-    entries["root"], entries["j"], entries["_canonical"] = root, j, canonical
+    entries["root"], entries["j"] = root, j
     return cyc
 
 

@@ -10,8 +10,9 @@ splits into two palindromic blocks of odd length, W1 W2 with W1 ending
 in U; writing D = diag(1,-1), the mirror is W1 D, an involution because
 a palindrome's word is conjugated to its inverse by D.
 :func:`analyze` classifies and factors, verifying each result; the
-atlas, which knows each hyperbolic record's class, calls its second
-half, ``_analysis_of``, directly.
+atlas, which knows each necklace's class, calls its second half,
+``_analysis_of``, directly, once for the word W with sign +1, and
+negates that mirror for -W, whose split is the same.
 """
 
 from __future__ import annotations

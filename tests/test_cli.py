@@ -520,9 +520,10 @@ def test_necklaces_match_least_rotation_filter(n, k):
 
 
 def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
-    words, cycles, walks, checked = [], [], [], []
+    words, cycles, walks, checked, splits, analyses = [], [], [], [], [], []
     times_word, reduce = cli._times_word, classify_module.cutting_cycle
     walk, check_cycle = farey._gauss_orbit, farey.Cycle.__post_init__
+    split, analysis_of = realness.is_odd_bipalindromic, realness._analysis_of
 
     def counted_word(*args):
         words.append(args)
@@ -540,10 +541,22 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
         checked.append(self)
         check_cycle(self)
 
+    def counted_split(cycle):
+        splits.append(cycle)
+        return split(cycle)
+
+    def counted_analysis(cls, m):
+        analyses.append(m)
+        return analysis_of(cls, m)
+
     monkeypatch.setattr(cli, "_times_word", counted_word)
     monkeypatch.setattr(classify_module, "cutting_cycle", counted_reduce)
     monkeypatch.setattr(farey, "_gauss_orbit", counted_walk)
     monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
+    monkeypatch.setattr(realness, "is_odd_bipalindromic", counted_split)
+    # analyze calls realness's name, the atlas its own import
+    monkeypatch.setattr(realness, "_analysis_of", counted_analysis)
+    monkeypatch.setattr(cli, "_analysis_of", counted_analysis)
     code, out, _ = run(capsys, "atlas", "--max-entry", "4")
     assert code == 0 and out.count("\n") == 18_033
     # 10 + 70 + 700 + 8,230 necklaces of lengths 2, 4, 6 and 8 over 1..4,
@@ -552,19 +565,41 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
     # its own cutting cycle, so no record is reduced again or checked
     assert len(words) == 9_010
     assert cycles == [] and walks == [] and checked == []
+    # one analysis per necklace, for W and -W alike, plus one for each of
+    # the 5 + 2 * 4 central, elliptic and parabolic records
+    assert len(splits) == 9_010
+    assert len(analyses) == 9_023
 
 
-def test_atlas_records_match_analyze():
-    # the necklace path against the analysis it replaces, conjugators too:
-    # MatClass equality leaves them out
+def _atlas_record_reference(rep):
+    # the record as the atlas once built it: a dict from analyze(rep),
+    # through the JSON encoder
+    analysis = realness.analyze(rep)
+    cls_obj = analysis.matclass.to_json_obj()
+    fac = analysis.factorization
+    record = {
+        "matrix": rep.to_json_obj(),
+        "class": cls_obj,
+        "is_real": fac is not None,
+        "factorization": None if fac is None else fac.to_json_obj(),
+        "cycle": cls_obj.get("cycle"),
+    }
+    return cli._dumps(record)
+
+
+def test_atlas_records_match_analyze(capsys):
+    # every record, byte for byte, against the analysis of the matrix it
+    # names; the real records alone are the full atlas filtered, in order
     for max_entry in range(1, 5):
-        for rep, analysis in cli._atlas_representatives(max_entry):
-            slow = realness.analyze(rep)
-            assert analysis == slow
-            assert analysis.matclass.conjugator == slow.matclass.conjugator
-            cycle, slow_cycle = analysis.matclass.cycle, slow.matclass.cycle
-            if cycle is not None:  # the same root and power, not only equal
-                assert (cycle.root, cycle.j) == (slow_cycle.root, slow_cycle.j)
+        code, full, _ = run(capsys, "atlas", "--max-entry", str(max_entry))
+        assert code == 0
+        lines = full.splitlines()
+        for line in lines:
+            rep = Mat2.from_json_obj(json.loads(line)["matrix"])
+            assert line == _atlas_record_reference(rep)
+        code, real, _ = run(capsys, "atlas", "--max-entry", str(max_entry), "--real-only")
+        assert code == 0
+        assert real.splitlines() == [line for line in lines if json.loads(line)["is_real"]]
 
 
 @st.composite
@@ -694,6 +729,13 @@ def test_real_factorization_is_checked_before_output(capsys, monkeypatch):
         with pytest.raises(RuntimeError, match="factorization verification failed"):
             main(["real", matrix])
         assert capsys.readouterr().out == ""
+    # the atlas analyses each necklace before it writes either sign's
+    # record: only the 9 central, elliptic and parabolic records get out
+    with pytest.raises(RuntimeError, match="factorization verification failed"):
+        main(["atlas", "--max-entry", "2"])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9
+    assert all(json.loads(line)["class"]["kind"] != "hyperbolic" for line in lines)
 
 
 def test_cycle_certificate_is_checked_before_output(capsys, monkeypatch):
@@ -826,7 +868,7 @@ _ARGV_MATRICES = (
 _ARGV_JUNK = (
     "", "1_0", "+1", "\u0663", "\uff11", "1\x00", "\ud800", "9" * 5000, "-1", "1.0", "x", "--", "1,0;0",
 )
-# valid values stay cheap: atlas --max-entry 5 alone takes most of a minute
+# valid values stay cheap: atlas --max-entry 5 alone takes about 16 s
 _ARGV_VALUES = {
     "--bound": ("0", "1", "3", "1001"),
     "--max-entry": ("1", "2", "3", "0", "6"),
