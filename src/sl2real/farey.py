@@ -11,7 +11,7 @@ cycle.  Everything in this module is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import NotHyperbolic, NotSL2
 from .mat2 import Mat2, _conjugated, _quote, _unchecked_mat2
@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Surd:
     """The real quadratic irrational (p + sqrt(d)) / q, held exactly.
 
@@ -34,14 +34,14 @@ class Surd:
     d - p^2.  The divisibility is what keeps the Gauss-map recurrence
     inside the integers; its quotient (d - p^2) / q is kept as
     ``_cofactor``, the denominator a Gauss walk holds beside q (see
-    _gauss_orbit).  Equality and hashing are by real value, not
-    representation.
+    _gauss_orbit).  Equality compares the stored (p, d, q), not the
+    real value.
     """
 
     p: int
     d: int
     q: int
-    _cofactor: int = field(init=False, repr=False)
+    _cofactor: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for entry in (self.p, self.d, self.q):
@@ -55,21 +55,6 @@ class Surd:
         if rest:
             raise ValueError("q must divide d - p^2")
         self.__dict__["_cofactor"] = cofactor
-
-    # value identity: x is a root of q^2 t^2 - 2pq t + (p^2 - d), and the
-    # sign of q selects which of the two roots
-    def _key(self) -> tuple[int, int, int, int]:
-        aa, bb, cc = self.q * self.q, -2 * self.p * self.q, self.p * self.p - self.d
-        g = gcd(aa, bb, cc)
-        return (aa // g, bb // g, cc // g, 1 if self.q > 0 else -1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Surd):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def conjugate(self) -> "Surd":
         """The Galois conjugate (p - sqrt(d)) / q, whose cofactor is

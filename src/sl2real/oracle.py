@@ -2,14 +2,14 @@
 
 Bounded enumeration of orientation-reversing involutions, of two-factor
 splittings, and of det -1 conjugators carrying a matrix to its inverse.
-Nothing here shares code with the constructive factorizer; agreement
-between the two routes is what the test suite certifies.  Negative
-answers are bounded evidence only, never proofs.
+Nothing here shares code with the constructive factorizer, and no
+constructive module imports this one; agreement between the two routes
+is what the test suite certifies.  Negative answers are bounded
+evidence only, never proofs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from math import isqrt
@@ -20,7 +20,6 @@ from .errors import NotSL2
 from .mat2 import Mat2, is_real_structure
 
 __all__ = [
-    "LatticeBasis",
     "enumerate_involutions",
     "brute_force_factor",
     "brute_force_conjugator",
@@ -65,48 +64,6 @@ def brute_force_factor(m: Mat2, bound: int) -> tuple[Mat2, Mat2] | None:
                 raise RuntimeError("oracle factor witness failed verification")
             return j1, j2
     return None
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Primitive basis of an integer solution lattice in matrix entries.
-
-    Vectors are (x, y, z, w) coefficient 4-tuples of an unknown matrix
-    (x y; z w); every integer solution of the underlying system is an
-    integer combination of the basis.
-    """
-
-    vectors: tuple[tuple[int, int, int, int], ...]
-
-    def __post_init__(self):
-        vecs = tuple(tuple(v) for v in self.vectors)
-        if any(len(v) != 4 for v in vecs):
-            raise ValueError("basis vectors must have four entries")
-        object.__setattr__(self, "vectors", vecs)
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-    def coefficients_of(self, vec) -> tuple[int, ...] | None:
-        """Integer coordinates of vec in this basis, or None; read off
-        the first invertible minor, then checked on all four entries."""
-        if isinstance(vec, Mat2):
-            vec = (vec.a, vec.b, vec.c, vec.d)
-        minor = _invertible_minor(self.vectors)
-        if minor is None:
-            return None
-        rows, inv = minor
-        coeffs = [sum(r[p] * vec[i] for p, i in enumerate(rows)) for r in inv]
-        if any(c.denominator != 1 for c in coeffs):
-            return None
-        coeffs = tuple(int(c) for c in coeffs)
-        if any(sum(c * v[i] for c, v in zip(coeffs, self.vectors)) != vec[i] for i in range(4)):
-            return None
-        return coeffs
-
-    def contains(self, vec) -> bool:
-        return self.coefficients_of(vec) is not None
 
 
 def integer_column_kernel(rows: list[list[int]]) -> list[tuple[int, ...]]:
@@ -165,8 +122,9 @@ def _commutation_rows(a: Mat2, b: Mat2) -> list[list[int]]:
     ]
 
 
-def integer_kernel(m: Mat2) -> LatticeBasis:
-    """Solution lattice of Q @ m == m.inverse() @ Q over the integers.
+def integer_kernel(m: Mat2) -> tuple[tuple[int, ...], ...]:
+    """Basis of the solution lattice of Q @ m == m.inverse() @ Q over
+    the integers, as (x, y, z, w) 4-tuples of Q = (x y; z w).
 
     Rank 2 for every non-central m and 4 for +-identity, never 0: as
     m^-1 = tr(m) I - m, Q anticommutes with the traceless
@@ -178,7 +136,7 @@ def integer_kernel(m: Mat2) -> LatticeBasis:
     if m.det != 1:
         raise NotSL2("det != 1")
     rows = _commutation_rows(m, m.inverse())
-    return LatticeBasis(tuple(integer_column_kernel(rows)))
+    return tuple(integer_column_kernel(rows))
 
 
 def _invertible_minor(vectors) -> tuple[tuple[int, ...], list[list[Fraction]]] | None:
@@ -245,10 +203,10 @@ def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:
     if m.det != 1:
         raise NotSL2("det != 1")
     basis = integer_kernel(m)
-    box = _coefficient_box(basis.vectors, bound)
+    box = _coefficient_box(basis, bound)
     for coeffs in product(*(range(-r, r + 1) for r in box)):
         entries = [
-            sum(c * v[i] for c, v in zip(coeffs, basis.vectors)) for i in range(4)
+            sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)
         ]
         if max(abs(e) for e in entries) > bound:
             continue

@@ -32,19 +32,16 @@ from .mat2 import (
     _unchecked_mat2,
     real_structure_kind,
 )
-from .oracle import brute_force_conjugator
 
 __all__ = [
     "RealFactorization",
     "Analysis",
-    "WeaklyRealReport",
     "is_odd_bipalindromic",
     "analyze",
     "factor_real",
     "central_factorization",
     "is_real",
     "conjugacy_test",
-    "weakly_real",
 ]
 
 
@@ -221,38 +218,3 @@ def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:
         return cx.cycle.equal_up_to_even_rotation(cy.cycle)
     return cx.conjugator.det == cy.conjugator.det
 
-
-@dataclass(frozen=True)
-class WeaklyRealReport:
-    """Bounded cross-check of realness against inverse-conjugation.
-
-    A det -1 witness Q with Q m Q^-1 = m^-1 for a non-real m would be a
-    genuine inconsistency; a real m without a witness only means the
-    search bound was too small.
-    """
-
-    matrix: Mat2
-    bound: int
-    is_real: bool
-    witness: Mat2 | None
-    inverse_conjugator: Mat2 | None
-    consistent: bool
-    note: str
-
-
-def weakly_real(m: Mat2, bound: int) -> WeaklyRealReport:
-    fac = analyze(m).factorization
-    real = fac is not None
-    witness = brute_force_conjugator(m, bound)
-    inverse_conjugator = None
-    consistent = True
-    note = ""
-    if real:
-        # m = c+ c- with involutions forces c+ m c+^-1 = c- c+ = m^-1
-        inverse_conjugator = fac.c_plus
-        if witness is None:
-            note = "bound insufficient for a witness"
-    elif witness is not None:
-        consistent = False
-        note = "witness found for a non-real matrix"
-    return WeaklyRealReport(m, bound, real, witness, inverse_conjugator, consistent, note)

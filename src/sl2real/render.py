@@ -15,21 +15,13 @@ Fractions are (m, n) pairs in lowest terms with n >= 0; infinity is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import DepthTooLarge
 from .farey import Surd, attracting_fixed_point
 from .mat2 import Mat2, _quote
 
-__all__ = [
-    "MAX_DEPTH",
-    "FareyFigure",
-    "AxisOverlay",
-    "farey_figure",
-    "render_farey",
-    "render_svg",
-]
+__all__ = ["MAX_DEPTH", "render_farey"]
 
 MAX_DEPTH = 12
 
@@ -37,38 +29,16 @@ Frac = tuple[int, int]
 Tri = tuple[Frac, Frac, Frac]
 
 
-@dataclass(frozen=True)
-class AxisOverlay:
-    """Translation axis of a hyperbolic matrix across the tessellation.
+def _axis_overlay(axis_matrix: Mat2, depth: int) -> tuple[Surd, tuple[tuple[Tri, str], ...]]:
+    """The attracting fixed point and the crossed triangles, read off
+    two walks.
 
-    Crossed triangles are listed in travel order from the repelling to
-    the attracting fixed point, each labeled "L" or "R" by the side of
-    the axis holding the triangle's lone vertex.  They are the triangles
-    of the two fixed points' walks down the Farey tree (Series, J. London
-    Math. Soc. 31, 1985), and each label is the sign of one exact
-    comparison made on the way.
-    """
-
-    attracting: Surd
-    repelling: Surd
-    crossings: tuple[tuple[Tri, str], ...]
-
-
-@dataclass(frozen=True)
-class FareyFigure:
-    """Tessellation after `depth` mediant rounds, optionally with an axis.
-
-    Only the depth and the axis are held: `render_svg` draws the
-    2^(depth+2) - 3 arcs from one walk over the rows of the right half
-    (`_arc_paths`).
-    """
-
-    depth: int
-    axis: AxisOverlay | None
-
-
-def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
-    """Crossed triangles in travel order, read off two walks.
+    The crossings run in travel order from the repelling fixed point
+    (the attracting one's Galois conjugate) to the attracting one, each
+    labeled "L" or "R" by the side of the axis holding the triangle's
+    lone vertex.  They are the triangles of the two fixed points' walks
+    down the Farey tree (Series, J. London Math. Soc. 31, 1985), and
+    each label is the sign of one exact comparison made on the way.
 
     Each fixed point x is walked down the arcs of its half that hold it:
     a round splits the arc at its mediant w and keeps the part holding
@@ -115,19 +85,7 @@ def _axis_overlay(axis_matrix: Mat2, depth: int) -> AxisOverlay:
         tri, sign = att_steps[k - 1]
         crossings.append((tri, "R" if sign > 0 else "L"))
     crossings += [(tri, "L" if sign > 0 else "R") for tri, sign in att_steps[k:]]
-    return AxisOverlay(att, rep, tuple(crossings))
-
-
-def farey_figure(depth: int, axis_matrix: Mat2 | None = None) -> FareyFigure:
-    """Tessellation after `depth` mediant rounds, optionally with an axis.
-
-    Validates the depth and computes the axis overlay; the arcs are
-    drawn by `render_svg` (see FareyFigure).
-    """
-    if depth < 0 or depth > MAX_DEPTH:
-        raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {_quote(depth)}")
-    axis = None if axis_matrix is None else _axis_overlay(axis_matrix, depth)
-    return FareyFigure(depth, axis)
+    return att, tuple(crossings)
 
 
 # -- SVG output ------------------------------------------------------
@@ -243,34 +201,33 @@ def _arc_paths(depth: int) -> list[str]:
     return arcs
 
 
-def render_svg(fig: FareyFigure) -> str:
-    """SVG document of a figure: the crossed triangles, tinted by label,
-    under the arcs, and the axis on top.
+def render_farey(depth: int, axis_matrix: Mat2 | None = None) -> str:
+    """SVG document of the tessellation after `depth` mediant rounds:
+    the triangles the axis of `axis_matrix` crosses, if given, tinted by
+    label, under the arcs, and the axis on top.
 
-    The arcs come from one walk over the rows of the right half
-    (`_arc_paths`).
+    The depth is checked before the axis.  The arcs come from one walk
+    over the rows of the right half (`_arc_paths`).
     """
+    if depth < 0 or depth > MAX_DEPTH:
+        raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {_quote(depth)}")
+    att, crossings = (None, ()) if axis_matrix is None else _axis_overlay(axis_matrix, depth)
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.05 -1.05 2.1 2.1" width="600" height="600">',
         '<circle class="boundary" cx="0" cy="0" r="1" fill="none" '
         'stroke="#202020" stroke-width="0.006"/>',
     ]
-    if fig.axis is not None:
-        for tri, label in fig.axis.crossings:
-            a, b, c = tri
-            pa, pb, pc = _point(a), _point(b), _point(c)
-            d = (
-                f"M {pa} {_geodesic(a, b, pb)} {_geodesic(b, c, pc)} "
-                f"{_geodesic(c, a, pa)} Z"
-            )
-            parts.append(
-                f'<path class="tri-{label}" d="{d}" fill="{_TINTS[label]}" '
-                'fill-opacity="0.8" stroke="none"/>'
-            )
-    parts += _arc_paths(fig.depth)
-    if fig.axis is not None:
-        att = fig.axis.attracting
+    for tri, label in crossings:
+        a, b, c = tri
+        pa, pb, pc = _point(a), _point(b), _point(c)
+        d = f"M {pa} {_geodesic(a, b, pb)} {_geodesic(b, c, pc)} {_geodesic(c, a, pa)} Z"
+        parts.append(
+            f'<path class="tri-{label}" d="{d}" fill="{_TINTS[label]}" '
+            'fill-opacity="0.8" stroke="none"/>'
+        )
+    parts += _arc_paths(depth)
+    if att is not None:
         # the ends (p -+ sqrt(d))/q as integer points, sqrt(d) taken to
         # 64 bits after the point
         p, root, q = att.p << 64, isqrt(att.d << 128), att.q << 64
@@ -282,8 +239,3 @@ def render_svg(fig: FareyFigure) -> str:
         )
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def render_farey(depth: int, axis_matrix: Mat2 | None = None) -> str:
-    """SVG document for the depth-d tessellation, optional axis overlay."""
-    return render_svg(farey_figure(depth, axis_matrix))

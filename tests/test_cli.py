@@ -1003,7 +1003,19 @@ def test_svg_negative_axis_and_matrix_like_output_name(tmp_path, monkeypatch, ca
 
 def test_svg_depth_too_large(capsys):
     code, out, err = run(capsys, "svg", "--depth", "13")
-    assert code == 3 and "DepthTooLarge" in err
+    assert code == 3 and out == "" and err.startswith("error: DepthTooLarge")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "depth, axis, error",
+    [("13", "1,1;0,1", "DepthTooLarge"), ("2", "1,1;0,1", "NotHyperbolic"), ("2", "2,1;1,2", "NotSL2")],
+)
+def test_svg_errors_come_in_order(capsys, depth, axis, error):
+    # the depth is checked before the axis
+    code, out, err = run(capsys, "svg", "--depth", depth, "--axis", axis)
+    assert code == 3 and out == "" and err.startswith(f"error: {error}")
+    assert err.count("\n") == 1
 
 
 def test_svg_negative_depth_exit_2(capsys):

@@ -67,12 +67,6 @@ def test_surd_make_rescales():
     assert make_surd(1, 5, 2) == GOLDEN
 
 
-def test_surd_equality_is_by_value():
-    assert Surd(1, 5, 2) == make_surd(2, 20, 4)
-    assert Surd(1, 5, 2) != Surd(1, 5, -2)
-    assert Surd(1, 5, 2) != Surd(-1, 5, 2)
-
-
 def test_surd_floor():
     assert surd_floor(GOLDEN) == 1
     assert surd_floor(GOLDEN.conjugate()) == -1  # (1 - sqrt 5)/2 ~ -0.618

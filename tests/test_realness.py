@@ -30,7 +30,6 @@ from sl2real import (
     is_real_structure,
     u_pow,
     v_pow,
-    weakly_real,
 )
 import sl2real.farey as farey
 import sl2real.realness as realness
@@ -693,26 +692,6 @@ def test_conjugates_test_conjugate(seed):
     n = g @ m @ g.inverse()
     assert conjugacy_test(m, n, "sl")
     assert conjugacy_test(m, n, "gl")
-
-
-# --------------------------------------------------------- weak tests
-
-
-def test_weakly_real_pinned():
-    r = weakly_real(Mat2(2, 1, 1, 1), 5)
-    assert r.is_real and r.witness is not None and r.consistent
-
-    r = weakly_real(Mat2(12, 5, 7, 3), 25)
-    assert not r.is_real and r.witness is None and r.consistent
-
-    r = weakly_real(ROT_PI, 2)
-    assert r.is_real and r.witness == Mat2(0, -1, -1, 0)
-    assert r.inverse_conjugator is not None
-
-    # real, but bound 0 leaves only the zero matrix to try
-    r = weakly_real(Mat2(15, 4, 11, 3), 0)
-    assert r.is_real and r.witness is None and r.consistent
-    assert r.note == "bound insufficient for a witness"
 
 
 # ------------------------------------------------- unprintable inputs

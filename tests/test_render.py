@@ -21,9 +21,7 @@ from sl2real import (
     Surd,
     attracting_fixed_point,
     cutting_cycle,
-    farey_figure,
     render_farey,
-    render_svg,
     u_pow,
 )
 
@@ -47,12 +45,12 @@ def test_arc_and_triangle_counts():
 
 
 def test_depth_limits():
-    farey_figure(0)
+    render_farey(0)
     assert render_farey(MAX_DEPTH).count('<path class="arc"') == 2 ** (MAX_DEPTH + 2) - 3
     with pytest.raises(DepthTooLarge):
-        farey_figure(MAX_DEPTH + 1)
+        render_farey(MAX_DEPTH + 1)
     with pytest.raises(DepthTooLarge):
-        farey_figure(-1)
+        render_farey(-1)
 
 
 def test_arcs_join_farey_neighbours():
@@ -81,13 +79,11 @@ def test_vertices_are_reduced_fractions():
 
 
 def test_axis_overlay_pinned():
-    fig = farey_figure(3, AXIS_M)
-    assert fig.axis is not None
-    assert fig.axis.attracting == Surd(1, 5, 2)
-    assert fig.axis.repelling == Surd(1, 5, 2).conjugate()
-    labels = [label for _, label in fig.axis.crossings]
+    attracting, crossings = _axis_overlay(AXIS_M, 3)
+    assert attracting == Surd(1, 5, 2)
+    labels = [label for _, label in crossings]
     assert labels == ["R", "L", "R", "L", "R", "L"]
-    crossed = [tri for tri, _ in fig.axis.crossings]
+    crossed = [tri for tri, _ in crossings]
     assert len(set(crossed)) == len(crossed)
     triangles = _farey_by_mirroring(3)[1]
     for tri in crossed:
@@ -95,8 +91,7 @@ def test_axis_overlay_pinned():
 
 
 def test_axis_overlay_depth_one():
-    fig = farey_figure(1, AXIS_M)
-    assert [label for _, label in fig.axis.crossings] == ["R", "L"]
+    assert [label for _, label in _axis_overlay(AXIS_M, 1)[1]] == ["R", "L"]
 
 
 def _label_runs(crossings):
@@ -105,7 +100,7 @@ def _label_runs(crossings):
 
 def test_crossings_pinned_fans():
     # cycle (2, 2): the axis crosses fans of two triangles in turn
-    labels = [label for _, label in farey_figure(5, Mat2(5, 2, 2, 1)).axis.crossings]
+    labels = [label for _, label in _axis_overlay(Mat2(5, 2, 2, 1), 5)[1]]
     assert labels == ["R", "L", "L", "R", "R", "L", "L", "R", "R", "L"]
 
 
@@ -116,7 +111,7 @@ def test_crossings_walk_the_cutting_cycle(seed, depth):
     # axis crosses a fan of e triangles around each vertex in turn, so
     # every complete run of labels is the next exponent of the cycle
     m = random_hyperbolic(random.Random(seed))
-    crossings = farey_figure(depth, m).axis.crossings
+    crossings = _axis_overlay(m, depth)[1]
     for (tri, _), (nxt, _) in zip(crossings, crossings[1:]):
         assert len(set(tri) & set(nxt)) == 2
     inner = _label_runs(crossings)[1:-1]
@@ -217,7 +212,7 @@ def test_descent_matches_scan(seed, depth, shift, swap, invert):
     m = g @ m @ g.inverse()
     if invert:
         m = m.inverse()
-    assert _axis_overlay(m, depth).crossings == _axis_overlay_by_scan(m, _farey_by_mirroring(depth)[1])
+    assert _axis_overlay(m, depth)[1] == _axis_overlay_by_scan(m, _farey_by_mirroring(depth)[1])
 
 
 @pytest.mark.parametrize(
@@ -236,7 +231,7 @@ def test_descent_matches_scan_pinned(m):
     for depth in range(MAX_DEPTH + 1):
         triangles = _farey_by_mirroring(depth)[1]
         for axis in (m, -m, m.inverse(), S @ m @ S.inverse()):
-            assert _axis_overlay(axis, depth).crossings == _axis_overlay_by_scan(axis, triangles)
+            assert _axis_overlay(axis, depth)[1] == _axis_overlay_by_scan(axis, triangles)
 
 
 def test_descent_matches_scan_exhaustive():
@@ -246,14 +241,14 @@ def test_descent_matches_scan_exhaustive():
     for a, b, c, d in product(range(-8, 9), repeat=4):
         if a * d - b * c == 1 and abs(a + d) > 2:
             m = Mat2(a, b, c, d)
-            assert _axis_overlay(m, 6).crossings == _axis_overlay_by_scan(m, triangles)
+            assert _axis_overlay(m, 6)[1] == _axis_overlay_by_scan(m, triangles)
             count += 1
     assert count == 456
 
 
 def test_axis_requires_hyperbolic():
     with pytest.raises(NotHyperbolic):
-        farey_figure(2, Mat2(1, 1, 0, 1))
+        render_farey(2, Mat2(1, 1, 0, 1))
 
 
 @settings(max_examples=100, deadline=None)
@@ -262,17 +257,17 @@ def test_inverse_axis_swaps_labels(seed):
     # m^-1 runs along the same axis the other way: one of the two runs
     # leftward, and every crossed triangle changes sides
     m = random_hyperbolic(random.Random(seed))
-    forward = dict(farey_figure(7, m).axis.crossings)
-    backward = dict(farey_figure(7, m.inverse()).axis.crossings)
+    forward = dict(_axis_overlay(m, 7)[1])
+    backward = dict(_axis_overlay(m.inverse(), 7)[1])
     assert backward == {tri: "R" if label == "L" else "L" for tri, label in forward.items()}
 
 
 def test_axis_crossing_separation():
     # a crossed triangle has exactly one vertex on one side of the
     # axis ends and two on the other
-    fig = farey_figure(4, AXIS_M)
-    att, rep = fig.axis.attracting, fig.axis.repelling
-    for tri, _ in fig.axis.crossings:
+    att, crossings = _axis_overlay(AXIS_M, 4)
+    rep = att.conjugate()
+    for tri, _ in crossings:
         inside = 0
         for m, n in tri:
             if n == 0:
@@ -313,7 +308,6 @@ def test_svg_numbers_are_clean():
 
 def test_svg_deterministic():
     assert render_farey(4, AXIS_M) == render_farey(4, AXIS_M)
-    assert render_svg(farey_figure(3)) == render_farey(3)
 
 
 @pytest.mark.parametrize(
@@ -337,8 +331,8 @@ def test_svg_bytes_pinned(depth, axis, digest):
 # -- the row-walk writer against one `_geodesic` per arc ------------
 
 
-def _render_svg_by_arcs(fig):
-    """`render_svg` drawing every arc of `_farey_by_mirroring` by
+def _render_svg_by_arcs(depth, axis):
+    """`render_farey` drawing every arc of `_farey_by_mirroring` by
     `_geodesic`, each vertex formatted by `_point`: the byte reference of
     the writer."""
     parts = [
@@ -348,8 +342,9 @@ def _render_svg_by_arcs(fig):
         'stroke="#202020" stroke-width="0.006"/>',
     ]
     tints = {"L": "#9ecae1", "R": "#fdae6b"}
-    if fig.axis is not None:
-        for (a, b, c), label in fig.axis.crossings:
+    if axis is not None:
+        att, crossings = _axis_overlay(axis, depth)
+        for (a, b, c), label in crossings:
             d = (
                 f"M {_point(a)} {_geodesic(a, b, _point(b))} "
                 f"{_geodesic(b, c, _point(c))} {_geodesic(c, a, _point(a))} Z"
@@ -358,11 +353,10 @@ def _render_svg_by_arcs(fig):
                 f'<path class="tri-{label}" d="{d}" fill="{tints[label]}" '
                 'fill-opacity="0.8" stroke="none"/>'
             )
-    for f1, f2 in _farey_by_mirroring(fig.depth)[0]:
+    for f1, f2 in _farey_by_mirroring(depth)[0]:
         d = f"M {_point(f1)} {_geodesic(f1, f2, _point(f2))}"
         parts.append(f'<path class="arc" d="{d}" fill="none" stroke="#404040" stroke-width="0.004"/>')
-    if fig.axis is not None:
-        att = fig.axis.attracting
+    if axis is not None:
         p, root, q = att.p << 64, isqrt(att.d << 128), att.q << 64
         rep_end, att_end = (p - root, q), (p + root, q)
         d = f"M {_point(rep_end)} {_geodesic(rep_end, att_end, _point(att_end))}"
@@ -373,15 +367,19 @@ def _render_svg_by_arcs(fig):
 
 def test_writer_matches_reference_without_axis():
     for depth in range(MAX_DEPTH + 1):
-        fig = farey_figure(depth)
-        assert render_svg(fig) == _render_svg_by_arcs(fig)
+        assert render_farey(depth) == _render_svg_by_arcs(depth, None)
+
+
+def test_writer_matches_reference_with_axis_at_every_depth():
+    for depth in range(MAX_DEPTH + 1):
+        assert render_farey(depth, Mat2(5, 2, 2, 1)) == _render_svg_by_arcs(depth, Mat2(5, 2, 2, 1))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=MAX_DEPTH))
 def test_writer_matches_reference_with_axis(seed, depth):
-    fig = farey_figure(depth, random_hyperbolic(random.Random(seed)))
-    assert render_svg(fig) == _render_svg_by_arcs(fig)
+    axis = random_hyperbolic(random.Random(seed))
+    assert render_farey(depth, axis) == _render_svg_by_arcs(depth, axis)
 
 
 def _entry(m, n):
@@ -427,11 +425,9 @@ def test_render_walks_once_and_builds_no_tessellation(monkeypatch):
 
     monkeypatch.setattr(render_module, "_arc_paths", counted_walk)
     monkeypatch.setattr(render_module, "_next_row", counted_round)
-    fig = farey_figure(MAX_DEPTH, Mat2(5, 2, 2, 1))
-    render_svg(fig)
+    render_farey(MAX_DEPTH, Mat2(5, 2, 2, 1))
     assert walked == [MAX_DEPTH]
     assert rounds == [2**r + 1 for r in range(MAX_DEPTH)]  # each row once
-    assert vars(fig).keys() == {"depth", "axis"}  # nothing kept on the figure
 
 
 def test_svg_viewbox_and_size():
@@ -503,10 +499,11 @@ def test_geodesics_match_float_reference():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_axis_geodesic_matches_float_reference(seed):
-    fig = farey_figure(0, random_hyperbolic(random.Random(seed)))
-    path = re.search(r'class="axis" d="M \S+ \S+ ([^"]*)"', render_svg(fig)).group(1)
-    p1 = _disk_point_real(surd_float(fig.axis.repelling))
-    p2 = _disk_point_real(surd_float(fig.axis.attracting))
+    m = random_hyperbolic(random.Random(seed))
+    path = re.search(r'class="axis" d="M \S+ \S+ ([^"]*)"', render_farey(0, m)).group(1)
+    att = attracting_fixed_point(m)
+    p1 = _disk_point_real(surd_float(att.conjugate()))
+    p2 = _disk_point_real(surd_float(att))
     det = p1[0] * p2[1] - p1[1] * p2[0]
     _assert_matches(path, _segment(p1, p2, abs(det) < 1e-12))
 
