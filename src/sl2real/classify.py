@@ -37,8 +37,8 @@ class MatClass:
     """Trichotomy verdict with the per-kind GL(2,Z) conjugacy invariants.
 
     ``conjugator`` is the reduction's witness, not an invariant, so it is
-    left out of equality, repr and JSON.  It is None for a central m;
-    otherwise it is the c with c @ R @ c^-1 == m for the class
+    left out of equality, repr and the CLI's records.  It is None for a
+    central m; otherwise it is the c with c @ R @ c^-1 == m for the class
     representative R: the rotation of trace t (ROT_PI, ROT_2PI3,
     -ROT_2PI3), sign * (1 0; shift 1), or sign * P^j for the positive
     word P in U, V with exponents ``cycle.root``, starting with U, and
@@ -53,18 +53,6 @@ class MatClass:
     shift: int | None = None
     cycle: Cycle | None = None
     conjugator: Mat2 | None = field(default=None, compare=False, repr=False)
-
-    def to_json_obj(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.sign is not None:
-            out["sign"] = self.sign
-        if self.trace is not None:
-            out["trace"] = self.trace
-        if self.shift is not None:
-            out["shift"] = str(self.shift)
-        if self.cycle is not None:
-            out["cycle"] = self.cycle.to_json_obj()
-        return out
 
 
 def classify(m: Mat2) -> MatClass:

@@ -12,6 +12,9 @@ JSONL matrices ([[a,b],[c,d]] rows of ints or decimal strings, or the
 compact form as a JSON string) from standard input.  Integers in
 output objects are decimal strings wherever they can grow without
 bound; signs, traces, and flags stay plain JSON numbers.
+
+The library objects carry no JSON: every record is spelled as JSON text
+by the writers here, and the json module only decodes standard input.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import os
 import re
 import sys
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .classify import _ELLIPTIC_REPS, HYPERBOLIC, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
@@ -33,10 +36,6 @@ from .realness import RealFactorization, _analysis_of, analyze, conjugacy_test
 from .render import render_farey
 
 __all__ = ["main"]
-
-
-# one encoder for every record: json.dumps with separators builds a new one per call
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _input_matrices(arg: str) -> Iterator[Mat2]:
@@ -61,48 +60,96 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
         yield Mat2.from_text(arg)
 
 
-def _cycle_view(m: Mat2) -> dict:
-    cyc, sign, conj = cutting_cycle(m)
-    return {
-        "cycle": cyc.to_json_obj(),
-        "sign": sign,
-        "conjugator": conj.to_json_obj(),
-        "word": [str(e) for e in cyc.exponents],
-        "verified": True,
-    }
+# The records are written as JSON text here, with no encoder: every value
+# is an int, a JSON literal, or a fixed ASCII word (a kind name, a
+# RealStructureKind value, an argparse choice), so nothing needs escaping.
+# Integers that can grow without bound are written as decimal strings.
 
 
-def _real_view(fac: RealFactorization | None) -> dict:
-    return {
-        "is_real": fac is not None,
-        "factorization": None if fac is None else fac.to_json_obj(),
-    }
+def _strings_text(values: Sequence[int]) -> str:
+    """A JSON list of decimal strings: a cycle, a word or a CF period."""
+    return '["' + '","'.join(map(str, values)) + '"]' if values else "[]"
 
 
-# the stream commands: name -> (help, view of one matrix as a JSON object)
-_VIEWS: dict[str, tuple[str, Callable[[Mat2], dict]]] = {
-    "classify": ("trace trichotomy with invariants", lambda m: classify(m).to_json_obj()),
+def _matrix_text(a: int, b: int, c: int, d: int) -> str:
+    """Rows of decimal strings, which keep every digit.  Input is capped
+    at the int/str limit, a certificate is not, and one past it is a
+    domain error."""
+    try:
+        return f'[["{a}","{b}"],["{c}","{d}"]]'
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise Sl2RealError(f"matrix entries over {limit} digits cannot be printed") from None
+
+
+def _class_text(c: MatClass) -> str:
+    """The invariants of c, without its conjugator, which is a witness."""
+    text = f'{{"kind":"{c.kind}"'
+    if c.sign is not None:
+        text += f',"sign":{c.sign}'
+    if c.trace is not None:
+        text += f',"trace":{c.trace}'
+    if c.shift is not None:
+        text += f',"shift":"{c.shift}"'
+    if c.cycle is not None:
+        text += f',"cycle":{_strings_text(c.cycle.canonical)}'
+    return text + "}"
+
+
+def _factorization_text(fac: RealFactorization) -> str:
+    p, m = fac.c_plus, fac.c_minus
+    return (
+        f'{{"c_plus":{_matrix_text(p.a, p.b, p.c, p.d)},'
+        f'"c_minus":{_matrix_text(m.a, m.b, m.c, m.d)},'
+        f'"kind_plus":"{fac.kind_plus.value}","kind_minus":"{fac.kind_minus.value}"}}'
+    )
+
+
+def _cycle_view(m: Mat2) -> str:
+    cyc, sign, q = cutting_cycle(m)
+    return (
+        f'{{"cycle":{_strings_text(cyc.canonical)},"sign":{sign},'
+        f'"conjugator":{_matrix_text(q.a, q.b, q.c, q.d)},'
+        f'"word":{_strings_text(cyc.exponents)},"verified":true}}'
+    )
+
+
+def _real_view(fac: RealFactorization | None) -> str:
+    if fac is None:
+        return '{"is_real":false,"factorization":null}'
+    return f'{{"is_real":true,"factorization":{_factorization_text(fac)}}}'
+
+
+def _series_view(m: Mat2) -> str:
+    r = series_crosscheck(m)
+    return (
+        f'{{"cf_period":{_strings_text(r.cf_period)},'
+        f'"cycle":{_strings_text(r.cycle.canonical)},"sign":{r.sign},'
+        f'"repetition":{r.repetition},"consistent":{"true" if r.consistent else "false"}}}'
+    )
+
+
+# the stream commands: name -> (help, view of one matrix as JSON text)
+_VIEWS: dict[str, tuple[str, Callable[[Mat2], str]]] = {
+    "classify": ("trace trichotomy with invariants", lambda m: _class_text(classify(m))),
     "cycle": ("cutting cycle of a hyperbolic matrix", _cycle_view),
     "real": ("factor into two real structures", lambda m: _real_view(analyze(m).factorization)),
-    "series-check": (
-        "cycle vs continued-fraction period",
-        lambda m: series_crosscheck(m).to_json_obj(),
-    ),
+    "series-check": ("cycle vs continued-fraction period", _series_view),
 }
 
 
 def _cmd_view(args) -> int:
     view = _VIEWS[args.command][1]
     for m in _input_matrices(args.matrix):
-        print(_dumps(view(m)))
+        print(view(m))
     return 0
 
 
 def _cmd_conjugate(args) -> int:
     a = Mat2.from_text(args.matrix_a)
     b = Mat2.from_text(args.matrix_b)
-    verdict = conjugacy_test(a, b, args.group)
-    print(_dumps({"conjugate": verdict, "group": args.group}))
+    verdict = "true" if conjugacy_test(a, b, args.group) else "false"
+    print(f'{{"conjugate":{verdict},"group":"{args.group}"}}')
     return 0
 
 
@@ -111,20 +158,17 @@ def _cmd_oracle(args) -> int:
     # both searches check their witness before returning it
     if args.mode == "factor":
         pair = brute_force_factor(m, args.bound)
-        witness = None if pair is None else [j.to_json_obj() for j in pair]
+        witness = (
+            "null"
+            if pair is None
+            else "[" + ",".join([_matrix_text(j.a, j.b, j.c, j.d) for j in pair]) + "]"
+        )
     else:
         q = brute_force_conjugator(m, args.bound)
-        witness = None if q is None else q.to_json_obj()
+        witness = "null" if q is None else _matrix_text(q.a, q.b, q.c, q.d)
     print(
-        _dumps(
-            {
-                "query": args.mode,
-                "matrix": m.to_json_obj(),
-                "bound": args.bound,
-                "witness": witness,
-                "verified": True,
-            }
-        )
+        f'{{"query":"{args.mode}","matrix":{_matrix_text(m.a, m.b, m.c, m.d)},'
+        f'"bound":{args.bound},"witness":{witness},"verified":true}}'
     )
     return 0
 
@@ -147,22 +191,6 @@ def _necklaces(n: int, k: int) -> Iterator[tuple[tuple[int, ...], int]]:
             return
         a[p - 1] += 1
         a = (a[:p] * (n // p + 1))[:n]
-
-
-def _matrix_text(a: int, b: int, c: int, d: int) -> str:
-    """Mat2.to_json_obj as JSON text, from plain ints; atlas entries are
-    far below the int/str limit."""
-    return f'[["{a}","{b}"],["{c}","{d}"]]'
-
-
-def _factorization_text(fac: RealFactorization) -> str:
-    """RealFactorization.to_json_obj as JSON text."""
-    p, m = fac.c_plus, fac.c_minus
-    return (
-        f'{{"c_plus":{_matrix_text(p.a, p.b, p.c, p.d)},'
-        f'"c_minus":{_matrix_text(m.a, m.b, m.c, m.d)},'
-        f'"kind_plus":"{fac.kind_plus.value}","kind_minus":"{fac.kind_minus.value}"}}'
-    )
 
 
 def _atlas_record(matrix: str, cls: str, factorization: str, cycle: str) -> str:
@@ -205,9 +233,9 @@ def _cmd_atlas(args) -> int:
         fac = analysis.factorization
         if fac is None and real_only:
             continue
-        cls = _dumps(analysis.matclass.to_json_obj())
         fac_text = "null" if fac is None else _factorization_text(fac)
-        write(_atlas_record(_matrix_text(rep.a, rep.b, rep.c, rep.d), cls, fac_text, "null"))
+        matrix = _matrix_text(rep.a, rep.b, rep.c, rep.d)
+        write(_atlas_record(matrix, _class_text(analysis.matclass), fac_text, "null"))
     for length in range(2, 2 * args.max_entry + 1, 2):
         for exps, p in _necklaces(length, args.max_entry):  # one per cyclic word
             root = exps[: 2 * p if p % 2 else p]
@@ -224,8 +252,9 @@ def _cmd_atlas(args) -> int:
                 neg = -fac.c_plus
                 mirrored = RealFactorization(neg, neg @ -w)
                 texts = (_factorization_text(fac), _factorization_text(mirrored))
-            cycle = '["' + '","'.join(map(str, exps)) + '"]'
+            cycle = _strings_text(exps)
             for sign, fac_text in zip((1, -1), texts):
+                # what _class_text writes for sign * W, on the necklace's cycle text
                 cls_text = f'{{"kind":"hyperbolic","sign":{sign},"cycle":{cycle}}}'
                 matrix = _matrix_text(sign * a, sign * b, sign * c, sign * d)
                 write(_atlas_record(matrix, cls_text, fac_text, cycle))

@@ -190,9 +190,6 @@ class Cycle:
         length."""
         return self.j == other.j and _least_rotation(self.root, 2) == _least_rotation(other.root, 2)
 
-    def to_json_obj(self) -> list[str]:
-        return [str(e) for e in self.canonical]
-
 
 def _unchecked_cycle(root: tuple[int, ...], j: int) -> Cycle:
     """Cycle root * j without the checks, for positive int exponents and
@@ -537,15 +534,6 @@ class SeriesReport:
     sign: int
     repetition: int
     consistent: bool
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cf_period": [str(a) for a in self.cf_period],
-            "cycle": self.cycle.to_json_obj(),
-            "sign": self.sign,
-            "repetition": self.repetition,
-            "consistent": self.consistent,
-        }
 
 
 def series_crosscheck(m: Mat2) -> SeriesReport:

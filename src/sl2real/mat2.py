@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import MatrixParseError, NotARealStructure, NotUnimodular, Sl2RealError
+from .errors import MatrixParseError, NotARealStructure, NotUnimodular
 
 __all__ = [
     "Mat2",
@@ -131,14 +131,6 @@ class Mat2:
 
     def to_text(self) -> str:
         return f"{self.a},{self.b};{self.c},{self.d}"
-
-    def to_json_obj(self) -> list[list[str]]:
-        """Rows of decimal strings; strings keep arbitrary precision intact."""
-        try:
-            return [[str(self.a), str(self.b)], [str(self.c), str(self.d)]]
-        except ValueError:  # input is capped at the int/str limit, a certificate is not
-            limit = sys.get_int_max_str_digits()
-            raise Sl2RealError(f"matrix entries over {limit} digits cannot be printed") from None
 
     @classmethod
     def from_json_obj(cls, obj: object) -> "Mat2":

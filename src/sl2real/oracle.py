@@ -200,6 +200,8 @@ def brute_force_conjugator(m: Mat2, bound: int) -> Mat2 | None:
     raw 4-entry space, then filters on determinant.  Returns None when
     no such Q exists within the bound.
     """
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
     if m.det != 1:
         raise NotSL2("det != 1")
     basis = integer_kernel(m)

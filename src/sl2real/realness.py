@@ -102,14 +102,6 @@ class RealFactorization:
         object.__setattr__(self, "kind_plus", real_structure_kind(self.c_plus))
         object.__setattr__(self, "kind_minus", real_structure_kind(self.c_minus))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "c_plus": self.c_plus.to_json_obj(),
-            "c_minus": self.c_minus.to_json_obj(),
-            "kind_plus": self.kind_plus.value,
-            "kind_minus": self.kind_minus.value,
-        }
-
 
 # j = S R^-1, so j @ R is the swap S, for the elliptic representative R of each trace
 _ELLIPTIC_MIRRORS: dict[int, tuple[int, int, int, int]] = {

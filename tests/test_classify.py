@@ -1,5 +1,6 @@
 """Trace trichotomy and the conjugators that certify it."""
 
+import json
 import random
 import sys
 from math import gcd
@@ -28,6 +29,7 @@ from sl2real import (
     v_pow,
 )
 from sl2real.classify import _STABILIZER_TABLE, _parabolic_reduce
+from sl2real.cli import _class_text
 
 from conftest import random_unimodular, word_matrix
 
@@ -49,7 +51,7 @@ def test_classify_central():
     assert c.kind == CENTRAL and c.sign == 1
     c = classify(NEG_IDENTITY)
     assert c.kind == CENTRAL and c.sign == -1
-    assert c.to_json_obj() == {"kind": "central", "sign": -1}
+    assert json.loads(_class_text(c)) == {"kind": "central", "sign": -1}
 
 
 def test_classify_elliptic():
@@ -57,7 +59,7 @@ def test_classify_elliptic():
     assert c.kind == ELLIPTIC and c.trace == 0
     assert classify(ROT_2PI3).trace == 1
     assert classify(-ROT_2PI3).trace == -1
-    assert c.to_json_obj() == {"kind": "elliptic", "trace": 0}
+    assert json.loads(_class_text(c)) == {"kind": "elliptic", "trace": 0}
 
 
 def test_classify_parabolic():
@@ -67,7 +69,7 @@ def test_classify_parabolic():
     assert c.kind == PARABOLIC and c.sign == -1 and c.shift == 2
     c = classify(U)
     assert c.shift == 1
-    assert classify(Mat2(1, 0, 5, 1)).to_json_obj() == {
+    assert json.loads(_class_text(classify(Mat2(1, 0, 5, 1)))) == {
         "kind": "parabolic",
         "sign": 1,
         "shift": "5",
@@ -80,7 +82,7 @@ def test_classify_hyperbolic():
     assert c.cycle == Cycle((1, 1))
     c = classify(Mat2(-12, -5, -7, -3))
     assert c.sign == -1 and c.cycle == Cycle((1, 1, 2, 2))
-    assert classify(Mat2(2, 1, 1, 1)).to_json_obj() == {
+    assert json.loads(_class_text(classify(Mat2(2, 1, 1, 1)))) == {
         "kind": "hyperbolic",
         "sign": 1,
         "cycle": ["1", "1"],
@@ -95,7 +97,7 @@ def test_classify_conjugator_is_a_witness_not_an_invariant(seed):
     for m in (Mat2(15, 4, 11, 3), Mat2(-1, 0, 3, -1)):
         c, d = classify(m), classify(g @ m @ g.inverse())
         assert c == d and hash(c) == hash(d)
-        assert "conjugator" not in repr(c) and "conjugator" not in c.to_json_obj()
+        assert "conjugator" not in repr(c) and "conjugator" not in json.loads(_class_text(c))
     w = classify(Mat2(15, 4, 11, 3)).conjugator
     assert w @ word_matrix((1, 2, 1, 3)) @ w.inverse() == Mat2(15, 4, 11, 3)
     m = g @ Mat2(-1, 0, 3, -1) @ g.inverse()

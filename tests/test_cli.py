@@ -31,6 +31,7 @@ from sl2real import (
     v_pow,
 )
 from sl2real.cli import main
+from sl2real.oracle import brute_force_conjugator, brute_force_factor
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
 
@@ -330,13 +331,17 @@ def test_ten_thousand_run_word_answers_in_budget(capsys):
             assert len(obj["cycle"]) == 10002
 
 
-def _run_json_uncaptured(*argv):
+def _run_text_uncaptured(*argv):
     # capsys is function scoped, so a hypothesis test captures by hand
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     assert code == 0 and err.getvalue() == ""
-    return [json.loads(line) for line in out.getvalue().splitlines()]
+    return out.getvalue()
+
+
+def _run_json_uncaptured(*argv):
+    return [json.loads(line) for line in _run_text_uncaptured(*argv).splitlines()]
 
 
 @settings(max_examples=20, deadline=None)
@@ -571,20 +576,56 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
     assert len(analyses) == 9_023
 
 
+# ------------------------------- records against the JSON encoder
+#
+# Each reference record is a dict built here from the library objects
+# and encoded by json.dumps, so it shares no code with the CLI's writers.
+
+
+def _encoded(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def _rows(m):
+    return [[str(m.a), str(m.b)], [str(m.c), str(m.d)]]
+
+
+def _class_obj(c):
+    obj = {"kind": c.kind}
+    if c.sign is not None:
+        obj["sign"] = c.sign
+    if c.trace is not None:
+        obj["trace"] = c.trace
+    if c.shift is not None:
+        obj["shift"] = str(c.shift)
+    if c.cycle is not None:
+        obj["cycle"] = [str(e) for e in c.cycle.canonical]
+    return obj
+
+
+def _factorization_obj(fac):
+    if fac is None:
+        return None
+    return {
+        "c_plus": _rows(fac.c_plus),
+        "c_minus": _rows(fac.c_minus),
+        "kind_plus": fac.kind_plus.value,
+        "kind_minus": fac.kind_minus.value,
+    }
+
+
 def _atlas_record_reference(rep):
-    # the record as the atlas once built it: a dict from analyze(rep),
-    # through the JSON encoder
     analysis = realness.analyze(rep)
-    cls_obj = analysis.matclass.to_json_obj()
+    cls_obj = _class_obj(analysis.matclass)
     fac = analysis.factorization
     record = {
-        "matrix": rep.to_json_obj(),
+        "matrix": _rows(rep),
         "class": cls_obj,
         "is_real": fac is not None,
-        "factorization": None if fac is None else fac.to_json_obj(),
+        "factorization": _factorization_obj(fac),
         "cycle": cls_obj.get("cycle"),
     }
-    return cli._dumps(record)
+    return _encoded(record)
 
 
 def test_atlas_records_match_analyze(capsys):
@@ -600,6 +641,102 @@ def test_atlas_records_match_analyze(capsys):
         code, real, _ = run(capsys, "atlas", "--max-entry", str(max_entry), "--real-only")
         assert code == 0
         assert real.splitlines() == [line for line in lines if json.loads(line)["is_real"]]
+
+
+def _view_references(m):
+    """The reference line of each stream command that answers for m."""
+    fac = realness.analyze(m).factorization
+    refs = {
+        "classify": _class_obj(classify_module.classify(m)),
+        "real": {"is_real": fac is not None, "factorization": _factorization_obj(fac)},
+    }
+    if abs(m.trace) > 2:
+        cyc, sign, q = farey.cutting_cycle(m)
+        refs["cycle"] = {
+            "cycle": [str(e) for e in cyc.canonical],
+            "sign": sign,
+            "conjugator": _rows(q),
+            "word": [str(e) for e in cyc.exponents],
+            "verified": True,
+        }
+        report = farey.series_crosscheck(m)
+        refs["series-check"] = {
+            "cf_period": [str(a) for a in report.cf_period],
+            "cycle": [str(e) for e in report.cycle.canonical],
+            "sign": report.sign,
+            "repetition": report.repetition,
+            "consistent": report.consistent,
+        }
+    return refs
+
+
+@st.composite
+def _matrices_of_every_kind(draw):
+    """A central, elliptic, parabolic or hyperbolic matrix, or a proper
+    power of a hyperbolic word, conjugated by a matrix of up to about 500
+    digits (entries up to about 1,000), and negated half the time."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(("central", "elliptic", "parabolic", "hyperbolic", "power")))
+    if kind == "central":
+        m = IDENTITY
+    elif kind == "elliptic":
+        m = rng.choice((ROT_PI, ROT_2PI3, ROT_2PI3.inverse()))
+    elif kind == "parabolic":
+        m = rng.choice((u_pow, v_pow))(rng.choice((-1, 1)) * rng.randint(1, 10**6))
+    elif kind == "hyperbolic":
+        m = word_matrix(random_word(rng, 8, rng.choice((9, 10**6))))
+    else:
+        m = word_matrix(random_word(rng, 4)) ** rng.randint(2, 5)
+    bits = draw(st.sampled_from((0, 20, 300, 1_600)))
+    g = IDENTITY
+    while max(map(abs, (g.a, g.b, g.c, g.d))).bit_length() < bits:
+        g = g @ random_unimodular(rng, 1)
+    m = g @ m @ g.inverse()
+    return -m if draw(st.booleans()) else m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices_of_every_kind())
+def test_stream_records_match_json_dumps(m):
+    for command, ref in _view_references(m).items():
+        assert _run_text_uncaptured(command, m.to_text()) == _encoded(ref) + "\n"
+
+
+# every kind, with small entries, so the oracle's boxes stay small
+_SMALL = (
+    IDENTITY, -IDENTITY, ROT_PI, ROT_2PI3, -ROT_2PI3, u_pow(2), v_pow(-3), -u_pow(1),
+    Mat2(2, 1, 1, 1), Mat2(15, 4, 11, 3), Mat2(3, 11, 4, 15), Mat2(-5, -2, -2, -1),
+    Mat2(7, -18, -5, 13), Mat2(4, 1, 3, 1),
+)
+
+
+def test_oracle_and_conjugate_records_match_json_dumps():
+    witnesses = set()
+    for m, bound in product(_SMALL, range(3)):
+        pair = brute_force_factor(m, bound)
+        q = brute_force_conjugator(m, bound)
+        for mode, witness in (
+            ("factor", None if pair is None else [_rows(j) for j in pair]),
+            ("conjugator", None if q is None else _rows(q)),
+        ):
+            witnesses.add((mode, witness is None))
+            ref = {
+                "query": mode,
+                "matrix": _rows(m),
+                "bound": bound,
+                "witness": witness,
+                "verified": True,
+            }
+            argv = ("oracle", m.to_text(), "--bound", str(bound), "--mode", mode)
+            assert _run_text_uncaptured(*argv) == _encoded(ref) + "\n"
+    verdicts = set()
+    for a, b, group in product(_SMALL, _SMALL, ("gl", "sl")):
+        verdict = conjugacy_test(a, b, group)
+        verdicts.add(verdict)
+        line = _run_text_uncaptured("conjugate", a.to_text(), b.to_text(), "--group", group)
+        assert line == _encoded({"conjugate": verdict, "group": group}) + "\n"
+    # each mode found and missed a witness, and both verdicts were written
+    assert len(witnesses) == 4 and verdicts == {True, False}
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Quadratic surds, continued-fraction reduction, cutting cycles."""
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from sl2real import (
     v_pow,
 )
 import sl2real.farey as farey
-from sl2real.cli import main
+from sl2real.cli import _class_text, _series_view, _strings_text, main
 from sl2real.farey import _gauss_orbit
 
 from conftest import (
@@ -289,7 +290,7 @@ def test_cycle_reversed():
 
 
 def test_cycle_json():
-    assert Cycle((3, 1, 2, 1)).to_json_obj() == ["1", "2", "1", "3"]
+    assert _strings_text(Cycle((3, 1, 2, 1)).canonical) == '["1","2","1","3"]'
 
 
 # ------------------------------------------------------ cutting cycles
@@ -394,7 +395,7 @@ def test_series_crosscheck_silver():
 
 
 def test_series_crosscheck_json():
-    obj = series_crosscheck(Mat2(2, 1, 1, 1)).to_json_obj()
+    obj = json.loads(_series_view(Mat2(2, 1, 1, 1)))
     assert obj == {
         "cf_period": ["1"],
         "cycle": ["1", "1"],
@@ -965,7 +966,7 @@ def test_cycle_canonical_is_computed_once(exponents, shift):
         mp.setattr(farey, "_least_rotation", counted)
         x, y = Cycle(exponents), Cycle(rotated)
         assert x == y and y == x and hash(x) == hash(y)
-        assert x.to_json_obj() == y.to_json_obj() == [str(e) for e in x.canonical]
+        assert _strings_text(x.canonical) == _strings_text(y.canonical)
         assert x.canonical == y.canonical == _least_rotation_reference(exponents)
     # one scan per cycle, over its root alone
     assert sorted(calls) == sorted([_root_reference(exponents), _root_reference(rotated)])
@@ -999,7 +1000,7 @@ _GOLDEN_10000 = Mat2(2, 1, 1, 1) ** 10_000  # 4,180-digit entries, a 20,000-run 
 
 def test_golden_power_classifies_in_budget():
     with budget(0.5):
-        obj = classify(_GOLDEN_10000).to_json_obj()
+        obj = json.loads(_class_text(classify(_GOLDEN_10000)))
     assert obj["cycle"] == ["1"] * 20_000 and obj["sign"] == 1
 
 
@@ -1032,7 +1033,7 @@ def test_golden_power_is_decided_on_its_root(monkeypatch):
     monkeypatch.setattr(farey, "_least_start", counted_scan)
     monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
     g = u_pow(3) @ v_pow(-2)
-    assert classify(_GOLDEN_10000).to_json_obj()["cycle"] == ["1"] * 20_000
+    assert json.loads(_class_text(classify(_GOLDEN_10000)))["cycle"] == ["1"] * 20_000
     assert analyze(_GOLDEN_10000).is_real
     rep = series_crosscheck(_GOLDEN_10000)
     assert rep.consistent and rep.repetition == 20_000 and len(rep.cycle) == 20_000

@@ -1,5 +1,6 @@
 """Exact 2x2 integer matrix core."""
 
+import json
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from sl2real import (
     u_pow,
     v_pow,
 )
+from sl2real.cli import _matrix_text
 from sl2real.errors import NotARealStructure
 
 from conftest import random_unimodular
@@ -145,7 +147,7 @@ def test_from_text_rejects(bad):
 
 def test_json_round_trip():
     m = Mat2(15, 4, 11, 3)
-    obj = m.to_json_obj()
+    obj = json.loads(_matrix_text(m.a, m.b, m.c, m.d))
     assert obj == [["15", "4"], ["11", "3"]]
     assert Mat2.from_json_obj(obj) == m
     assert Mat2.from_json_obj([[15, 4], [11, 3]]) == m

@@ -95,6 +95,21 @@ def test_enumerate_involutions_exhaustive_against_scan():
     assert direct == set(enumerate_involutions(3))
 
 
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: list(enumerate_involutions(-1)),
+        lambda: brute_force_factor(Mat2(2, 1, 1, 1), -1),
+        lambda: brute_force_conjugator(Mat2(2, 1, 1, 1), -1),
+    ],
+    ids=["enumerate_involutions", "brute_force_factor", "brute_force_conjugator"],
+)
+def test_negative_bound_is_rejected(search):
+    # None would read as "no witness within the bound"
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        search()
+
+
 def test_brute_force_factor_finds_witness():
     m = Mat2(2, 1, 1, 1)
     pair = brute_force_factor(m, 2)

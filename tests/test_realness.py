@@ -1,5 +1,6 @@
 """Factorization into two real structures and conjugacy testing."""
 
+import json
 import random
 from itertools import product
 
@@ -33,6 +34,7 @@ from sl2real import (
 )
 import sl2real.farey as farey
 import sl2real.realness as realness
+from sl2real.cli import _factorization_text, _real_view
 from sl2real.errors import NotARealStructure, NotUnimodular
 from sl2real.farey import _times_word
 from sl2real.mat2 import real_structure_kind
@@ -210,7 +212,7 @@ def test_real_factorization_validates():
 
 def test_real_factorization_json():
     f = RealFactorization(REFL_DIAG, REFL_SWAP)
-    assert f.to_json_obj() == {
+    assert json.loads(_factorization_text(f)) == {
         "c_plus": [["1", "0"], ["0", "-1"]],
         "c_minus": [["0", "1"], ["1", "0"]],
         "kind_plus": "diagonal",
@@ -221,7 +223,7 @@ def test_real_factorization_json():
 @pytest.mark.parametrize("m", [Mat2(15, 4, 11, 3), Mat2(-5, -2, -2, -1), ROT_PI, U, NEG_IDENTITY])
 def test_factorization_checks_each_factor_once(monkeypatch, m):
     # the kinds are read when the factors are checked, so neither the
-    # kinds nor the JSON output check them again
+    # kinds nor the CLI's writer check them again
     import sl2real.mat2 as mat2
 
     calls = []
@@ -233,7 +235,7 @@ def test_factorization_checks_each_factor_once(monkeypatch, m):
 
     monkeypatch.setattr(mat2, "is_real_structure", counted)
     fac = analyze(m).factorization
-    fac.to_json_obj()
+    _real_view(fac)
     fac.kind_plus, fac.kind_minus
     assert calls == [fac.c_plus, fac.c_minus]
 
