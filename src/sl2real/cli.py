@@ -27,12 +27,19 @@ import re
 import sys
 from typing import Callable, Iterator, Sequence
 
-from .classify import _ELLIPTIC_REPS, HYPERBOLIC, MatClass, classify
+from .classify import _ELLIPTIC_REPS, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import _times_word, _unchecked_cycle, cutting_cycle, series_crosscheck
+from .farey import _times_word, cutting_cycle, series_crosscheck
 from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
 from .oracle import brute_force_conjugator, brute_force_factor
-from .realness import RealFactorization, _analysis_of, analyze, conjugacy_test
+from .realness import (
+    RealFactorization,
+    _certified,
+    _first_block,
+    _split_mirror,
+    analyze,
+    conjugacy_test,
+)
 from .render import render_farey
 
 __all__ = ["main"]
@@ -219,10 +226,14 @@ def _cmd_atlas(args) -> int:
     sign * W == rep holds by construction.  The cycle's root is the
     necklace's first p entries, 2p when p is odd.
 
-    W and -W share the cycle, so one analysis serves both: W's mirror
-    c_plus comes from _analysis_of, and -W's is -c_plus, with the same
-    c_minus as (-c_plus)(-W) = c_plus W.  RealFactorization checks each
-    factor of both.
+    So each necklace is asked only what its records need: the split of
+    its root, decided before the word is multiplied out, so that
+    --real-only drops a non-real necklace before its product, and, when
+    there is a split, the mirror c_plus = W1 D (conjugator I).  W and
+    -W share the cycle: W is c_plus @ c_minus with c_minus = c_plus @ W,
+    and -W is (-c_plus) @ c_minus, as (-c_plus)(-W) = c_plus W.  Both
+    pairs are checked by RealFactorization, and a failed check raises
+    RuntimeError before either record is written.
     """
     real_only, write = args.real_only, sys.stdout.write
     small = [IDENTITY, NEG_IDENTITY, *_ELLIPTIC_REPS.values()]
@@ -239,19 +250,19 @@ def _cmd_atlas(args) -> int:
     for length in range(2, 2 * args.max_entry + 1, 2):
         for exps, p in _necklaces(length, args.max_entry):  # one per cyclic word
             root = exps[: 2 * p if p % 2 else p]
-            cls = MatClass(HYPERBOLIC, 1, cycle=_unchecked_cycle(root, length // len(root)),
-                           conjugator=IDENTITY)
+            first = _first_block(root)
+            if first is None and real_only:
+                continue
             a, b, c, d = _times_word(1, 0, 0, 1, exps)
-            w = _unchecked_mat2(a, b, c, d)
-            fac = _analysis_of(cls, w).factorization
-            if fac is None:
-                if real_only:
-                    continue
+            if first is None:
                 texts = ("null", "null")
             else:
-                neg = -fac.c_plus
-                mirrored = RealFactorization(neg, neg @ -w)
-                texts = (_factorization_text(fac), _factorization_text(mirrored))
+                c_plus = _unchecked_mat2(*_split_mirror(1, root, first))
+                c_minus = c_plus @ _unchecked_mat2(a, b, c, d)
+                texts = (
+                    _factorization_text(_certified(c_plus, c_minus)),
+                    _factorization_text(_certified(-c_plus, c_minus)),
+                )
             cycle = _strings_text(exps)
             for sign, fac_text in zip((1, -1), texts):
                 # what _class_text writes for sign * W, on the necklace's cycle text

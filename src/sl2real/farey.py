@@ -195,7 +195,7 @@ def _unchecked_cycle(root: tuple[int, ...], j: int) -> Cycle:
     """Cycle root * j without the checks, for positive int exponents and
     a root that is its own least even-length period."""
     cyc = object.__new__(Cycle)
-    entries = cyc.__dict__  # plain stores: the atlas builds one per necklace
+    entries = cyc.__dict__  # plain stores: cutting_cycle builds one per matrix
     entries["root"], entries["j"] = root, j
     return cyc
 

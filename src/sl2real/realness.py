@@ -9,10 +9,11 @@ finds.  A hyperbolic matrix is real exactly when its cutting cycle
 splits into two palindromic blocks of odd length, W1 W2 with W1 ending
 in U; writing D = diag(1,-1), the mirror is W1 D, an involution because
 a palindrome's word is conjugated to its inverse by D.
-:func:`analyze` classifies and factors, verifying each result; the
-atlas, which knows each necklace's class, calls its second half,
-``_analysis_of``, directly, once for the word W with sign +1, and
-negates that mirror for -W, whose split is the same.
+:func:`analyze` classifies and factors, verifying each result.  The
+atlas, whose necklaces are their own cycles with conjugator I, asks
+only for the split of each root (``_first_block``), the mirror W1 D
+(``_split_mirror``) and the checked pair (``_certified``); it negates
+the mirror for -W, whose split is the same.
 """
 
 from __future__ import annotations
@@ -71,8 +72,22 @@ def is_odd_bipalindromic(cycle: Cycle) -> int | None:
     about 20,600 runs, because the trace of a word of n runs is at least
     the n-th Lucas number.
     """
-    codes: dict[int, int] = {}
-    word = "".join([chr(codes.setdefault(e, len(codes))) for e in cycle.root])
+    return _first_block(cycle.root)
+
+
+def _first_block(root: tuple[int, ...]) -> int | None:
+    """is_odd_bipalindromic on a root of positive int exponents.
+
+    The exponents are their own code points when all of them are in
+    chr's range; only equality between characters matters to ``find``,
+    so lone surrogates do no harm.  Otherwise they are numbered in order
+    of first appearance.
+    """
+    try:
+        word = "".join(map(chr, root))
+    except (ValueError, OverflowError):  # an exponent past chr's range
+        codes: dict[int, int] = {}
+        word = "".join([chr(codes.setdefault(e, len(codes))) for e in root])
     dbl = word + word
     first = dbl.find(word[::-1])
     if first < 0:
@@ -99,8 +114,26 @@ class RealFactorization:
 
     def __post_init__(self) -> None:
         # real_structure_kind raises NotARealStructure on a non-involution
-        object.__setattr__(self, "kind_plus", real_structure_kind(self.c_plus))
-        object.__setattr__(self, "kind_minus", real_structure_kind(self.c_minus))
+        entries = self.__dict__
+        entries["kind_plus"] = real_structure_kind(self.c_plus)
+        entries["kind_minus"] = real_structure_kind(self.c_minus)
+
+
+def _certified(c_plus: Mat2, c_minus: Mat2) -> RealFactorization:
+    """RealFactorization(c_plus, c_minus) for a pair built to be one: a
+    failed factor check is a fault here, so it raises RuntimeError."""
+    try:
+        return RealFactorization(c_plus, c_minus)
+    except NotARealStructure as exc:
+        raise RuntimeError("factorization verification failed") from exc
+
+
+def _split_mirror(sign: int, root: tuple[int, ...], first: int) -> tuple[int, int, int, int]:
+    """sign * W1 D on plain ints, for the first block W1 of the root's
+    odd-bipalindromic split after ``first`` runs: the mirror of
+    sign * root's word."""
+    a, b, c, d = _times_word(sign, 0, 0, sign, root[:first])
+    return a, -b, c, -d
 
 
 # j = S R^-1, so j @ R is the swap S, for the elliptic representative R of each trace
@@ -148,18 +181,13 @@ def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
         first = is_odd_bipalindromic(cls.cycle)
         if first is None:
             return Analysis(cls, None)
-        a, b, c, d = _times_word(cls.sign, 0, 0, cls.sign, cls.cycle.root[:first])
-        b, d = -b, -d  # sign W1 D
+        a, b, c, d = _split_mirror(cls.sign, cls.cycle.root, first)
     else:
         a, b, c, d = _ELLIPTIC_MIRRORS[cls.trace] if cls.kind == ELLIPTIC else (1, 0, cls.shift, -1)
         if conj.det == -1:
             a, b, c, d = -a, -b, -c, -d
     c_plus = _unchecked_mat2(*_conjugated(conj, a, b, c, d))
-    try:
-        fac = RealFactorization(c_plus, c_plus @ m)
-    except NotARealStructure as exc:
-        raise RuntimeError("factorization verification failed") from exc
-    return Analysis(cls, fac)
+    return Analysis(cls, _certified(c_plus, c_plus @ m))
 
 
 def factor_real(m: Mat2) -> RealFactorization:

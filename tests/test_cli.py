@@ -525,10 +525,12 @@ def test_necklaces_match_least_rotation_filter(n, k):
 
 
 def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
-    words, cycles, walks, checked, splits, analyses = [], [], [], [], [], []
+    words, cycles, walks, checked, built, splits, analyses, classes = ([] for _ in range(8))
     times_word, reduce = cli._times_word, classify_module.cutting_cycle
     walk, check_cycle = farey._gauss_orbit, farey.Cycle.__post_init__
-    split, analysis_of = realness.is_odd_bipalindromic, realness._analysis_of
+    unchecked_cycle = farey._unchecked_cycle
+    first_block, analysis_of = realness._first_block, realness._analysis_of
+    new_class = classify_module.MatClass.__init__
 
     def counted_word(*args):
         words.append(args)
@@ -546,34 +548,50 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
         checked.append(self)
         check_cycle(self)
 
-    def counted_split(cycle):
-        splits.append(cycle)
-        return split(cycle)
+    def counted_unchecked_cycle(root, j):
+        built.append(root)
+        return unchecked_cycle(root, j)
+
+    def counted_split(root):
+        splits.append(root)
+        return first_block(root)
 
     def counted_analysis(cls, m):
         analyses.append(m)
         return analysis_of(cls, m)
 
+    def counted_class(self, *args, **kwargs):
+        classes.append(args)
+        new_class(self, *args, **kwargs)
+
     monkeypatch.setattr(cli, "_times_word", counted_word)
     monkeypatch.setattr(classify_module, "cutting_cycle", counted_reduce)
     monkeypatch.setattr(farey, "_gauss_orbit", counted_walk)
     monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
-    monkeypatch.setattr(realness, "is_odd_bipalindromic", counted_split)
-    # analyze calls realness's name, the atlas its own import
+    monkeypatch.setattr(farey, "_unchecked_cycle", counted_unchecked_cycle)
+    # is_odd_bipalindromic calls realness's name, the atlas its own import
+    monkeypatch.setattr(realness, "_first_block", counted_split)
+    monkeypatch.setattr(cli, "_first_block", counted_split)
     monkeypatch.setattr(realness, "_analysis_of", counted_analysis)
-    monkeypatch.setattr(cli, "_analysis_of", counted_analysis)
+    monkeypatch.setattr(classify_module.MatClass, "__init__", counted_class)
     code, out, _ = run(capsys, "atlas", "--max-entry", "4")
     assert code == 0 and out.count("\n") == 18_033
     # 10 + 70 + 700 + 8,230 necklaces of lengths 2, 4, 6 and 8 over 1..4,
     # where enumerating every tuple took 69,904 tuples and as many Cycles;
-    # each necklace's word is multiplied out once, for both signs, and is
-    # its own cutting cycle, so no record is reduced again or checked
-    assert len(words) == 9_010
-    assert cycles == [] and walks == [] and checked == []
-    # one analysis per necklace, for W and -W alike, plus one for each of
-    # the 5 + 2 * 4 central, elliptic and parabolic records
-    assert len(splits) == 9_010
-    assert len(analyses) == 9_023
+    # each necklace's root is split once and its word multiplied out once,
+    # for both signs, and it is its own cutting cycle, so no record is
+    # reduced again, and no necklace gets a Cycle, a class or an analysis
+    assert len(splits) == 9_010 and len(words) == 9_010
+    assert cycles == [] and walks == [] and checked == [] and built == []
+    # only the 5 + 2 * 4 central, elliptic and parabolic records are
+    # classified and analysed
+    assert len(analyses) == 13 and len(classes) == 13
+    # --real-only decides each split first and multiplies out only the
+    # 694 real necklaces' words, for their 2 * 694 + 13 records
+    del words[:], splits[:]
+    code, out, _ = run(capsys, "atlas", "--max-entry", "4", "--real-only")
+    assert code == 0 and out.count("\n") == 1_401
+    assert len(splits) == 9_010 and len(words) == 694
 
 
 # ------------------------------- records against the JSON encoder

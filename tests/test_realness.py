@@ -189,6 +189,57 @@ def test_split_matches_quadratic_scan_on_big_exponents():
         assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
 
 
+def _first_block_reference(root):
+    """The split as first written: each exponent numbered in order of
+    first appearance, the numbers spelled as code points."""
+    codes = {}
+    word = "".join([chr(codes.setdefault(e, len(codes))) for e in root])
+    dbl = word + word
+    first = dbl.find(word[::-1])
+    if first < 0:
+        return None
+    if first % 2 == 0:
+        period = dbl.find(word, 1)
+        if period % 2 == 0:
+            return None
+        first += period
+    return first
+
+
+# exponents at the edges of chr's range: the surrogates, the last code
+# point, the first past it (ValueError) and ints past a C int or long
+# (OverflowError), with small ones, so one root can mix both paths
+_WIDE_EXPONENTS = (1, 2, 0xD7FF, 0xD800, 0xDBFF, 0xDC00, 0xDFFF, 0xE000, 0x10FFFF,
+                   0x110000, 2**31, 2**63, 10**100)
+
+
+def _spelled(parts):
+    letters, alphabet = parts
+    return [alphabet[i % len(alphabet)] for i in letters]
+
+
+# words over 1-3 letters, each letter mapped onto a distinct wide exponent
+_WIDE_WORDS = st.tuples(
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=8),
+    st.lists(st.sampled_from(_WIDE_EXPONENTS), min_size=1, max_size=3, unique=True),
+).map(_spelled)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.one_of(
+        _WIDE_WORDS,
+        st.tuples(_WIDE_WORDS, st.integers(min_value=1, max_value=4),
+                  st.integers(min_value=0, max_value=71)).map(_periodic_cycle),
+    )
+)
+def test_code_point_split_matches_numbered_split(exps):
+    exps = tuple(exps)
+    assert realness._first_block(exps) == _first_block_reference(exps)
+    if len(exps) % 2 == 0:
+        assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+
+
 def test_split_scan_matches_all_rotations_exhaustively():
     count = 0
     for n in range(2, 9, 2):
