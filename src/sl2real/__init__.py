@@ -13,26 +13,44 @@ with integer data; only the oracle's linear algebra uses Fractions.
 Floating point appears only in the final coordinates of SVG output.
 
 The package's public names are those of its library modules, each
-declared once, in that module's ``__all__``.
+declared once, in that module's ``__all__``.  Importing the package
+imports the modules every command runs.  The ``oracle`` and ``render``
+modules, and ``__all__`` itself, are loaded on first use (PEP 562): the
+first lookup of a name the package does not hold yet, or ``dir()``,
+imports every library module and binds all of their public names, as
+star imports of each would.
 """
-
-# bound before the star imports, which rebind the name classify to the function
-from . import classify as _classify, errors as _errors, farey as _farey
-from . import mat2 as _mat2, oracle as _oracle, realness as _realness, render as _render
 
 # each module's __all__ is the one list of its public names
 from .classify import *
 from .errors import *
 from .farey import *
 from .mat2 import *
-from .oracle import *
 from .realness import *
-from .render import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    name
-    for module in (_classify, _errors, _farey, _mat2, _oracle, _realness, _render)
-    for name in module.__all__
-]
+# every library module, in the order of __all__
+_MODULES = ("classify", "errors", "farey", "mat2", "oracle", "realness", "render")
+
+
+def __getattr__(name: str) -> object:
+    namespace = globals()
+    if "__all__" not in namespace:
+        from importlib import import_module
+
+        names = []
+        for module_name in _MODULES:
+            module = import_module(f"{__name__}.{module_name}")
+            namespace.update((public, getattr(module, public)) for public in module.__all__)
+            names += module.__all__
+        namespace["__all__"] = names
+    try:
+        return namespace[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+
+
+def __dir__() -> list[str]:
+    __getattr__("__all__")
+    return sorted(globals())

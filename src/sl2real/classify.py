@@ -10,12 +10,12 @@ is checked against its identity where it is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import NotSL2
 from .farey import Cycle, cutting_cycle
 from .mat2 import IDENTITY, REFL_DIAG, ROT_2PI3, ROT_PI, Mat2, _conjugated, _unchecked_mat2
+from .mat2 import _Frozen
 
 __all__ = [
     "CENTRAL",
@@ -32,8 +32,7 @@ PARABOLIC = "parabolic"
 HYPERBOLIC = "hyperbolic"
 
 
-@dataclass(frozen=True)
-class MatClass:
+class MatClass(_Frozen):
     """Trichotomy verdict with the per-kind GL(2,Z) conjugacy invariants.
 
     ``conjugator`` is the reduction's witness, not an invariant, so it is
@@ -47,12 +46,20 @@ class MatClass:
     the two SL(2,Z) classes that make up the GL(2,Z) class.
     """
 
-    kind: str
-    sign: int | None = None
-    trace: int | None = None
-    shift: int | None = None
-    cycle: Cycle | None = None
-    conjugator: Mat2 | None = field(default=None, compare=False, repr=False)
+    _fields = ("kind", "sign", "trace", "shift", "cycle")
+
+    def __init__(
+        self,
+        kind: str,
+        sign: int | None = None,
+        trace: int | None = None,
+        shift: int | None = None,
+        cycle: Cycle | None = None,
+        conjugator: Mat2 | None = None,
+    ) -> None:
+        self.__dict__.update(
+            kind=kind, sign=sign, trace=trace, shift=shift, cycle=cycle, conjugator=conjugator
+        )
 
 
 def classify(m: Mat2) -> MatClass:

@@ -14,24 +14,24 @@ output objects are decimal strings wherever they can grow without
 bound; signs, traces, and flags stay plain JSON numbers.
 
 The library objects carry no JSON: every record is spelled as JSON text
-by the writers here, and the json module only decodes standard input.
+by the writers here, and the json module only decodes standard input,
+so only "-" imports it.  The oracle and render modules are likewise
+imported by their own commands alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .classify import _ELLIPTIC_REPS, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
 from .farey import _times_word, cutting_cycle, series_crosscheck
 from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
-from .oracle import brute_force_conjugator, brute_force_factor
 from .realness import (
     RealFactorization,
     _certified,
@@ -40,13 +40,14 @@ from .realness import (
     analyze,
     conjugacy_test,
 )
-from .render import render_farey
 
 __all__ = ["main"]
 
 
 def _input_matrices(arg: str) -> Iterator[Mat2]:
     if arg == "-":
+        import json
+
         if isinstance(sys.stdin, io.TextIOWrapper):
             # a byte stdin's encoding cannot decode becomes a lone
             # surrogate, as under the C locale, so it fails its own line
@@ -161,6 +162,8 @@ def _cmd_conjugate(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_conjugator, brute_force_factor
+
     m = Mat2.from_text(args.matrix)
     # both searches check their witness before returning it
     if args.mode == "factor":
@@ -273,6 +276,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_svg(args) -> int:
+    from .render import render_farey
+
     axis = None if args.axis is None else Mat2.from_text(args.axis)
     doc = render_farey(args.depth, axis)
     if args.output:

@@ -10,11 +10,10 @@ cycle.  Everything in this module is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import NotHyperbolic, NotSL2
-from .mat2 import Mat2, _conjugated, _quote, _unchecked_mat2
+from .mat2 import Mat2, _conjugated, _Frozen, _quote, _unchecked_mat2
 
 __all__ = [
     "Surd",
@@ -26,8 +25,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Surd:
+class Surd(_Frozen):
     """The real quadratic irrational (p + sqrt(d)) / q, held exactly.
 
     Invariants: q != 0, d > 0 and not a perfect square, and q divides
@@ -38,10 +36,11 @@ class Surd:
     real value.
     """
 
-    p: int
-    d: int
-    q: int
-    _cofactor: int = field(init=False, repr=False, compare=False)
+    _fields = ("p", "d", "q")
+
+    def __init__(self, p: int, d: int, q: int) -> None:
+        self.__dict__.update(p=p, d=d, q=q)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for entry in (self.p, self.d, self.q):
@@ -119,8 +118,7 @@ def _times_word(a: int, b: int, c: int, d: int, exponents) -> tuple:
     return a, b, c, d
 
 
-@dataclass(frozen=True, eq=False)
-class Cycle:
+class Cycle(_Frozen):
     """Cyclic word U^{e1} V^{e2} ... V^{e_2n}, stored at a concrete rotation.
 
     It is held once, as its ``root`` and a power ``j`` >= 1: the root is
@@ -138,8 +136,11 @@ class Cycle:
     SL-level relation on the roots.
     """
 
-    root: tuple[int, ...]
-    j: int = field(default=1, init=False)
+    _fields = ("root", "j")  # shown by repr; equality is by ``canonical``
+
+    def __init__(self, root: tuple[int, ...]) -> None:
+        self.__dict__["root"] = root
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         exps = tuple(self.root)
@@ -168,9 +169,10 @@ class Cycle:
 
     @property
     def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation, found on first use and kept:
-        the root's least rotation, repeated j times, as every rotation
-        of root * j is a rotation of the root repeated."""
+        """Lexicographically least rotation, found on first use and kept
+        (cutting_cycle keeps the one its own scan found): the root's
+        least rotation, repeated j times, as every rotation of root * j
+        is a rotation of the root repeated."""
         least = self.__dict__.get("_canonical")
         if least is None:
             least = self.__dict__["_canonical"] = _least_rotation(self.root) * self.j
@@ -449,10 +451,16 @@ def _cycle_of_orbit(
     S = (0 1; 1 0) and S U^b S = V^b.  That word starts after the
     chunks, so an odd chunked head leaves one S over at its end.
 
-    The even pick is one scan over the period's even starts.  The
-    period, doubled when odd, is the least even-length period of the
+    The period, doubled when odd, is the least even-length period of the
     digits, since a state and its digits fix each other; so the picked
-    rotation is the returned Cycle's root, and j its power.
+    rotation is the returned Cycle's root, and j its power.  The period
+    is scanned for its least rotation first, which is kept as the
+    Cycle's canonical form.  Its start is the even pick when it is even.
+    A doubled period of odd length n has the same rotation at r and
+    r + n, one of them even, so its pick needs no other scan.  Only an
+    undoubled period with an odd least start is scanned again, over its
+    even starts alone.  The CF period is primitive, so in each case the
+    pick is the least even start of the least even rotation.
     """
     t = m.trace
     sign = 1 if t > 0 else -1
@@ -462,9 +470,18 @@ def _cycle_of_orbit(
     if entry % 2:
         entry += 1
         period = period[1:] + period[:1]
-    if len(period) % 2:
+    n = len(period)
+    if n % 2:
         period += period
-    best = _least_start(period, 2)
+    least = _least_start(period)
+    canonical = tuple(period[least:] + period[:least])
+    if least % 2 == 0:
+        best, exponents = least, canonical
+    elif n % 2:
+        best, exponents = least + n, canonical
+    else:
+        best = _least_start(period, 2)
+        exponents = tuple(period[best:] + period[:best])
     ca, cb, cc, cd = 1, 0, 0, 1
     for _, a, b, c, d in chunks:
         ca, cb, cc, cd = ca * a + cb * c, ca * b + cb * d, cc * a + cd * c, cc * b + cd * d
@@ -472,7 +489,6 @@ def _cycle_of_orbit(
     ca, cb, cc, cd = _times_word(ca, cb, cc, cd, digits[head:entry] + period[:best])
     if head % 2:
         ca, cb, cc, cd = cb, ca, cd, cc  # times S
-    exponents = tuple(period[best:] + period[:best])
 
     j, pa, pb, pc, pd = _period_power(*_times_word(1, 0, 0, 1, exponents), t)
     if sign < 0:
@@ -481,7 +497,9 @@ def _cycle_of_orbit(
     conj = _unchecked_mat2(ca, cb, cc, cd)  # an even number of digit matrices, det -1 each
     if _conjugated(conj, pa, pb, pc, pd) != (m.a, m.b, m.c, m.d):
         raise RuntimeError("cutting-cycle verification failed")
-    return _unchecked_cycle(exponents, j), sign, conj
+    cyc = _unchecked_cycle(exponents, j)
+    cyc.__dict__["_canonical"] = canonical * j
+    return cyc, sign, conj
 
 
 def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int, int, int, int]:
@@ -523,17 +541,17 @@ def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int,
     return j, s * pa - s_prev, s * pb, s * pc, s * pd - s_prev
 
 
-@dataclass(frozen=True)
-class SeriesReport:
+class SeriesReport(_Frozen):
     """Cutting cycle beside the attracting point's CF period, whose
     copies in the cycle ``repetition`` counts; 0 unless ``consistent``,
     that is unless the repelling point's period tiles the reversed cycle."""
 
-    cf_period: tuple[int, ...]
-    cycle: Cycle
-    sign: int
-    repetition: int
-    consistent: bool
+    _fields = ("cf_period", "cycle", "sign", "repetition", "consistent")
+
+    def __init__(
+        self, cf_period: tuple[int, ...], cycle: Cycle, sign: int, repetition: int, consistent: bool
+    ) -> None:
+        self.__dict__.update(zip(self._fields, (cf_period, cycle, sign, repetition, consistent)))
 
 
 def series_crosscheck(m: Mat2) -> SeriesReport:

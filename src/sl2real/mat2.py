@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import MatrixParseError, NotARealStructure, NotUnimodular
 
@@ -42,14 +42,51 @@ _ENTRY = r"\s*(-?[0-9]+)\s*"
 _INTEGER = re.compile(rf"\A{_ENTRY}\Z")
 
 
-@dataclass(frozen=True)
-class Mat2:
+class _Frozen:
+    """Base of the package's value classes, in place of a frozen dataclass.
+
+    Each instance holds its fields in its ``__dict__``, set once by
+    ``__init__`` (or by an ``_unchecked_*`` builder); assigning or
+    deleting an attribute raises AttributeError.  The fields named in
+    ``_fields`` give equality (same class only), the hash and the repr,
+    as a frozen dataclass's compared fields would.  A class that checks
+    its fields does so in ``__post_init__``, called at the end of
+    ``__init__``: the hook that tests and perfbench's tracer wrap.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # a tuple of the fields' values, as every class has two or more
+        cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Mat2(_Frozen):
     """Row-major 2x2 integer matrix (a b; c d)."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: int, b: int, c: int, d: int) -> None:
+        self.__dict__.update(a=a, b=b, c=c, d=d)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         for entry in (self.a, self.b, self.c, self.d):

@@ -10,11 +10,10 @@ evidence only, never proofs.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Iterator
 from itertools import combinations, product
 from math import isqrt
 from operator import mul
-from typing import Iterator
 
 from .errors import NotSL2
 from .mat2 import Mat2, is_real_structure
@@ -143,6 +142,8 @@ def _invertible_minor(vectors) -> tuple[tuple[int, ...], list[list[Fraction]]] |
     """(rows, inverse) for the first k of the four entries, in
     lexicographic order, on which the k vectors (as columns) form an
     invertible k x k matrix; None when the vectors are dependent."""
+    from fractions import Fraction
+
     k = len(vectors)
     for rows in combinations(range(4), k):
         aug = [[Fraction(v[i]) for v in vectors] + [int(i == j) for j in rows] for i in rows]

@@ -18,21 +18,11 @@ the mirror for -W, whose split is the same.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
-
 from .classify import _ELLIPTIC_REPS, CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
 from .errors import CentralInput, NotARealStructure, NotReal
 from .farey import Cycle, _times_word
-from .mat2 import (
-    REFL_DIAG,
-    REFL_SWAP,
-    Mat2,
-    RealStructureKind,
-    _conjugated,
-    _quote,
-    _unchecked_mat2,
-    real_structure_kind,
-)
+from .mat2 import REFL_DIAG, Mat2, _conjugated, _Frozen, _quote, _unchecked_mat2
+from .mat2 import real_structure_kind
 
 __all__ = [
     "RealFactorization",
@@ -100,17 +90,18 @@ def _first_block(root: tuple[int, ...]) -> int | None:
     return first
 
 
-@dataclass(frozen=True)
-class RealFactorization:
+class RealFactorization(_Frozen):
     """Certified pair of real structures with c_plus @ c_minus = m.
 
-    Each factor is checked once, here, and its kind kept.
+    Each factor is checked once, here, and its kind kept, as
+    ``kind_plus`` and ``kind_minus``.
     """
 
-    c_plus: Mat2
-    c_minus: Mat2
-    kind_plus: RealStructureKind = field(init=False, compare=False, repr=False)
-    kind_minus: RealStructureKind = field(init=False, compare=False, repr=False)
+    _fields = ("c_plus", "c_minus")
+
+    def __init__(self, c_plus: Mat2, c_minus: Mat2) -> None:
+        self.__dict__.update(c_plus=c_plus, c_minus=c_minus)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         # real_structure_kind raises NotARealStructure on a non-involution
@@ -136,19 +127,21 @@ def _split_mirror(sign: int, root: tuple[int, ...], first: int) -> tuple[int, in
     return a, -b, c, -d
 
 
-# j = S R^-1, so j @ R is the swap S, for the elliptic representative R of each trace
+# j = S R^-1, so j @ R is the swap S, for the elliptic representative R of each
+# trace: the rows of R^-1 = (d -b; -c a) swapped
 _ELLIPTIC_MIRRORS: dict[int, tuple[int, int, int, int]] = {
-    t: astuple(REFL_SWAP @ r.inverse()) for t, r in _ELLIPTIC_REPS.items()
+    t: (-r.c, r.a, r.d, -r.b) for t, r in _ELLIPTIC_REPS.items()
 }
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(_Frozen):
     """One matrix, analysed once: its class and, when it is real, a
     verified factorization (None exactly when it is not real)."""
 
-    matclass: MatClass
-    factorization: RealFactorization | None
+    _fields = ("matclass", "factorization")
+
+    def __init__(self, matclass: MatClass, factorization: RealFactorization | None) -> None:
+        self.__dict__.update(matclass=matclass, factorization=factorization)
 
     @property
     def is_real(self) -> bool:

@@ -830,13 +830,18 @@ def test_each_hyperbolic_input_walks_one_orbit(capsys, monkeypatch, argv, hyperb
 @pytest.mark.parametrize(
     "command, matrix, scanned",
     [
-        # the even pick of the period (1, 2, 1, 3); real prints no cycle
-        ("real", "15,4;11,3", [(4, 2)]),
-        # then the least rotation of the cycle's root, for the canonical form
-        ("cycle", "15,4;11,3", [(4, 2), (4, 1)]),
-        ("classify", "7,-18;-5,13", [(4, 2), (4, 1)]),
-        # a proper square: both scans cover the period, not the cycle
-        ("classify", "269,72;198,53", [(4, 2), (4, 1)]),
+        # the least rotation of the period (1, 2, 1, 3) starts at an even
+        # place, so it is both the even pick and the canonical form
+        ("real", "15,4;11,3", [(4, 1)]),
+        ("cycle", "15,4;11,3", [(4, 1)]),
+        # an odd least start: the even starts are scanned on their own
+        ("classify", "7,-18;-5,13", [(4, 1), (4, 2)]),
+        # a proper square: the scan covers the period, not the cycle
+        ("classify", "269,72;198,53", [(4, 1)]),
+        ("real", "7,-18;-5,13", [(4, 1), (4, 2)]),
+        # the odd period (2, 1, 1), doubled: its least start 1 and 1 + 3
+        # begin the same rotation, so the even pick needs no second scan
+        ("cycle", "31,18;12,7", [(6, 1)]),
     ],
 )
 def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):

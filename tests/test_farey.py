@@ -983,6 +983,49 @@ def test_cycle_is_its_root_to_a_power(w):
     assert cyc.equal_up_to_even_rotation(Cycle(w[2:] + w[:2]))
 
 
+def _cycle_of_orbit_reference(m, digits, entry):
+    """The two-scan cutting cycle of a walk without chunks: the even pick
+    by a scan over the even starts, the canonical form by another over
+    the root's rotations, and j by stepping the powers of the root's word."""
+    period = digits[entry:]
+    if entry % 2:
+        entry += 1
+        period = period[1:] + period[:1]
+    if len(period) % 2:
+        period += period
+    best = _least_start_reference(period, 2)
+    root = tuple(period[best:] + period[:best])
+    word = power = word_matrix(root)
+    j = 1
+    while power.trace < abs(m.trace):
+        power, j = power @ word, j + 1
+    conj = word_matrix(digits[:entry] + period[:best])
+    return root, j, _least_rotation_reference(root) * j, conj
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((1, -1)),
+)
+def test_one_scan_cycle_matches_two_scan_reference(runs, repeat, power, seed, sign):
+    # an odd run list is doubled into a word, whose CF period is odd; an
+    # even one is doubled when asked, and the word is raised to a power,
+    # so proper powers come both ways
+    word = tuple(runs) * 2 if len(runs) % 2 or repeat else tuple(runs)
+    g = random_unimodular(random.Random(seed), 4)
+    m = g @ word_matrix(word) ** power @ g.inverse()
+    m = m if sign > 0 else -m
+    digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))
+    assert chunks == []
+    cyc, got_sign, conj = farey._cycle_of_orbit(m, digits, entry, chunks)
+    assert got_sign == sign
+    assert (cyc.root, cyc.j, cyc.canonical, conj) == _cycle_of_orbit_reference(m, digits, entry)
+
+
 # ------------------------------------------------------- scale gates
 
 

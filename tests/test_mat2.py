@@ -1,5 +1,6 @@
 """Exact 2x2 integer matrix core."""
 
+import dataclasses
 import json
 import random
 
@@ -15,15 +16,23 @@ from sl2real import (
     ROT_PI,
     U,
     V,
+    Analysis,
     Cycle,
     Mat2,
+    MatClass,
     MatrixParseError,
     NotUnimodular,
+    RealFactorization,
     RealStructureKind,
+    SeriesReport,
     Surd,
+    analyze,
+    attracting_fixed_point,
+    classify,
     conjugacy_test,
     is_real_structure,
     real_structure_kind,
+    series_crosscheck,
     u_pow,
     v_pow,
 )
@@ -268,3 +277,121 @@ def test_public_api_exports_resolve():
     for name in sl2real.__all__:
         assert getattr(sl2real, name, None) is not None, name
     assert sl2real.__version__ == "0.1.0"
+
+
+# --------------------------------------------------------- value classes
+#
+# Mat2, Surd, Cycle, SeriesReport, MatClass, RealFactorization and
+# Analysis are plain classes.  Each is checked against a frozen dataclass
+# built here with the fields the class compares and shows: on the same
+# field values, both must give the same equality, hash and repr.
+
+_COMPARED = {
+    Mat2: ("a", "b", "c", "d"),
+    Surd: ("p", "d", "q"),
+    Cycle: ("root", "j"),  # shown only: a Cycle compares by its canonical form
+    SeriesReport: ("cf_period", "cycle", "sign", "repetition", "consistent"),
+    MatClass: ("kind", "sign", "trace", "shift", "cycle"),
+    RealFactorization: ("c_plus", "c_minus"),
+    Analysis: ("matclass", "factorization"),
+}
+
+# central, elliptic of each trace, parabolic of both signs, hyperbolic
+# real and not, a proper power, and the odd-period golden matrix
+_SAMPLE_MATRICES = (
+    "1,0;0,1", "-1,0;0,-1", "0,-1;1,0", "0,1;-1,1", "1,-1;1,0", "1,4;0,1", "-1,0;5,-1",
+    "15,4;11,3", "7,-18;-5,13", "269,72;198,53", "2,1;1,1", "-5,-2;-2,-1",
+)
+
+
+def _value_samples():
+    """Instances of every value class, each built twice from the same input."""
+    samples = []
+    for _ in range(2):
+        for text in _SAMPLE_MATRICES:
+            m = Mat2.from_text(text)
+            analysis = analyze(m)
+            samples += [m, Mat2(m.a, m.b, m.c, m.d), analysis, analysis.matclass]
+            if analysis.factorization is not None:
+                samples.append(analysis.factorization)
+            if abs(m.trace) > 2:
+                samples += [series_crosscheck(m), analysis.matclass.cycle]
+                samples.append(attracting_fixed_point(m))
+        samples += [Surd(1, 5, 2), Surd(-1, 5, -2), Cycle((1, 2) * 3), Cycle((2, 1))]
+    return samples
+
+
+_TWINS = {
+    cls: dataclasses.make_dataclass(cls.__name__, fields, frozen=True, eq=cls is not Cycle)
+    for cls, fields in _COMPARED.items()
+}
+
+
+def _dataclass_twin(value):
+    return _TWINS[type(value)](*[getattr(value, name) for name in _COMPARED[type(value)]])
+
+
+def test_value_classes_match_frozen_dataclasses():
+    samples = _value_samples()
+    assert {type(x) for x in samples} == set(_COMPARED)
+    twins = [_dataclass_twin(x) for x in samples]
+    for x, tx in zip(samples, twins):
+        assert repr(x) == repr(tx)
+        if type(x) is not Cycle:
+            assert hash(x) == hash(tx)
+            for y, ty in zip(samples, twins):
+                if type(y) is type(x):
+                    assert (x == y) == (tx == ty) and (x != y) == (tx != ty)
+    # the pins elsewhere: the README's reprs and test_realness's
+    assert repr(Mat2(3, -4, 2, -3)) == "Mat2(a=3, b=-4, c=2, d=-3)"
+    assert repr(Cycle((1, 1) * 3)) == "Cycle(root=(1, 1), j=3)"
+    assert repr(RealFactorization(REFL_DIAG, REFL_SWAP)) == (
+        "RealFactorization(c_plus=Mat2(a=1, b=0, c=0, d=-1), c_minus=Mat2(a=0, b=1, c=1, d=0))"
+    )
+
+
+def test_value_classes_are_frozen():
+    for x in _value_samples():
+        name = _COMPARED[type(x)][0]
+        before = dict(vars(x))
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            x.extra = 0
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+        assert vars(x) == before
+
+
+def test_value_classes_leave_other_types_to_them():
+    for x in _value_samples():
+        for other in (object(), _dataclass_twin(x), tuple(vars(x).values()), None):
+            assert x.__eq__(other) is NotImplemented
+            assert x != other and not x == other
+
+
+def test_construction_hooks_still_fire(monkeypatch):
+    # the tests and the benchmark's tracer count checked constructions by
+    # wrapping these hooks on the class
+    calls = []
+    hooks = [
+        (Mat2, "__post_init__"),
+        (Surd, "__post_init__"),
+        (Cycle, "__post_init__"),
+        (RealFactorization, "__post_init__"),
+        (MatClass, "__init__"),
+    ]
+    for owner, attr in hooks:
+        original = getattr(owner, attr)
+
+        def counted(self, *args, _original=original, _name=owner.__name__, **kwargs):
+            calls.append(_name)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+    m = Mat2(1, 4, 0, 1)
+    Surd(1, 5, 2)
+    Cycle((1, 2))
+    RealFactorization(REFL_DIAG, REFL_SWAP)
+    classify(m)
+    assert calls == ["Mat2", "Surd", "Cycle", "RealFactorization", "MatClass"]
