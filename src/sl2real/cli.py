@@ -7,9 +7,9 @@ cap among them), 3 on domain errors (wrong determinant, wrong trace
 kind, too deep a figure).
 
 Matrix arguments use the compact "a,b;c,d" grammar.  The subcommands
-classify, cycle, real, and series-check also accept "-" to stream
-JSONL matrices ([[a,b],[c,d]] rows of ints or decimal strings, or the
-compact form as a JSON string) from standard input.  Integers in
+classify, cycle, and real also accept "-" to stream JSONL matrices
+([[a,b],[c,d]] rows of ints or decimal strings, or the compact form as
+a JSON string) from standard input.  Integers in
 output objects are decimal strings wherever they can grow without
 bound; signs, traces, and flags stay plain JSON numbers.
 
@@ -30,7 +30,7 @@ from collections.abc import Callable, Iterator, Sequence
 
 from .classify import _ELLIPTIC_REPS, MatClass, classify
 from .errors import MatrixParseError, Sl2RealError
-from .farey import _times_word, cutting_cycle, series_crosscheck
+from .farey import _times_word, cutting_cycle
 from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat2, v_pow
 from .realness import (
     RealFactorization,
@@ -75,7 +75,7 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
 
 
 def _strings_text(values: Sequence[int]) -> str:
-    """A JSON list of decimal strings: a cycle, a word or a CF period."""
+    """A JSON list of decimal strings: a cycle or a word."""
     return '["' + '","'.join(map(str, values)) + '"]' if values else "[]"
 
 
@@ -128,21 +128,11 @@ def _real_view(fac: RealFactorization | None) -> str:
     return f'{{"is_real":true,"factorization":{_factorization_text(fac)}}}'
 
 
-def _series_view(m: Mat2) -> str:
-    r = series_crosscheck(m)
-    return (
-        f'{{"cf_period":{_strings_text(r.cf_period)},'
-        f'"cycle":{_strings_text(r.cycle.canonical)},"sign":{r.sign},'
-        f'"repetition":{r.repetition},"consistent":{"true" if r.consistent else "false"}}}'
-    )
-
-
 # the stream commands: name -> (help, view of one matrix as JSON text)
 _VIEWS: dict[str, tuple[str, Callable[[Mat2], str]]] = {
     "classify": ("trace trichotomy with invariants", lambda m: _class_text(classify(m))),
     "cycle": ("cutting cycle of a hyperbolic matrix", _cycle_view),
     "real": ("factor into two real structures", lambda m: _real_view(analyze(m).factorization)),
-    "series-check": ("cycle vs continued-fraction period", _series_view),
 }
 
 

@@ -18,10 +18,8 @@ from .mat2 import Mat2, _conjugated, _Frozen, _quote, _unchecked_mat2
 __all__ = [
     "Surd",
     "Cycle",
-    "SeriesReport",
     "attracting_fixed_point",
     "cutting_cycle",
-    "series_crosscheck",
 ]
 
 
@@ -434,15 +432,6 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     merge.  The cycle's root is P at its least even rotation, its power j
     (see _period_power for j and P^j).  The identity is then checked
     on plain ints.
-    """
-    digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
-    return _cycle_of_orbit(m, digits, entry, chunks)
-
-
-def _cycle_of_orbit(
-    m: Mat2, digits: list[int], entry: int, chunks: list
-) -> tuple[Cycle, int, Mat2]:
-    """cutting_cycle of m from the Gauss orbit of its attracting point.
 
     The conjugator is the product of the digit matrices (a 1; 1 0) of
     the even pre-period and of the even pick's head of the period.  The
@@ -462,6 +451,8 @@ def _cycle_of_orbit(
     even starts alone.  The CF period is primitive, so in each case the
     pick is the least even start of the least even rotation.
     """
+    digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
+
     t = m.trace
     sign = 1 if t > 0 else -1
     t = abs(t)
@@ -539,39 +530,3 @@ def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int,
     s = (tr * t_j - 2 * t_prev) // (tr * tr - 4)
     s_prev = (tr * s - t_j) // 2
     return j, s * pa - s_prev, s * pb, s * pc, s * pd - s_prev
-
-
-class SeriesReport(_Frozen):
-    """Cutting cycle beside the attracting point's CF period, whose
-    copies in the cycle ``repetition`` counts; 0 unless ``consistent``,
-    that is unless the repelling point's period tiles the reversed cycle."""
-
-    _fields = ("cf_period", "cycle", "sign", "repetition", "consistent")
-
-    def __init__(
-        self, cf_period: tuple[int, ...], cycle: Cycle, sign: int, repetition: int, consistent: bool
-    ) -> None:
-        self.__dict__.update(zip(self._fields, (cf_period, cycle, sign, repetition, consistent)))
-
-
-def series_crosscheck(m: Mat2) -> SeriesReport:
-    """Does the repelling point's CF period reverse the cutting cycle?
-
-    The cycle is read off the attracting point's period and verified by
-    multiplication.  The check walks the repelling point x' on its own:
-    by Galois's theorem -1/x' has the reversed period of a reduced x,
-    so the repelling period, doubled when its length is odd (a cycle
-    always has even length), is the cycle's root reversed, up to
-    rotation.  One period of each is compared, whatever the power j.
-    """
-    att = attracting_fixed_point(m)  # checks det and trace
-    digits, entry, chunks = _gauss_orbit(att)
-    cyc, sign, _ = _cycle_of_orbit(m, digits, entry, chunks)
-    period = tuple(digits[entry:])
-    rep_digits, rep_entry, _ = _gauss_orbit(att.conjugate())
-    tile = tuple(rep_digits[rep_entry:])
-    if len(tile) % 2:
-        tile += tile
-    consistent = _least_rotation(tile) == _least_rotation(cyc.root[::-1])
-    repetition = len(cyc) // len(period) if consistent else 0
-    return SeriesReport(period, cyc, sign, repetition, consistent)

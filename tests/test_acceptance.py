@@ -19,6 +19,7 @@ from sl2real import (
     Cycle,
     Mat2,
     NotReal,
+    Surd,
     brute_force_conjugator,
     brute_force_factor,
     cutting_cycle,
@@ -26,11 +27,11 @@ from sl2real import (
     is_real,
     is_real_structure,
     render_farey,
-    series_crosscheck,
     v_pow,
 )
 
 from conftest import (
+    cf_step,
     random_hyperbolic,
     random_odd_bipalindromic_cycle,
     random_unimodular,
@@ -177,7 +178,28 @@ def test_criterion_7_series():
         m = random_hyperbolic(rng, max_runs=4, max_exp=5)
         if i % 3 == 0:
             m = m ** rng.randint(2, 3)
-        assert series_crosscheck(m).consistent
+        # by Galois's theorem the repelling point's period, doubled when
+        # odd, is the cycle's root reversed, up to rotation
+        tile = _repelling_period(m)
+        if len(tile) % 2:
+            tile += tile
+        reversed_root = cutting_cycle(m)[0].root[::-1]
+        assert len(tile) == len(reversed_root)
+        assert any(tile[r:] + tile[:r] == reversed_root for r in range(len(tile)))
+
+
+def _repelling_period(m):
+    """CF period of the fixed point (a - d - e sqrt(t^2 - 4)) / 2c of m,
+    for e the sign of its trace t, stepped one digit at a time until a
+    state comes back."""
+    e = 1 if m.trace > 0 else -1
+    x = Surd(-e * (m.a - m.d), m.trace**2 - 4, -2 * e * m.c)
+    seen, digits = {}, []
+    while (x.p, x.q) not in seen:
+        seen[(x.p, x.q)] = len(digits)
+        digit, x = cf_step(x)
+        digits.append(digit)
+    return tuple(digits[seen[(x.p, x.q)] :])
 
 
 @criterion(8, "elliptic elements have the right orders", 1.0)

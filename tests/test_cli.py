@@ -25,7 +25,6 @@ from sl2real import (
     ROT_2PI3,
     ROT_PI,
     Mat2,
-    attracting_fixed_point,
     conjugacy_test,
     u_pow,
     v_pow,
@@ -169,11 +168,6 @@ def test_oracle_non_real_without_witness(capsys, mode):
     assert code == 0 and '"witness":null' in out
 
 
-def test_series_check(capsys):
-    (obj,) = run_json(capsys, "series-check", "2,1;1,1")
-    assert obj["consistent"] is True and obj["repetition"] == 2
-
-
 def test_stdin_batch(capsys, monkeypatch):
     lines = '[[2,1],[1,1]]\n"1,1;1,2"\n\n[["5","2"],["2","1"]]\n'
     monkeypatch.setattr("sys.stdin", io.StringIO(lines))
@@ -201,7 +195,7 @@ def test_stdin_string_cells_follow_the_compact_grammar(capsys, monkeypatch, cell
     assert main(["classify", f"{cell},4;11,3"]) == 2
 
 
-@pytest.mark.parametrize("command", ["classify", "cycle", "real", "series-check"])
+@pytest.mark.parametrize("command", ["classify", "cycle", "real"])
 def test_deeply_nested_line_is_a_usage_error(capsys, monkeypatch, command):
     # nesting past the recursion limit makes the json parser raise
     # RecursionError; the stream answers the good line, then stops
@@ -264,7 +258,6 @@ _BIG_DET = f"1{'0' * 3000},1;1,1{'0' * 3000}"  # det has 6,001 digits
         ["classify", _BIG_DET],
         ["cycle", _BIG_DET],
         ["real", _BIG_DET],
-        ["series-check", _BIG_DET],
         ["conjugate", _BIG_DET, "2,1;1,1"],
         ["oracle", _BIG_DET, "--bound", "1"],
     ],
@@ -317,7 +310,7 @@ def test_ten_thousand_run_word_answers_in_budget(capsys):
     m = word_matrix((1,) * 10001 + (2,))
     entries = (m.a, m.b, m.c, m.d)
     arg = f"{m.a},{m.b};{m.c},{m.d}"
-    for command in ("classify", "cycle", "real", "series-check"):
+    for command in ("classify", "cycle", "real"):
         with budget(5.0):
             (obj,) = run_json(capsys, command, arg)
         if command == "cycle":
@@ -325,8 +318,6 @@ def test_ten_thousand_run_word_answers_in_budget(capsys):
         elif command == "real":
             assert obj["is_real"] is True  # blocks (1, ..., 1) and (2)
             _check_factorization(obj["factorization"], entries)
-        elif command == "series-check":
-            assert obj["consistent"] is True
         else:
             assert len(obj["cycle"]) == 10002
 
@@ -454,7 +445,6 @@ def _stream_corpus():
         ("classify", "e9f6362b7ebbeabc25fe71b95f90667f2bdf03e2cfb76e9e804703116e9a6d3c"),
         ("cycle", "47b16fddb2e17db7bea6e300752172552f2019af4c4784e41d610c3c59284103"),
         ("real", "917319ab39cd9819a80c43219bc66bd441e3a26f37e48a92bcaf841a3f6d2ee6"),
-        ("series-check", "bb4bbf64f34414a7a5cfb87dd1251a335f82ad12cf178f994382bea9da5e8d38"),
     ],
 )
 def test_stream_output_pinned(capsys, monkeypatch, command, digest):
@@ -677,14 +667,6 @@ def _view_references(m):
             "word": [str(e) for e in cyc.exponents],
             "verified": True,
         }
-        report = farey.series_crosscheck(m)
-        refs["series-check"] = {
-            "cf_period": [str(a) for a in report.cf_period],
-            "cycle": [str(e) for e in report.cycle.canonical],
-            "sign": report.sign,
-            "repetition": report.repetition,
-            "consistent": report.consistent,
-        }
     return refs
 
 
@@ -856,13 +838,6 @@ def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
     monkeypatch.setattr(farey, "_least_start", counted)
     assert run(capsys, command, matrix)[0] == 0
     assert calls == scanned
-
-
-def test_series_check_walks_each_fixed_point_once(capsys, monkeypatch):
-    calls = _count_gauss_orbits(monkeypatch)
-    assert run(capsys, "series-check", "15,4;11,3")[0] == 0
-    att = attracting_fixed_point(Mat2(15, 4, 11, 3))
-    assert calls == [(att,), (att.conjugate(),)]
 
 
 def test_atlas_walks_no_orbit(capsys, monkeypatch):
@@ -1039,7 +1014,7 @@ _ARGV_VALUES = {
     "-o": ("out.svg", "-1,2.svg", "missing/x.svg", "d" * 400, "a\x00b.svg", "\ud800.svg"),
 }
 _ARGV_SLOTS = {
-    **dict.fromkeys(("classify", "cycle", "real", "series-check"), ("M",)),
+    **dict.fromkeys(("classify", "cycle", "real"), ("M",)),
     "conjugate": ("M", "M", "--group"),
     "oracle": ("M", "--bound", "--mode"),
     "atlas": ("--max-entry", "--real-only"),
@@ -1294,12 +1269,16 @@ def test_non_ascii_negative_matrix_meets_the_grammar(capsys):
     "argv, line",
     [
         (
-            ["series-check", "15,4;11,3", "-12,-5;-7,-3"],
+            ["cycle", "15,4;11,3", "-12,-5;-7,-3"],
             "sl2real: error: unrecognized arguments: -12,-5;-7,-3",
         ),
         (["real", "1,0;0,1", " -1,2", "x"], "sl2real: error: unrecognized arguments:  -1,2 x"),
         (["-1,2"], "sl2real: error: argument command: invalid choice: '-1,2'"),
         ([" real"], "sl2real: error: argument command: invalid choice: ' real'"),
+        (
+            ["series-check", "2,1;1,1"],
+            "sl2real: error: argument command: invalid choice: 'series-check'",
+        ),
         (
             ["conjugate", "2,1;1,1", "2,1;1,1", "--group", "-1,2"],
             "sl2real conjugate: error: argument --group: invalid choice: '-1,2'",
@@ -1316,7 +1295,7 @@ def test_non_ascii_negative_matrix_meets_the_grammar(capsys):
     ],
     ids=[
         "unrecognized", "unrecognized-spaced", "command", "spaced-command",
-        "choice", "int-flag", "matrix", "axis",
+        "retired-command", "choice", "int-flag", "matrix", "axis",
     ],
 )
 def test_error_names_the_argument_as_given(capsys, argv, line):

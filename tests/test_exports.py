@@ -103,7 +103,7 @@ def test_cold_start_imports_only_what_the_commands_run():
     assert fresh["all"] == sl2real.__all__ == [
         name for module in LIBRARY for name in importlib.import_module(f"sl2real.{module}").__all__
     ]
-    assert len(fresh["all"]) == 49
+    assert len(fresh["all"]) == 47
     assert fresh["first_dir"] == fresh["dir"] == fresh["vars"]
     public = [name for name in fresh["dir"] if not name.startswith("_")]
     assert public == sorted({*fresh["all"], *LIBRARY, "cli"})

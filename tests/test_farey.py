@@ -23,12 +23,11 @@ from sl2real import (
     classify,
     conjugacy_test,
     cutting_cycle,
-    series_crosscheck,
     u_pow,
     v_pow,
 )
 import sl2real.farey as farey
-from sl2real.cli import _class_text, _series_view, _strings_text, main
+from sl2real.cli import _class_text, _strings_text, main
 from sl2real.farey import _gauss_orbit
 
 from conftest import (
@@ -376,94 +375,6 @@ def test_cutting_cycle_of_inverse_reverses(seed):
     assert inv_sign == sign
 
 
-# ----------------------------------------------------- series reports
-
-
-def test_series_crosscheck_golden():
-    rep = series_crosscheck(Mat2(2, 1, 1, 1))
-    assert rep.cf_period == (1,)
-    assert rep.cycle == Cycle((1, 1))
-    assert rep.sign == 1
-    assert rep.repetition == 2
-    assert rep.consistent
-
-
-def test_series_crosscheck_silver():
-    rep = series_crosscheck(Mat2(5, 2, 2, 1))
-    assert rep.cycle == Cycle((2, 2))
-    assert rep.consistent
-
-
-def test_series_crosscheck_json():
-    obj = json.loads(_series_view(Mat2(2, 1, 1, 1)))
-    assert obj == {
-        "cf_period": ["1"],
-        "cycle": ["1", "1"],
-        "sign": 1,
-        "repetition": 2,
-        "consistent": True,
-    }
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_series_crosscheck_random(seed):
-    rng = random.Random(seed)
-    m = random_hyperbolic(rng, max_exp=5)
-    assert series_crosscheck(m).consistent
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=3))
-def test_series_crosscheck_powers(seed, k):
-    rng = random.Random(seed)
-    m = random_hyperbolic(rng, max_runs=4, max_exp=4)
-    rep = series_crosscheck(m**k)
-    assert rep.consistent
-    assert rep.repetition >= 1
-
-
-# a cycle that is no rotation of its reverse, so a repelling period read
-# forward would not tile the reversed cycle
-_SKEW = u_pow(2) @ v_pow(-3) @ word_matrix((1, 2, 3, 4)) @ (u_pow(2) @ v_pow(-3)).inverse()
-
-
-def _corrupt_repelling_walk(monkeypatch, m, corrupt):
-    rep = attracting_fixed_point(m).conjugate()
-    walk = farey._gauss_orbit
-
-    def walked(x):
-        digits, entry, chunks = walk(x)
-        return (corrupt(x, digits, entry) if x == rep else digits), entry, chunks
-
-    monkeypatch.setattr(farey, "_gauss_orbit", walked)
-
-
-def _bump_first_period_digit(x, digits, entry):
-    return digits[:entry] + [digits[entry] + 1] + digits[entry + 1 :]
-
-
-def _period_read_forward(x, digits, entry):
-    att_digits, att_entry, _ = _gauss_orbit(x.conjugate())  # the unpatched walk
-    return digits[:entry] + att_digits[att_entry:]
-
-
-def test_series_crosscheck_skew_cycle_is_consistent():
-    rep = series_crosscheck(_SKEW)
-    assert rep.cycle == Cycle((1, 2, 3, 4)) != Cycle(rep.cycle.exponents[::-1])
-    assert rep.consistent and rep.repetition == 1
-
-
-@pytest.mark.parametrize("corrupt", [_bump_first_period_digit, _period_read_forward])
-def test_series_crosscheck_catches_a_wrong_repelling_walk(monkeypatch, corrupt):
-    # the cycle comes from the attracting walk alone, so only the
-    # independent repelling walk can disagree with it
-    _corrupt_repelling_walk(monkeypatch, _SKEW, corrupt)
-    rep = series_crosscheck(_SKEW)
-    assert rep.cycle == Cycle((1, 2, 3, 4))
-    assert not rep.consistent and rep.repetition == 0
-
-
 # ---------------------------------------- the fast loops and their references
 
 
@@ -531,12 +442,37 @@ def test_gauss_orbit_matches_reference_on_surds(data):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_gauss_orbit_matches_reference_on_fixed_points(seed):
+    # m and its proper powers share their fixed points, which a power
+    # holds over a larger discriminant
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_exp=50, conj_steps=12)  # either trace sign
-    for x in (attracting_fixed_point(m), attracting_fixed_point(m).conjugate()):
-        digits, entry, _ = _gauss_orbit(x)
-        assert (digits, entry) == _gauss_orbit_reference(x)
-        assert len(digits) <= _walk_bound(m)
+    for power in (m, m**2, m**3):
+        att = attracting_fixed_point(power)
+        for x in (att, att.conjugate()):
+            digits, entry, _ = _gauss_orbit(x)
+            assert (digits, entry) == _gauss_orbit_reference(x)
+            assert len(digits) <= _walk_bound(power)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=3))
+def test_series_crosscheck_powers(seed, k):
+    # on a proper power, the repelling point's CF period, doubled when odd,
+    # is the cycle's root reversed up to rotation (Galois), and the cycle
+    # repeats the attracting point's period a whole number of times
+    rng = random.Random(seed)
+    m = random_hyperbolic(rng, max_runs=4, max_exp=4) ** k
+    att = attracting_fixed_point(m)
+    cyc = cutting_cycle(m)[0]
+    digits, entry, _ = _gauss_orbit(att)
+    period = len(digits) - entry
+    rep_digits, rep_entry, _ = _gauss_orbit(att.conjugate())
+    tile = tuple(rep_digits[rep_entry:])
+    if len(tile) % 2:
+        tile += tile
+    assert farey._least_rotation(tile) == farey._least_rotation(cyc.root[::-1])
+    assert len(cyc) % period == 0
+    assert len(cyc) // period >= 1
 
 
 def _hyperbolics_in_box(r):
@@ -707,7 +643,10 @@ def test_chunk_of_wrong_determinant_is_refused(capsys, monkeypatch):
 
     monkeypatch.setattr(farey, "_lehmer_chunk", corrupted)
     m = _near_limit_conjugate(2, 1, 1, 999)
-    with pytest.raises(RuntimeError, match="Lehmer chunk matrix has the wrong determinant"):
+    # without the check the walk need not close, so the bound fails it
+    with budget(1.0), pytest.raises(
+        RuntimeError, match="Lehmer chunk matrix has the wrong determinant"
+    ):
         main(["real", m.to_text()])
     assert capsys.readouterr().out == ""
 
@@ -983,7 +922,7 @@ def test_cycle_is_its_root_to_a_power(w):
     assert cyc.equal_up_to_even_rotation(Cycle(w[2:] + w[:2]))
 
 
-def _cycle_of_orbit_reference(m, digits, entry):
+def _cutting_cycle_reference(m, digits, entry):
     """The two-scan cutting cycle of a walk without chunks: the even pick
     by a scan over the even starts, the canonical form by another over
     the root's rotations, and j by stepping the powers of the root's word."""
@@ -1021,9 +960,9 @@ def test_one_scan_cycle_matches_two_scan_reference(runs, repeat, power, seed, si
     m = m if sign > 0 else -m
     digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))
     assert chunks == []
-    cyc, got_sign, conj = farey._cycle_of_orbit(m, digits, entry, chunks)
+    cyc, got_sign, conj = cutting_cycle(m)
     assert got_sign == sign
-    assert (cyc.root, cyc.j, cyc.canonical, conj) == _cycle_of_orbit_reference(m, digits, entry)
+    assert (cyc.root, cyc.j, cyc.canonical, conj) == _cutting_cycle_reference(m, digits, entry)
 
 
 # ------------------------------------------------------- scale gates
@@ -1045,12 +984,6 @@ def test_golden_power_classifies_in_budget():
     with budget(0.5):
         obj = json.loads(_class_text(classify(_GOLDEN_10000)))
     assert obj["cycle"] == ["1"] * 20_000 and obj["sign"] == 1
-
-
-def test_golden_power_series_check_in_budget():
-    with budget(2.0):
-        rep = series_crosscheck(_GOLDEN_10000)
-    assert rep.consistent and rep.repetition == 20_000
 
 
 def test_golden_power_factors_in_budget():
@@ -1078,8 +1011,6 @@ def test_golden_power_is_decided_on_its_root(monkeypatch):
     g = u_pow(3) @ v_pow(-2)
     assert json.loads(_class_text(classify(_GOLDEN_10000)))["cycle"] == ["1"] * 20_000
     assert analyze(_GOLDEN_10000).is_real
-    rep = series_crosscheck(_GOLDEN_10000)
-    assert rep.consistent and rep.repetition == 20_000 and len(rep.cycle) == 20_000
     assert conjugacy_test(_GOLDEN_10000, g @ _GOLDEN_10000 @ g.inverse(), "sl")
     assert scanned and max(scanned) == 2
     assert max(checked, default=0) <= 2

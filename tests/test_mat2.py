@@ -24,7 +24,6 @@ from sl2real import (
     NotUnimodular,
     RealFactorization,
     RealStructureKind,
-    SeriesReport,
     Surd,
     analyze,
     attracting_fixed_point,
@@ -32,7 +31,6 @@ from sl2real import (
     conjugacy_test,
     is_real_structure,
     real_structure_kind,
-    series_crosscheck,
     u_pow,
     v_pow,
 )
@@ -281,16 +279,15 @@ def test_public_api_exports_resolve():
 
 # --------------------------------------------------------- value classes
 #
-# Mat2, Surd, Cycle, SeriesReport, MatClass, RealFactorization and
-# Analysis are plain classes.  Each is checked against a frozen dataclass
-# built here with the fields the class compares and shows: on the same
-# field values, both must give the same equality, hash and repr.
+# Mat2, Surd, Cycle, MatClass, RealFactorization and Analysis are plain
+# classes.  Each is checked against a frozen dataclass built here with
+# the fields the class compares and shows: on the same field values,
+# both must give the same equality, hash and repr.
 
 _COMPARED = {
     Mat2: ("a", "b", "c", "d"),
     Surd: ("p", "d", "q"),
     Cycle: ("root", "j"),  # shown only: a Cycle compares by its canonical form
-    SeriesReport: ("cf_period", "cycle", "sign", "repetition", "consistent"),
     MatClass: ("kind", "sign", "trace", "shift", "cycle"),
     RealFactorization: ("c_plus", "c_minus"),
     Analysis: ("matclass", "factorization"),
@@ -315,8 +312,7 @@ def _value_samples():
             if analysis.factorization is not None:
                 samples.append(analysis.factorization)
             if abs(m.trace) > 2:
-                samples += [series_crosscheck(m), analysis.matclass.cycle]
-                samples.append(attracting_fixed_point(m))
+                samples += [analysis.matclass.cycle, attracting_fixed_point(m)]
         samples += [Surd(1, 5, 2), Surd(-1, 5, -2), Cycle((1, 2) * 3), Cycle((2, 1))]
     return samples
 
