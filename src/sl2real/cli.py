@@ -35,10 +35,11 @@ from .mat2 import _INTEGER, IDENTITY, NEG_IDENTITY, Mat2, _quote, _unchecked_mat
 from .realness import (
     RealFactorization,
     _certified,
+    _factorization,
     _first_block,
     _split_mirror,
-    analyze,
     conjugacy_test,
+    factor_real,
 )
 
 __all__ = ["main"]
@@ -132,7 +133,7 @@ def _real_view(fac: RealFactorization | None) -> str:
 _VIEWS: dict[str, tuple[str, Callable[[Mat2], str]]] = {
     "classify": ("trace trichotomy with invariants", lambda m: _class_text(classify(m))),
     "cycle": ("cutting cycle of a hyperbolic matrix", _cycle_view),
-    "real": ("factor into two real structures", lambda m: _real_view(analyze(m).factorization)),
+    "real": ("factor into two real structures", lambda m: _real_view(factor_real(m))),
 }
 
 
@@ -206,9 +207,10 @@ def _atlas_record(matrix: str, cls: str, factorization: str, cycle: str) -> str:
 def _cmd_atlas(args) -> int:
     """One record per conjugacy class, written as text.
 
-    The central, elliptic and parabolic representatives go through
-    analyze.  A hyperbolic record is read off its necklace (e1, ..., e2n)
-    with no Gauss walk.  The word W = U^e1 V^e2 ... fixes
+    The central, elliptic and parabolic representatives are classified
+    once each, and _factorization factors them from that class.  A
+    hyperbolic record is read off its necklace (e1, ..., e2n) with no
+    Gauss walk.  The word W = U^e1 V^e2 ... fixes
     x = [e1; e2, ..., e2n, e1, ...], the attracting point of both W and
     -W, and a purely periodic x is reduced (Galois), so cutting_cycle's
     walk would enter the period at its first digit, with conjugator I.
@@ -233,13 +235,13 @@ def _cmd_atlas(args) -> int:
     for n in range(1, args.max_entry + 1):
         small += (v_pow(n), -v_pow(n))
     for rep in small:
-        analysis = analyze(rep)
-        fac = analysis.factorization
+        cls = classify(rep)
+        fac = _factorization(cls, rep)
         if fac is None and real_only:
             continue
         fac_text = "null" if fac is None else _factorization_text(fac)
         matrix = _matrix_text(rep.a, rep.b, rep.c, rep.d)
-        write(_atlas_record(matrix, _class_text(analysis.matclass), fac_text, "null"))
+        write(_atlas_record(matrix, _class_text(cls), fac_text, "null"))
     for length in range(2, 2 * args.max_entry + 1, 2):
         for exps, p in _necklaces(length, args.max_entry):  # one per cyclic word
             root = exps[: 2 * p if p % 2 else p]

@@ -13,8 +13,6 @@ __all__ = [
     "NotSL2",
     "NotHyperbolic",
     "NotARealStructure",
-    "NotReal",
-    "CentralInput",
     "DepthTooLarge",
     "MatrixParseError",
 ]
@@ -38,14 +36,6 @@ class NotHyperbolic(Sl2RealError):
 
 class NotARealStructure(Sl2RealError):
     """Matrix is not an orientation-reversing involution."""
-
-
-class NotReal(Sl2RealError):
-    """Matrix does not split as a product of two linear real structures."""
-
-
-class CentralInput(Sl2RealError):
-    """Operation is undefined on +-identity."""
 
 
 class DepthTooLarge(Sl2RealError):

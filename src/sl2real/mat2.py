@@ -138,9 +138,6 @@ class Mat2(_Frozen):
             raise NotUnimodular("det is not invertible over the integers")
         return _unchecked_mat2(det * self.d, -det * self.b, -det * self.c, det * self.a)
 
-    def is_central(self) -> bool:
-        return self == IDENTITY or self == NEG_IDENTITY
-
     def max_abs_entry(self) -> int:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 

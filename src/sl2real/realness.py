@@ -9,28 +9,26 @@ finds.  A hyperbolic matrix is real exactly when its cutting cycle
 splits into two palindromic blocks of odd length, W1 W2 with W1 ending
 in U; writing D = diag(1,-1), the mirror is W1 D, an involution because
 a palindrome's word is conjugated to its inverse by D.
-:func:`analyze` classifies and factors, verifying each result.  The
-atlas, whose necklaces are their own cycles with conjugator I, asks
-only for the split of each root (``_first_block``), the mirror W1 D
-(``_split_mirror``) and the checked pair (``_certified``); it negates
-the mirror for -W, whose split is the same.
+:func:`factor_real` classifies and factors, verifying each result, and
+answers None exactly when m is not real.  The atlas, whose necklaces
+are their own cycles with conjugator I, asks only for the split of each
+root (``_first_block``), the mirror W1 D (``_split_mirror``) and the
+checked pair (``_certified``); it negates the mirror for -W, whose
+split is the same.
 """
 
 from __future__ import annotations
 
 from .classify import _ELLIPTIC_REPS, CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
-from .errors import CentralInput, NotARealStructure, NotReal
+from .errors import NotARealStructure
 from .farey import Cycle, _times_word
 from .mat2 import REFL_DIAG, Mat2, _conjugated, _Frozen, _quote, _unchecked_mat2
 from .mat2 import real_structure_kind
 
 __all__ = [
     "RealFactorization",
-    "Analysis",
     "is_odd_bipalindromic",
-    "analyze",
     "factor_real",
-    "central_factorization",
     "is_real",
     "conjugacy_test",
 ]
@@ -134,80 +132,47 @@ _ELLIPTIC_MIRRORS: dict[int, tuple[int, int, int, int]] = {
 }
 
 
-class Analysis(_Frozen):
-    """One matrix, analysed once: its class and, when it is real, a
-    verified factorization (None exactly when it is not real)."""
+def _factorization(cls: MatClass, m: Mat2) -> RealFactorization | None:
+    """The factorization of m from its class cls, whose conjugator c
+    certifies m as c @ R @ c^-1 for the class representative R, or None
+    exactly when m is not real.
 
-    _fields = ("matclass", "factorization")
-
-    def __init__(self, matclass: MatClass, factorization: RealFactorization | None) -> None:
-        self.__dict__.update(matclass=matclass, factorization=factorization)
-
-    @property
-    def is_real(self) -> bool:
-        return self.factorization is not None
-
-
-def analyze(m: Mat2) -> Analysis:
-    """Classify m and factor it when it is real; NotSL2 if det m != 1."""
-    return _analysis_of(classify(m), m)
-
-
-def _analysis_of(cls: MatClass, m: Mat2) -> Analysis:
-    """The analysis of m from its class cls, whose conjugator c
-    certifies m as c @ R @ c^-1 for the class representative R.
-
-    Each non-central kind gives one mirror j of R with j @ R a real
-    structure: the elliptic table (j @ R the swap); (1 0; s -1) for
-    sign * (1 0; s 1) (sign * D); sign * W1 D for the split word
-    sign * W1 W2 (D W2).  Then c_plus = c @ j @ c^-1, computed on
-    plain ints as c @ (det c * j) @ adj(c), and
+    +-I splits degenerately as (m D) D.  Each non-central kind gives one
+    mirror j of R with j @ R a real structure: the elliptic table (j @ R
+    the swap); (1 0; s -1) for sign * (1 0; s 1) (sign * D); sign * W1 D
+    for the split word sign * W1 W2 (D W2).  Then c_plus = c @ j @ c^-1,
+    computed on plain ints as c @ (det c * j) @ adj(c), and
     c_minus = c_plus @ m = c @ j @ R @ c^-1.  Their product is not
     checked: RealFactorization finds tr c_plus = 0 and det c_plus = -1,
     so c_plus^2 = I by Cayley-Hamilton and c_plus @ c_minus = m.  A
     failed factor check raises RuntimeError.
     """
     if cls.kind == CENTRAL:
-        return Analysis(cls, central_factorization(m))
+        return RealFactorization(m @ REFL_DIAG, REFL_DIAG)
     conj = cls.conjugator
     if cls.kind == HYPERBOLIC:  # conj is in SL(2,Z)
         first = is_odd_bipalindromic(cls.cycle)
         if first is None:
-            return Analysis(cls, None)
+            return None
         a, b, c, d = _split_mirror(cls.sign, cls.cycle.root, first)
     else:
         a, b, c, d = _ELLIPTIC_MIRRORS[cls.trace] if cls.kind == ELLIPTIC else (1, 0, cls.shift, -1)
         if conj.det == -1:
             a, b, c, d = -a, -b, -c, -d
     c_plus = _unchecked_mat2(*_conjugated(conj, a, b, c, d))
-    return Analysis(cls, _certified(c_plus, c_plus @ m))
+    return _certified(c_plus, c_plus @ m)
 
 
-def factor_real(m: Mat2) -> RealFactorization:
-    """Explicit factorization m = c_plus @ c_minus, or NotReal.
-
-    Raises CentralInput on +-identity (see central_factorization for the
-    degenerate splittings) and NotReal for hyperbolic matrices whose
-    cycle admits no odd-bipalindromic split.
-    """
-    if m.is_central():
-        raise CentralInput("use central_factorization for +-identity")
-    analysis = analyze(m)
-    if analysis.factorization is None:
-        raise NotReal("cutting cycle is not odd-bipalindromic")
-    return analysis.factorization
-
-
-def central_factorization(m: Mat2) -> RealFactorization:
-    """Degenerate splittings of the center: I and -I are both real."""
-    if not m.is_central():
-        raise CentralInput("matrix is not +-identity")
-    return RealFactorization(m @ REFL_DIAG, REFL_DIAG)
+def factor_real(m: Mat2) -> RealFactorization | None:
+    """A verified factorization m = c_plus @ c_minus into two real
+    structures, degenerate on +-I, or None exactly when m is not real;
+    NotSL2 if det m != 1."""
+    return _factorization(classify(m), m)
 
 
 def is_real(m: Mat2) -> bool:
     """Does m factor as a product of two linear real structures?"""
-    return analyze(m).is_real
+    return factor_real(m) is not None
 
 
 def conjugacy_test(x: Mat2, y: Mat2, group: str = "gl") -> bool:

@@ -515,11 +515,11 @@ def test_necklaces_match_least_rotation_filter(n, k):
 
 
 def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
-    words, cycles, walks, checked, built, splits, analyses, classes = ([] for _ in range(8))
+    words, cycles, walks, checked, built, splits, factorizations, classes = ([] for _ in range(8))
     times_word, reduce = cli._times_word, classify_module.cutting_cycle
     walk, check_cycle = farey._gauss_orbit, farey.Cycle.__post_init__
     unchecked_cycle = farey._unchecked_cycle
-    first_block, analysis_of = realness._first_block, realness._analysis_of
+    first_block, factorization = realness._first_block, realness._factorization
     new_class = classify_module.MatClass.__init__
 
     def counted_word(*args):
@@ -546,9 +546,9 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
         splits.append(root)
         return first_block(root)
 
-    def counted_analysis(cls, m):
-        analyses.append(m)
-        return analysis_of(cls, m)
+    def counted_factorization(cls, m):
+        factorizations.append(m)
+        return factorization(cls, m)
 
     def counted_class(self, *args, **kwargs):
         classes.append(args)
@@ -562,7 +562,7 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
     # is_odd_bipalindromic calls realness's name, the atlas its own import
     monkeypatch.setattr(realness, "_first_block", counted_split)
     monkeypatch.setattr(cli, "_first_block", counted_split)
-    monkeypatch.setattr(realness, "_analysis_of", counted_analysis)
+    monkeypatch.setattr(cli, "_factorization", counted_factorization)
     monkeypatch.setattr(classify_module.MatClass, "__init__", counted_class)
     code, out, _ = run(capsys, "atlas", "--max-entry", "4")
     assert code == 0 and out.count("\n") == 18_033
@@ -570,12 +570,12 @@ def test_atlas_builds_one_word_per_necklace(capsys, monkeypatch):
     # where enumerating every tuple took 69,904 tuples and as many Cycles;
     # each necklace's root is split once and its word multiplied out once,
     # for both signs, and it is its own cutting cycle, so no record is
-    # reduced again, and no necklace gets a Cycle, a class or an analysis
+    # reduced again, and no necklace gets a Cycle, a class or a _factorization
     assert len(splits) == 9_010 and len(words) == 9_010
     assert cycles == [] and walks == [] and checked == [] and built == []
     # only the 5 + 2 * 4 central, elliptic and parabolic records are
-    # classified and analysed
-    assert len(analyses) == 13 and len(classes) == 13
+    # classified and factored
+    assert len(factorizations) == 13 and len(classes) == 13
     # --real-only decides each split first and multiplies out only the
     # 694 real necklaces' words, for their 2 * 694 + 13 records
     del words[:], splits[:]
@@ -623,9 +623,8 @@ def _factorization_obj(fac):
 
 
 def _atlas_record_reference(rep):
-    analysis = realness.analyze(rep)
-    cls_obj = _class_obj(analysis.matclass)
-    fac = analysis.factorization
+    cls_obj = _class_obj(classify_module.classify(rep))
+    fac = realness.factor_real(rep)
     record = {
         "matrix": _rows(rep),
         "class": cls_obj,
@@ -636,9 +635,9 @@ def _atlas_record_reference(rep):
     return _encoded(record)
 
 
-def test_atlas_records_match_analyze(capsys):
-    # every record, byte for byte, against the analysis of the matrix it
-    # names; the real records alone are the full atlas filtered, in order
+def test_atlas_records_match_factor_real(capsys):
+    # every record, byte for byte, against the class and factorization of
+    # the matrix it names; the real records alone are the full atlas filtered, in order
     for max_entry in range(1, 5):
         code, full, _ = run(capsys, "atlas", "--max-entry", str(max_entry))
         assert code == 0
@@ -653,7 +652,7 @@ def test_atlas_records_match_analyze(capsys):
 
 def _view_references(m):
     """The reference line of each stream command that answers for m."""
-    fac = realness.analyze(m).factorization
+    fac = realness.factor_real(m)
     refs = {
         "classify": _class_obj(classify_module.classify(m)),
         "real": {"is_real": fac is not None, "factorization": _factorization_obj(fac)},
@@ -842,7 +841,7 @@ def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
 
 def test_atlas_walks_no_orbit(capsys, monkeypatch):
     # each hyperbolic record is read off its necklace (see
-    # test_atlas_records_match_analyze)
+    # test_atlas_records_match_factor_real)
     calls = _count_gauss_orbits(monkeypatch)
     records = run_json(capsys, "atlas", "--max-entry", "2")
     hyperbolic = [r for r in records if r["class"]["kind"] == "hyperbolic"]

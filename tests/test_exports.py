@@ -1,5 +1,6 @@
 """Every ``__all__`` names what its module binds, and nothing stale."""
 
+import ast
 import importlib
 import json
 import os
@@ -103,7 +104,35 @@ def test_cold_start_imports_only_what_the_commands_run():
     assert fresh["all"] == sl2real.__all__ == [
         name for module in LIBRARY for name in importlib.import_module(f"sl2real.{module}").__all__
     ]
-    assert len(fresh["all"]) == 47
+    assert len(fresh["all"]) == 42
     assert fresh["first_dir"] == fresh["dir"] == fresh["vars"]
     public = [name for name in fresh["dir"] if not name.startswith("_")]
     assert public == sorted({*fresh["all"], *LIBRARY, "cli"})
+
+
+def _unread_imports(path):
+    """The names an import in path binds that the file never reads; a
+    name listed in ``__all__`` is read by star imports of the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound.setdefault(name, node.lineno)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in read]
+
+
+def test_every_imported_name_is_read():
+    root = Path(__file__).parents[1]
+    files = sorted((root / "src" / "sl2real").glob("*.py")) + sorted((root / "tests").glob("*.py"))
+    assert [hit for path in files for hit in _unread_imports(path)] == []

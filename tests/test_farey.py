@@ -18,11 +18,12 @@ from sl2real import (
     NotHyperbolic,
     NotSL2,
     Surd,
-    analyze,
     attracting_fixed_point,
     classify,
     conjugacy_test,
     cutting_cycle,
+    factor_real,
+    is_real,
     u_pow,
     v_pow,
 )
@@ -988,7 +989,7 @@ def test_golden_power_classifies_in_budget():
 
 def test_golden_power_factors_in_budget():
     with budget(0.5):
-        fac = analyze(_GOLDEN_10000).factorization
+        fac = factor_real(_GOLDEN_10000)
     assert fac.c_plus @ fac.c_minus == _GOLDEN_10000
 
 
@@ -1010,7 +1011,7 @@ def test_golden_power_is_decided_on_its_root(monkeypatch):
     monkeypatch.setattr(farey.Cycle, "__post_init__", counted_check)
     g = u_pow(3) @ v_pow(-2)
     assert json.loads(_class_text(classify(_GOLDEN_10000)))["cycle"] == ["1"] * 20_000
-    assert analyze(_GOLDEN_10000).is_real
+    assert is_real(_GOLDEN_10000)
     assert conjugacy_test(_GOLDEN_10000, g @ _GOLDEN_10000 @ g.inverse(), "sl")
     assert scanned and max(scanned) == 2
     assert max(checked, default=0) <= 2
@@ -1033,6 +1034,6 @@ def test_ten_thousand_digit_conjugate_is_fast():
     m = g @ word_matrix(w) @ g.inverse()
     assert m.max_abs_entry().bit_length() > 33_220  # over 10^4 digits
     with budget(1.0):
-        result = analyze(m)
-    assert result.matclass.cycle == Cycle(w)
-    assert result.is_real
+        fac = factor_real(m)
+    assert fac.c_plus @ fac.c_minus == m
+    assert classify(m).cycle == Cycle(w)

@@ -16,7 +16,6 @@ from sl2real import (
     ROT_PI,
     U,
     V,
-    Analysis,
     Cycle,
     Mat2,
     MatClass,
@@ -25,10 +24,10 @@ from sl2real import (
     RealFactorization,
     RealStructureKind,
     Surd,
-    analyze,
     attracting_fixed_point,
     classify,
     conjugacy_test,
+    factor_real,
     is_real_structure,
     real_structure_kind,
     u_pow,
@@ -132,9 +131,10 @@ def test_unchecked_products_are_plain_mat2(a, b, c, d, e, f, g, h):
 
 
 def test_central():
-    assert IDENTITY.is_central()
-    assert NEG_IDENTITY.is_central()
-    assert not U.is_central()
+    # I and -I, the center of SL(2,Z), commute with its generators
+    assert NEG_IDENTITY == -IDENTITY == Mat2(-1, 0, 0, -1)
+    for z in (IDENTITY, NEG_IDENTITY):
+        assert z @ U == U @ z and z @ V == V @ z
 
 
 def test_text_round_trip():
@@ -279,10 +279,10 @@ def test_public_api_exports_resolve():
 
 # --------------------------------------------------------- value classes
 #
-# Mat2, Surd, Cycle, MatClass, RealFactorization and Analysis are plain
-# classes.  Each is checked against a frozen dataclass built here with
-# the fields the class compares and shows: on the same field values,
-# both must give the same equality, hash and repr.
+# Mat2, Surd, Cycle, MatClass and RealFactorization are plain classes.
+# Each is checked against a frozen dataclass built here with the fields
+# the class compares and shows: on the same field values, both must give
+# the same equality, hash and repr.
 
 _COMPARED = {
     Mat2: ("a", "b", "c", "d"),
@@ -290,7 +290,6 @@ _COMPARED = {
     Cycle: ("root", "j"),  # shown only: a Cycle compares by its canonical form
     MatClass: ("kind", "sign", "trace", "shift", "cycle"),
     RealFactorization: ("c_plus", "c_minus"),
-    Analysis: ("matclass", "factorization"),
 }
 
 # central, elliptic of each trace, parabolic of both signs, hyperbolic
@@ -307,12 +306,12 @@ def _value_samples():
     for _ in range(2):
         for text in _SAMPLE_MATRICES:
             m = Mat2.from_text(text)
-            analysis = analyze(m)
-            samples += [m, Mat2(m.a, m.b, m.c, m.d), analysis, analysis.matclass]
-            if analysis.factorization is not None:
-                samples.append(analysis.factorization)
+            cls, fac = classify(m), factor_real(m)
+            samples += [m, Mat2(m.a, m.b, m.c, m.d), cls]
+            if fac is not None:
+                samples.append(fac)
             if abs(m.trace) > 2:
-                samples += [analysis.matclass.cycle, attracting_fixed_point(m)]
+                samples += [cls.cycle, attracting_fixed_point(m)]
         samples += [Surd(1, 5, 2), Surd(-1, 5, -2), Cycle((1, 2) * 3), Cycle((2, 1))]
     return samples
 

@@ -15,14 +15,10 @@ from sl2real import (
     ROT_2PI3,
     ROT_PI,
     U,
-    CentralInput,
     Cycle,
     Mat2,
-    NotReal,
     NotSL2,
     RealFactorization,
-    analyze,
-    central_factorization,
     classify,
     conjugacy_test,
     factor_real,
@@ -44,7 +40,6 @@ from conftest import (
     random_hyperbolic,
     random_odd_bipalindromic_cycle,
     random_unimodular,
-    random_word,
     word_matrix,
 )
 
@@ -285,7 +280,7 @@ def test_factorization_checks_each_factor_once(monkeypatch, m):
         return check(j)
 
     monkeypatch.setattr(mat2, "is_real_structure", counted)
-    fac = analyze(m).factorization
+    fac = factor_real(m)
     _real_view(fac)
     fac.kind_plus, fac.kind_minus
     assert calls == [fac.c_plus, fac.c_minus]
@@ -299,19 +294,17 @@ def test_factorization_kinds_stay_out_of_equality():
     assert (f.kind_plus.value, f.kind_minus.value) == ("diagonal", "exchange")
 
 
-# ----------------------------------------------------------- analyze
+# ------------------------------------------------------- factor_real
 
 
 def test_analyze_pinned():
     for m in (IDENTITY, NEG_IDENTITY, ROT_PI, -ROT_2PI3, Mat2(15, 4, 11, 3)):
-        a = analyze(m)
-        assert a.matclass == classify(m)
-        assert a.is_real and a.factorization.c_plus @ a.factorization.c_minus == m
-    a = analyze(Mat2(12, 5, 7, 3))
-    assert a.matclass == classify(Mat2(12, 5, 7, 3))
-    assert not a.is_real and a.factorization is None
+        f = factor_real(m)
+        assert is_real(m) and f.c_plus @ f.c_minus == m
+    assert factor_real(Mat2(12, 5, 7, 3)) is None
+    assert not is_real(Mat2(12, 5, 7, 3))
     with pytest.raises(NotSL2):
-        analyze(REFL_DIAG)
+        factor_real(REFL_DIAG)
 
 
 def test_analyze_parabolic_pinned():
@@ -323,7 +316,7 @@ def test_analyze_parabolic_pinned():
         Mat2(5, -4, 9, -7): (Mat2(-13, 8, -21, 13), Mat2(7, -4, 12, -7)),
     }
     for m, pair in cases.items():
-        f = analyze(m).factorization
+        f = factor_real(m)
         assert (f.c_plus, f.c_minus) == pair
 
 
@@ -368,13 +361,13 @@ def _sl2_box(r):
 def test_analyze_matches_mirror_pairs_on_a_box():
     counts = {}
     elliptic = [m for m in _sl2_box(30) if abs(m.trace) < 2]
-    others = [m for m in _sl2_box(12) if abs(m.trace) >= 2 and not m.is_central()]
+    others = [m for m in _sl2_box(12) if abs(m.trace) >= 2 and m not in (IDENTITY, NEG_IDENTITY)]
     for m in elliptic + others:
-        a = analyze(m)
-        if a.is_real:
-            f = a.factorization
+        f = factor_real(m)
+        if f is not None:
             assert (f.c_plus, f.c_minus) == _factors_by_mirror_pair(m), m
-            counts[a.matclass.kind] = counts.get(a.matclass.kind, 0) + 1
+            kind = classify(m).kind
+            counts[kind] = counts.get(kind, 0) + 1
     assert counts == {"elliptic": 274, "parabolic": 264, "hyperbolic": 1056}
 
 
@@ -400,7 +393,7 @@ def test_analyze_matches_mirror_pairs_on_conjugates(kind, seed, power, negate):
         e = rng.randint(-(10**6), 10**6)
         g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
     m = g @ (-rep if negate else rep) @ g.inverse()
-    f = analyze(m).factorization
+    f = factor_real(m)
     assert (f.c_plus, f.c_minus) == _factors_by_mirror_pair(m)
 
 
@@ -422,12 +415,9 @@ def test_analyze_walks_no_run_per_power(monkeypatch):
     for j in (10, 1_000):
         m = g @ Mat2(2, 1, 1, 1) ** j @ g.inverse()
         walked.clear()
-        assert analyze(m).is_real
+        assert is_real(m)
         runs.append(sum(walked))
     assert runs[0] == runs[1]
-
-
-# ------------------------------------------------------- factor_real
 
 
 def _check_factorization(m, f):
@@ -452,31 +442,21 @@ def test_factor_real_pinned():
 
 
 def test_factor_real_not_real():
-    with pytest.raises(NotReal):
-        factor_real(Mat2(12, 5, 7, 3))
-    with pytest.raises(NotReal):
-        factor_real(Mat2(-12, -5, -7, -3))
+    assert factor_real(Mat2(12, 5, 7, 3)) is None
+    assert factor_real(Mat2(-12, -5, -7, -3)) is None
+    # an exponent past the int/str limit, found not real with no printing
+    assert factor_real(word_matrix((BIG, 1, 2, 3))) is None
 
 
 def test_factor_real_central_input():
-    with pytest.raises(CentralInput):
-        factor_real(IDENTITY)
-    with pytest.raises(CentralInput):
-        factor_real(NEG_IDENTITY)
+    # the degenerate splittings of the center: I and -I are both real
+    assert factor_real(IDENTITY) == RealFactorization(REFL_DIAG, REFL_DIAG)
+    assert factor_real(NEG_IDENTITY) == RealFactorization(-REFL_DIAG, REFL_DIAG)
 
 
 def test_factor_real_rejects_non_sl2():
     with pytest.raises(NotSL2):
         factor_real(REFL_DIAG)
-
-
-def test_central_factorization():
-    f = central_factorization(IDENTITY)
-    assert f.c_plus @ f.c_minus == IDENTITY
-    f = central_factorization(NEG_IDENTITY)
-    assert f.c_plus @ f.c_minus == NEG_IDENTITY
-    with pytest.raises(CentralInput):
-        central_factorization(U)
 
 
 def test_is_real_basics():
@@ -544,7 +524,7 @@ def test_analyze_factors_match_reflection_factor_reference(b1, b2, seed, negate)
     m = g @ word_matrix(tuple(b1 + b2)) @ g.inverse()
     if negate:
         m = -m
-    f = analyze(m).factorization
+    f = factor_real(m)
     assert (f.c_plus, f.c_minus) == _factors_reference(m)
 
 
@@ -573,7 +553,7 @@ def test_analyze_matches_hand_assembly_on_a_box():
         m = Mat2(a, b, c, (1 + b * c) // a)
         if abs(m.trace) <= 2 or m.max_abs_entry() > 12:
             continue
-        f = analyze(m).factorization
+        f = factor_real(m)
         if f is not None:
             assert (f.c_plus, f.c_minus) == _hyperbolic_factors_by_hand(m), m
             count += 1
@@ -601,7 +581,7 @@ def test_analyze_matches_hand_assembly_on_big_conjugates(seed, negate):
     if negate:
         m = -m
     assert len(str(m.max_abs_entry())) >= 500
-    f = analyze(m).factorization
+    f = factor_real(m)
     assert (f.c_plus, f.c_minus) == _hyperbolic_factors_by_hand(m)
 
 
@@ -641,11 +621,7 @@ def test_products_of_real_structures_are_real(seed):
     j1, j2 = small_structure(), small_structure()
     m = j1 @ j2
     assert m.det == 1
-    if m.is_central():
-        assert is_real(m)
-    else:
-        f = factor_real(m)
-        _check_factorization(m, f)
+    _check_factorization(m, factor_real(m))
 
 
 # ----------------------------------------------------- conjugacy test
@@ -712,7 +688,7 @@ def test_conjugacy_sl_matches_witness_search_exhaustively():
     small = [
         m
         for m in (Mat2(*e) for e in product(range(-2, 3), repeat=4))
-        if m.det == 1 and abs(m.trace) <= 2 and not m.is_central()
+        if m.det == 1 and abs(m.trace) <= 2 and m not in (IDENTITY, NEG_IDENTITY)
     ]
     assert len(small) == 42
     pairs = [(x, y) for x in small for y in small if conjugacy_test(x, y, "gl")]
@@ -756,17 +732,13 @@ BIG = 10**4400  # past the int/str conversion limit
     "call, error",
     [
         (lambda: Mat2(2 * BIG, 0, 0, 1).inverse(), NotUnimodular),
-        (lambda: central_factorization(Mat2(1, BIG, 0, 1)), CentralInput),
         (lambda: RealFactorization(Mat2(1, BIG, 0, 1), REFL_DIAG), NotARealStructure),
         (lambda: real_structure_kind(Mat2(1, BIG, 0, 1)), NotARealStructure),
-        (lambda: factor_real(word_matrix((BIG, 1, 2, 3))), NotReal),
     ],
     ids=[
         "inverse",
-        "central_factorization",
         "RealFactorization",
         "real_structure_kind",
-        "factor_real",
     ],
 )
 def test_errors_on_huge_entries_do_not_print_them(call, error):
