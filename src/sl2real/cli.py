@@ -208,7 +208,8 @@ def _cmd_atlas(args) -> int:
     """One record per conjugacy class, written as text.
 
     The central, elliptic and parabolic representatives are classified
-    once each, and _factorization factors them from that class.  A
+    once each, and _factorization factors them from that class; each of
+    them is real, so --real-only keeps them all.  A
     hyperbolic record is read off its necklace (e1, ..., e2n) with no
     Gauss walk.  The word W = U^e1 V^e2 ... fixes
     x = [e1; e2, ..., e2n, e1, ...], the attracting point of both W and
@@ -236,10 +237,7 @@ def _cmd_atlas(args) -> int:
         small += (v_pow(n), -v_pow(n))
     for rep in small:
         cls = classify(rep)
-        fac = _factorization(cls, rep)
-        if fac is None and real_only:
-            continue
-        fac_text = "null" if fac is None else _factorization_text(fac)
+        fac_text = _factorization_text(_factorization(cls, rep))
         matrix = _matrix_text(rep.a, rep.b, rep.c, rep.d)
         write(_atlas_record(matrix, _class_text(cls), fac_text, "null"))
     for length in range(2, 2 * args.max_entry + 1, 2):
@@ -402,6 +400,11 @@ def main(argv: list[str] | None = None) -> int:
         args, extras = parser.parse_known_args(_escape_matrix_args(argv))
         if extras:
             parser.error("unrecognized arguments: " + " ".join(map(_given, extras)))
+        # argparse before Python 3.12 fills a positional with [], untyped,
+        # when the "--" after an earlier "--" is all that is left for it
+        empty = [name for name, value in vars(args).items() if value == []]
+        if empty:
+            parser.error("the following arguments are required: " + ", ".join(empty))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

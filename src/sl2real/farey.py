@@ -117,21 +117,22 @@ def _times_word(a: int, b: int, c: int, d: int, exponents) -> tuple:
 
 
 class Cycle(_Frozen):
-    """Cyclic word U^{e1} V^{e2} ... V^{e_2n}, stored at a concrete rotation.
+    """Cyclic word U^{e1} V^{e2} ... V^{e_2n}, held in its normal form.
 
     It is held once, as its ``root`` and a power ``j`` >= 1: the root is
-    the least even-length period of the stored exponents, which are
-    ``root * j``.  A proper power of a matrix has its root's cycle
-    repeated, so its realness and class are decided on the root alone.
-    ``Cycle(exponents)`` checks the tuple and reduces it to its root in
-    the same pass.  That pass spells the exponents as one character
-    each, so a checked cycle has at most 1,114,112 distinct exponents
-    (see is_odd_bipalindromic).
+    the least even-length period of the exponents, turned to its least
+    even rotation, and the stored exponents are ``root * j``.  A proper
+    power of a matrix has its root's cycle repeated, so its realness and
+    class are decided on the root alone.  ``Cycle(exponents)`` checks
+    the tuple and brings it to this form, so the exponents it stores are
+    an even rotation of those it was given: ``Cycle((3, 1, 2, 1))``
+    stores (2, 1, 3, 1).  ``canonical``, the least rotation of all,
+    comes from the same scan (see _normal_form).
 
-    Equality and hashing quotient by all rotations (the GL-conjugacy
-    level).  Even rotations preserve which letter carries which
-    exponent; :meth:`equal_up_to_even_rotation` tests that finer,
-    SL-level relation on the roots.
+    Equality and hashing compare ``canonical``: all rotations (the
+    GL-conjugacy level).  Even rotations preserve which letter carries
+    which exponent; :meth:`equal_up_to_even_rotation` tests that finer,
+    SL-level relation.
     """
 
     _fields = ("root", "j")  # shown by repr; equality is by ``canonical``
@@ -145,18 +146,16 @@ class Cycle(_Frozen):
         n = len(exps)
         if n < 2 or n % 2:
             raise ValueError(f"cycle length must be even and >= 2, got {n}")
-        codes: dict[int, int] = {}
-        letters = []
         for e in exps:
             if not isinstance(e, int) or isinstance(e, bool) or e < 1:
                 raise ValueError(f"exponents must be positive ints, got {_quote(e)}")
-            letters.append(chr(codes.setdefault(e, len(codes))))
         # the least period is where the word first recurs in its square,
         # and divides n; the least even period is it or its double
-        word = "".join(letters)
+        word = _spelled(exps)
         p = (word + word).find(word, 1)
-        p = 2 * p if p % 2 else p
-        self.__dict__.update(root=exps[:p], j=n // p)
+        _, root, canonical = _normal_form(exps[: 2 * p if p % 2 else p], p % 2)
+        j = n // len(root)
+        self.__dict__.update(root=root, j=j, canonical=canonical * j)
 
     @property
     def exponents(self) -> tuple[int, ...]:
@@ -164,17 +163,6 @@ class Cycle(_Frozen):
 
     def __len__(self) -> int:
         return len(self.root) * self.j
-
-    @property
-    def canonical(self) -> tuple[int, ...]:
-        """Lexicographically least rotation, found on first use and kept
-        (cutting_cycle keeps the one its own scan found): the root's
-        least rotation, repeated j times, as every rotation of root * j
-        is a rotation of the root repeated."""
-        least = self.__dict__.get("_canonical")
-        if least is None:
-            least = self.__dict__["_canonical"] = _least_rotation(self.root) * self.j
-        return least
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cycle):
@@ -185,19 +173,36 @@ class Cycle(_Frozen):
         return hash(self.canonical)
 
     def equal_up_to_even_rotation(self, other: "Cycle") -> bool:
-        """Same j and roots equal up to even rotation: an even rotation
-        of root * j is one of the root, repeated, as the root has even
-        length."""
-        return self.j == other.j and _least_rotation(self.root, 2) == _least_rotation(other.root, 2)
+        """Same root and j: each root is at its least even rotation, and
+        an even rotation of root * j is one of the root, repeated, as the
+        root has even length."""
+        return self.root == other.root and self.j == other.j
 
 
-def _unchecked_cycle(root: tuple[int, ...], j: int) -> Cycle:
-    """Cycle root * j without the checks, for positive int exponents and
-    a root that is its own least even-length period."""
+def _unchecked_cycle(root: tuple[int, ...], j: int, canonical: tuple[int, ...]) -> Cycle:
+    """Cycle root * j without the checks, for positive int exponents, a
+    root that is its own least even-length period at its least even
+    rotation, and canonical the least rotation of root * j."""
     cyc = object.__new__(Cycle)
     entries = cyc.__dict__  # plain stores: cutting_cycle builds one per matrix
-    entries["root"], entries["j"] = root, j
+    entries["root"], entries["j"], entries["canonical"] = root, j, canonical
     return cyc
+
+
+def _spelled(exps) -> str:
+    """Positive int exponents as one character each, for str.find.
+
+    The exponents are their own code points when all of them are in
+    chr's range; only equality between characters matters to ``find``,
+    so lone surrogates do no harm.  Otherwise they are numbered in order
+    of first appearance, which bounds a word to 1,114,112 distinct
+    exponents.
+    """
+    try:
+        return "".join(map(chr, exps))
+    except (ValueError, OverflowError):  # an exponent past chr's range
+        codes: dict[int, int] = {}
+        return "".join([chr(codes.setdefault(e, len(codes))) for e in exps])
 
 
 def _least_start(seq, step: int = 1) -> int:
@@ -232,10 +237,30 @@ def _least_start(seq, step: int = 1) -> int:
     return min(i, j)
 
 
-def _least_rotation(exponents: tuple[int, ...], step: int = 1) -> tuple[int, ...]:
-    """Least rotation by a multiple of step (see _least_start)."""
-    r = _least_start(exponents, step)
-    return exponents[r:] + exponents[:r]
+def _normal_form(root, doubled: bool) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """(best, even, canonical) for the even-length period ``root`` of a
+    cyclic word, ``doubled`` when it is an odd primitive period written
+    twice and primitive otherwise: even is the least even rotation,
+    best its least start, and canonical the least rotation of all.
+
+    The root is scanned for its least rotation first.  Its start is the
+    even pick when it is even.  A doubled period of odd length n has the
+    same rotation at r and r + n, one of them even, so its pick needs no
+    other scan.  Only an undoubled period with an odd least start is
+    scanned again, over its even starts alone.  A primitive period has
+    no two starts with one rotation, so in each case the pick is the
+    least even start of the least even rotation.
+    """
+    least = _least_start(root)
+    canonical = tuple(root[least:] + root[:least])
+    if least % 2 == 0:
+        best, even = least, canonical
+    elif doubled:
+        best, even = least + len(root) // 2, canonical
+    else:
+        best = _least_start(root, 2)
+        even = tuple(root[best:] + root[:best])
+    return best, even, canonical
 
 
 # A walk whose first denominator has more bits than _LEHMER_MIN_BITS takes
@@ -441,15 +466,10 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     chunks, so an odd chunked head leaves one S over at its end.
 
     The period, doubled when odd, is the least even-length period of the
-    digits, since a state and its digits fix each other; so the picked
-    rotation is the returned Cycle's root, and j its power.  The period
-    is scanned for its least rotation first, which is kept as the
-    Cycle's canonical form.  Its start is the even pick when it is even.
-    A doubled period of odd length n has the same rotation at r and
-    r + n, one of them even, so its pick needs no other scan.  Only an
-    undoubled period with an odd least start is scanned again, over its
-    even starts alone.  The CF period is primitive, so in each case the
-    pick is the least even start of the least even rotation.
+    digits, since a state and its digits fix each other, and the CF
+    period is primitive.  So _normal_form's even pick of it is the
+    returned Cycle's root, j its power, and its least rotation, repeated
+    j times, the Cycle's canonical form.
     """
     digits, entry, chunks = _gauss_orbit(attracting_fixed_point(m))  # checks det and trace
 
@@ -461,18 +481,10 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     if entry % 2:
         entry += 1
         period = period[1:] + period[:1]
-    n = len(period)
-    if n % 2:
+    doubled = len(period) % 2
+    if doubled:
         period += period
-    least = _least_start(period)
-    canonical = tuple(period[least:] + period[:least])
-    if least % 2 == 0:
-        best, exponents = least, canonical
-    elif n % 2:
-        best, exponents = least + n, canonical
-    else:
-        best = _least_start(period, 2)
-        exponents = tuple(period[best:] + period[:best])
+    best, exponents, canonical = _normal_form(period, doubled)
     ca, cb, cc, cd = 1, 0, 0, 1
     for _, a, b, c, d in chunks:
         ca, cb, cc, cd = ca * a + cb * c, ca * b + cb * d, cc * a + cd * c, cc * b + cd * d
@@ -488,9 +500,7 @@ def cutting_cycle(m: Mat2) -> tuple[Cycle, int, Mat2]:
     conj = _unchecked_mat2(ca, cb, cc, cd)  # an even number of digit matrices, det -1 each
     if _conjugated(conj, pa, pb, pc, pd) != (m.a, m.b, m.c, m.d):
         raise RuntimeError("cutting-cycle verification failed")
-    cyc = _unchecked_cycle(exponents, j)
-    cyc.__dict__["_canonical"] = canonical * j
-    return cyc, sign, conj
+    return _unchecked_cycle(exponents, j, canonical * j), sign, conj
 
 
 def _period_power(pa: int, pb: int, pc: int, pd: int, t: int) -> tuple[int, int, int, int, int]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .classify import _ELLIPTIC_REPS, CENTRAL, ELLIPTIC, HYPERBOLIC, MatClass, classify
 from .errors import NotARealStructure
-from .farey import Cycle, _times_word
+from .farey import Cycle, _spelled, _times_word
 from .mat2 import REFL_DIAG, Mat2, _conjugated, _Frozen, _quote, _unchecked_mat2
 from .mat2 import real_structure_kind
 
@@ -54,8 +54,8 @@ def is_odd_bipalindromic(cycle: Cycle) -> int | None:
     and there is none if p is even.  The root has length p or 2p (p
     doubled when odd), so the least odd split lies inside it, and the
     root, with the same p, gives the same answer as c = root * j.  It is
-    found by one linear ``str.find`` on a string with one character per
-    distinct exponent.  Code points bound the distinct exponents to
+    found by one linear ``str.find`` on the root spelled one character
+    per exponent (_spelled), which bounds the distinct exponents to
     1,114,112; a matrix under the input limit has a cycle of at most
     about 20,600 runs, because the trace of a word of n runs is at least
     the n-th Lucas number.
@@ -64,18 +64,8 @@ def is_odd_bipalindromic(cycle: Cycle) -> int | None:
 
 
 def _first_block(root: tuple[int, ...]) -> int | None:
-    """is_odd_bipalindromic on a root of positive int exponents.
-
-    The exponents are their own code points when all of them are in
-    chr's range; only equality between characters matters to ``find``,
-    so lone surrogates do no harm.  Otherwise they are numbered in order
-    of first appearance.
-    """
-    try:
-        word = "".join(map(chr, root))
-    except (ValueError, OverflowError):  # an exponent past chr's range
-        codes: dict[int, int] = {}
-        word = "".join([chr(codes.setdefault(e, len(codes))) for e in root])
+    """is_odd_bipalindromic on a root of positive int exponents."""
+    word = _spelled(root)
     dbl = word + word
     first = dbl.find(word[::-1])
     if first < 0:

@@ -10,7 +10,7 @@ import time
 from contextlib import contextmanager
 from math import isqrt
 
-from sl2real import Cycle, Mat2, Surd, u_pow, v_pow
+from sl2real import Mat2, Surd, u_pow, v_pow
 from sl2real.farey import _times_word
 
 IDENT = Mat2(1, 0, 0, 1)
@@ -88,8 +88,9 @@ def random_palindrome(rng: random.Random, length: int, max_exp: int) -> list[int
 
 def random_odd_bipalindromic_cycle(
     rng: random.Random, max_len: int = 10, max_exp: int = 7
-) -> Cycle:
-    """A cycle made of two odd-length palindromic blocks."""
+) -> tuple[int, ...]:
+    """The exponents of a cycle made of two odd-length palindromic
+    blocks, in that order (a Cycle would store an even rotation)."""
     while True:
         first = rng.randrange(1, max_len, 2)
         second = rng.randrange(1, max_len, 2)
@@ -97,7 +98,7 @@ def random_odd_bipalindromic_cycle(
             break
     exps = random_palindrome(rng, first, max_exp)
     exps += random_palindrome(rng, second, max_exp)
-    return Cycle(tuple(exps))
+    return tuple(exps)
 
 
 class _Timeout(Exception):

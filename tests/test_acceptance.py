@@ -94,9 +94,9 @@ def test_criterion_1_elliptic_parabolic():
 def test_criterion_2_hyperbolic_positive():
     rng = random.Random(202)
     for _ in range(300):
-        cyc = random_odd_bipalindromic_cycle(rng, max_len=10, max_exp=7)
+        exps = random_odd_bipalindromic_cycle(rng, max_len=10, max_exp=7)
         g = random_unimodular(rng)
-        m = g @ word_matrix(cyc.exponents) @ g.inverse()
+        m = g @ word_matrix(exps) @ g.inverse()
         if rng.random() < 0.5:
             m = -m
         _check_factorization(m, factor_real(m))

@@ -14,7 +14,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sl2real.cli as cli
 import sl2real.farey as farey
@@ -343,7 +343,7 @@ def test_thousand_digit_conjugates_round_trip(seed, real, sign):
     while max(map(abs, g)).bit_length() < 3_330:  # over 10^3 digits
         e = rng.choice((-1, 1)) * rng.randint(1, 9)
         g = _mul(g, (1, e, 0, 1) if rng.random() < 0.5 else (1, 0, e, 1))
-    exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng)
+    exps = random_odd_bipalindromic_cycle(rng) if real else random_word(rng)
     w = word_matrix(exps)
     ga, gb, gc, gd = g
     m = tuple(sign * x for x in _mul(_mul(g, (w.a, w.b, w.c, w.d)), (gd, -gb, -gc, ga)))
@@ -417,7 +417,7 @@ def _stream_corpus():
     for _ in range(40):
         g = random_unimodular(rng, 6)
         real = rng.random() < 0.5
-        exps = random_odd_bipalindromic_cycle(rng).exponents if real else random_word(rng)
+        exps = random_odd_bipalindromic_cycle(rng) if real else random_word(rng)
         ms.append(g @ word_matrix(exps) @ g.inverse())
     for k in range(1, 8):
         ms.append(Mat2(2, 1, 1, 1) ** k)  # the golden ratio's period has one digit
@@ -431,7 +431,7 @@ def _stream_corpus():
             e = rng.choice((-1, 1)) * rng.randint(1, 10**6)
             g = g @ (u_pow(e) if rng.random() < 0.5 else v_pow(e))
         if rng.random() < 0.5:
-            exps = random_odd_bipalindromic_cycle(rng).exponents
+            exps = random_odd_bipalindromic_cycle(rng)
         else:
             exps = (10**100 + rng.randint(0, 9), 3)
         ms.append(g @ word_matrix(exps) @ g.inverse())
@@ -839,6 +839,32 @@ def test_rotation_scans_per_line(capsys, monkeypatch, command, matrix, scanned):
     assert calls == scanned
 
 
+@pytest.mark.parametrize(
+    "pair, scanned, verdict",
+    [
+        # SL-conjugate: each matrix's period is scanned once, and the
+        # verdict compares the roots, stored at their least even rotation
+        (("15,4;11,3", "26,-19;11,-8"), [(4, 1), (4, 1)], True),
+        # an odd rotation of the same period: its least start is odd, so
+        # its even starts are scanned once more, when its cycle is built
+        (("15,4;11,3", "3,11;4,15"), [(4, 1), (4, 1), (4, 2)], False),
+    ],
+)
+def test_rotation_scans_per_sl_verdict(capsys, monkeypatch, pair, scanned, verdict):
+    calls = []
+    least_start = farey._least_start
+
+    def counted(seq, step=1):
+        calls.append((len(seq), step))
+        return least_start(seq, step)
+
+    monkeypatch.setattr(farey, "_least_start", counted)
+    assert run_json(capsys, "conjugate", *pair, "--group", "sl") == [
+        {"conjugate": verdict, "group": "sl"}
+    ]
+    assert calls == scanned
+
+
 def test_atlas_walks_no_orbit(capsys, monkeypatch):
     # each hyperbolic record is read off its necklace (see
     # test_atlas_records_match_factor_real)
@@ -1053,6 +1079,7 @@ def _argvs(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(_argvs(), st.sampled_from(("", "[[2,1],[1,1]]\n", '[[2,1],[1,1]]\n"1,0;0"\n')))
+@example(["conjugate", "2,1;1,1", "--", "--"], "")  # argparse < 3.12 gives matrix_b []
 def test_each_argv_exits_0_2_or_3_with_a_short_error(argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()

@@ -471,7 +471,7 @@ def test_series_crosscheck_powers(seed, k):
     tile = tuple(rep_digits[rep_entry:])
     if len(tile) % 2:
         tile += tile
-    assert farey._least_rotation(tile) == farey._least_rotation(cyc.root[::-1])
+    assert _least_rotation_reference(tile) == _least_rotation_reference(cyc.root[::-1])
     assert len(cyc) % period == 0
     assert len(cyc) // period >= 1
 
@@ -652,6 +652,17 @@ def test_chunk_of_wrong_determinant_is_refused(capsys, monkeypatch):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("m", [Mat2(2, 1, 1, 1), Mat2(15, 4, 11, 3), Mat2(12, 5, 7, 3)])
+def test_gauss_orbit_refuses_a_broken_invariant(m):
+    # a first cofactor one off breaks q * q_prev == d - p^2 for every
+    # state, yet the walk still closes on a repeated (p, q); the closing
+    # check refuses it, and the bound fails an offset that never closes
+    x = attracting_fixed_point(m)
+    broken = farey._unchecked_surd(x.p, x.d, x.q, x._cofactor + 1)
+    with budget(1.0), pytest.raises(RuntimeError, match="Gauss orbit invariant"):
+        _gauss_orbit(broken)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.sampled_from((1, 2, 3)), st.integers(0, 3))
 def test_checked_surd_accepts_every_first_state(seed, power, scale):
@@ -770,7 +781,7 @@ def test_cycle_canonical_is_a_fresh_least_rotation(seed, k):
     rng = random.Random(seed)
     m = random_hyperbolic(rng, max_runs=8, max_exp=3, conj_steps=4) ** k
     cyc = cutting_cycle(m)[0]
-    assert cyc.canonical == farey._least_rotation(cyc.exponents)
+    assert cyc.canonical == _least_rotation_reference(cyc.exponents)
 
 
 # exponents spread over the decades up to 10^6
@@ -863,8 +874,9 @@ _ROTATION_INPUTS = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(_ROTATION_INPUTS)
 def test_least_start_matches_scan(seq):
-    assert farey._least_start(seq) == _least_start_reference(seq, 1)
-    assert farey._least_rotation(seq) == _least_rotation_reference(seq)
+    least = farey._least_start(seq)
+    assert least == _least_start_reference(seq, 1)
+    assert seq[least:] + seq[:least] == _least_rotation_reference(seq)
     if len(seq) % 2 == 0:
         # the even pick: the least rotation of the exponent pairs
         assert farey._least_start(seq, 2) == _least_start_reference(seq, 2)
@@ -896,29 +908,41 @@ def test_cycle_canonical_is_computed_once(exponents, shift):
     shift %= len(exponents)
     rotated = exponents[shift:] + exponents[:shift]
     calls = []
-    least = farey._least_rotation
+    least_start = farey._least_start
 
-    def counted(exps):
-        calls.append(exps)
-        return least(exps)
+    def counted(seq, step=1):
+        calls.append((seq, step))
+        return least_start(seq, step)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(farey, "_least_rotation", counted)
+        mp.setattr(farey, "_least_start", counted)
         x, y = Cycle(exponents), Cycle(rotated)
+        built = list(calls)
         assert x == y and y == x and hash(x) == hash(y)
         assert _strings_text(x.canonical) == _strings_text(y.canonical)
         assert x.canonical == y.canonical == _least_rotation_reference(exponents)
-    # one scan per cycle, over its root alone
-    assert sorted(calls) == sorted([_root_reference(exponents), _root_reference(rotated)])
+        verdict = _even_rotation_equality_reference(x.exponents, y.exponents)
+        assert x.equal_up_to_even_rotation(y) == verdict
+    # the scans run as each cycle is built, over its root alone: one for
+    # the least rotation, then at most one over the even starts
+    assert calls == built
+    roots = [_root_reference(exponents), _root_reference(rotated)]
+    assert [seq for seq, step in calls if step == 1] == roots
+    assert all(seq in roots for seq, _ in calls)
 
 
 @settings(max_examples=500, deadline=None)
 @given(_ROTATION_INPUTS.filter(lambda w: len(w) % 2 == 0))
 def test_cycle_is_its_root_to_a_power(w):
     cyc = Cycle(w)
-    assert cyc.root * cyc.j == cyc.exponents == w and len(cyc) == len(w)
+    assert cyc.root * cyc.j == cyc.exponents and len(cyc) == len(w)
+    # the stored exponents are an even rotation of w, and the root is at
+    # its least even rotation
+    assert _even_rotation_equality_reference(cyc.exponents, w)
+    assert cyc.root == min(cyc.root[r:] + cyc.root[:r] for r in range(0, len(cyc.root), 2))
     # the root is primitive: no shorter even period
-    assert cyc.root == _root_reference(cyc.root) == _root_reference(w)
+    assert cyc.root == _root_reference(cyc.root)
+    assert len(cyc.root) == len(_root_reference(w))
     assert cyc == Cycle(w[1:] + w[:1])
     assert cyc.equal_up_to_even_rotation(Cycle(w[2:] + w[:2]))
 
@@ -964,6 +988,30 @@ def test_one_scan_cycle_matches_two_scan_reference(runs, repeat, power, seed, si
     cyc, got_sign, conj = cutting_cycle(m)
     assert got_sign == sign
     assert (cyc.root, cyc.j, cyc.canonical, conj) == _cutting_cycle_reference(m, digits, entry)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(1, 3), min_size=1, max_size=6),
+    st.booleans(),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from((1, -1)),
+)
+def test_checked_cycle_is_the_cutting_cycle(runs, repeat, power, shift, seed, sign):
+    # Cycle(w) holds the normal form cutting_cycle finds for any matrix
+    # SL-conjugate to +-W: odd periods (an odd run list, doubled), proper
+    # powers, and w at any even rotation
+    word = tuple(runs) * 2 if len(runs) % 2 or repeat else tuple(runs)
+    w = word * power
+    shift = 2 * shift % len(w)
+    w = w[shift:] + w[:shift]
+    g = random_unimodular(random.Random(seed), 4)
+    m = g @ word_matrix(w) @ g.inverse()
+    cyc = cutting_cycle(m if sign > 0 else -m)[0]
+    checked = Cycle(w)
+    assert (checked.root, checked.j, checked.canonical) == (cyc.root, cyc.j, cyc.canonical)
 
 
 # ------------------------------------------------------- scale gates

@@ -245,9 +245,9 @@ def test_lattice_coordinates_match_the_elimination_reference(vectors):
 def test_lattice_contains_the_constructed_conjugator():
     rng = random.Random(11)
     for _ in range(20):
-        cyc = random_odd_bipalindromic_cycle(rng, max_len=6, max_exp=4)
+        exps = random_odd_bipalindromic_cycle(rng, max_len=6, max_exp=4)
         g = random_unimodular(rng)
-        m = g @ word_matrix(cyc.exponents) @ g.inverse()
+        m = g @ word_matrix(exps) @ g.inverse()
         f = factor_real(m)
         q = f.c_plus
         assert _coefficients_of_reference(integer_kernel(m), (q.a, q.b, q.c, q.d)) is not None
@@ -279,6 +279,13 @@ def test_brute_force_conjugator_near_singular_minor():
     for t in (10**3, 10**50, 10**4000):
         with budget(1):
             assert brute_force_conjugator(Mat2(0, -1, 1, t), 3) == Mat2(0, -1, -1, 0)
+
+
+def test_coefficient_box_refuses_dependent_vectors():
+    # integer_kernel's basis is independent by construction; a dependent
+    # one has no invertible minor to bound the search with
+    with pytest.raises(RuntimeError, match="lattice basis vectors are not independent"):
+        sl2real.oracle._coefficient_box(((1, 0, 0, 0), (2, 0, 0, 0)), 5)
 
 
 @settings(max_examples=300, deadline=None)

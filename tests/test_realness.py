@@ -67,7 +67,7 @@ def test_split_blocks():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_generated_cycles_are_recognized(seed):
     rng = random.Random(seed)
-    cyc = random_odd_bipalindromic_cycle(rng)
+    cyc = Cycle(random_odd_bipalindromic_cycle(rng))
     split = is_odd_bipalindromic(cyc)
     assert split is not None
     b1, b2 = _blocks(cyc.exponents, split)
@@ -90,7 +90,7 @@ def _split_at_any_rotation(exps):
 
 
 def _assert_matches_reference(exps):
-    split = is_odd_bipalindromic(Cycle(exps))
+    split = realness._first_block(exps)
     reference = _split_at_any_rotation(exps)
     if reference is None:
         assert split is None
@@ -174,14 +174,14 @@ _PERIODIC_BIPALINDROMES = st.tuples(
 )
 def test_split_matches_quadratic_scan(exps):
     exps = tuple(exps)
-    assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+    assert realness._first_block(exps) == _split_by_scan(exps)
 
 
 def test_split_matches_quadratic_scan_on_big_exponents():
     # the split compares exponents only for equality, whatever their size
     big = 10**400
     for exps in [(big, 1, big, 5), (big, big + 1), (big,) * 6, (1, big, 1, 2, big + 2, 2)]:
-        assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+        assert realness._first_block(exps) == _split_by_scan(exps)
 
 
 def _first_block_reference(root):
@@ -232,7 +232,7 @@ def test_code_point_split_matches_numbered_split(exps):
     exps = tuple(exps)
     assert realness._first_block(exps) == _first_block_reference(exps)
     if len(exps) % 2 == 0:
-        assert is_odd_bipalindromic(Cycle(exps)) == _split_by_scan(exps)
+        assert realness._first_block(exps) == _split_by_scan(exps)
 
 
 def test_split_scan_matches_all_rotations_exhaustively():
@@ -387,7 +387,7 @@ def test_analyze_matches_mirror_pairs_on_conjugates(kind, seed, power, negate):
     elif kind == "parabolic":
         rep = v_pow(rng.choice((-1, 1)) * rng.randint(1, 10**6))
     else:
-        rep = word_matrix(random_odd_bipalindromic_cycle(rng).exponents) ** power
+        rep = word_matrix(random_odd_bipalindromic_cycle(rng)) ** power
     g = IDENTITY
     for _ in range(rng.randint(1, 8)):
         e = rng.randint(-(10**6), 10**6)
@@ -473,9 +473,9 @@ def test_is_real_basics():
 @given(st.integers(min_value=0, max_value=10**6))
 def test_factor_real_on_generated_cycles(seed):
     rng = random.Random(seed)
-    cyc = random_odd_bipalindromic_cycle(rng, max_len=8, max_exp=5)
+    exps = random_odd_bipalindromic_cycle(rng, max_len=8, max_exp=5)
     g = random_unimodular(rng)
-    m = g @ word_matrix(cyc.exponents) @ g.inverse()
+    m = g @ word_matrix(exps) @ g.inverse()
     if rng.random() < 0.5:
         m = -m
     f = factor_real(m)
