@@ -9,8 +9,8 @@ builds explicit verified factorizations, and renders the Farey
 tessellation of the hyperbolic disk as SVG.
 
 All arithmetic is exact: plain Python integers and quadratic surds
-with integer data; only the oracle's linear algebra uses Fractions.
-Floating point appears only in the final coordinates of SVG output.
+with integer data.  Floating point appears only in the final
+coordinates of SVG output.
 
 The package's public names are those of its library modules, each
 declared once, in that module's ``__all__``.  Importing the package

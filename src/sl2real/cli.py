@@ -285,7 +285,7 @@ def _cmd_svg(args) -> int:
 
 # Caps on the flags whose work grows without a bound of its own: atlas
 # --max-entry 6 would print 375,336,811 records, and the oracle's
-# searches walk boxes whose sides grow with the bound (README, Limits).
+# searches walk the O(bound^2) involutions (README, Limits).
 _MAX_ATLAS_ENTRY = 5
 _MAX_ORACLE_BOUND = 1_000
 

@@ -150,11 +150,11 @@ def test_oracle_conjugator_witness(capsys):
 
 
 def test_oracle_identity_walks_no_layer_past_the_bound(capsys):
-    # +-I has a rank-4 lattice: a radius one past the bound would walk a
-    # whole (2r+1)^3 slab of rejected tuples before the first in-bound one
+    # every det -1 matrix reverses +-I; the first involution in the bound
+    # answers, with x = -99 since no (-100 y; z 100) has |y|, |z| <= 100
     with budget(2.0):
         (obj,) = run_json(capsys, "oracle", "1,0;0,1", "--bound", "100", "--mode", "conjugator")
-    assert obj["witness"] == [["-100", "-99"], ["-99", "-98"]] and obj["verified"] is True
+    assert obj["witness"] == [["-99", "-100"], ["98", "99"]] and obj["verified"] is True
 
 
 def test_oracle_factor_without_witness(capsys):
@@ -701,7 +701,7 @@ def test_stream_records_match_json_dumps(m):
         assert _run_text_uncaptured(command, m.to_text()) == _encoded(ref) + "\n"
 
 
-# every kind, with small entries, so the oracle's boxes stay small
+# every kind, with small entries
 _SMALL = (
     IDENTITY, -IDENTITY, ROT_PI, ROT_2PI3, -ROT_2PI3, u_pow(2), v_pow(-3), -u_pow(1),
     Mat2(2, 1, 1, 1), Mat2(15, 4, 11, 3), Mat2(3, 11, 4, 15), Mat2(-5, -2, -2, -1),
@@ -1018,7 +1018,7 @@ _ARGV_MATRICES = (
     "2,1;1,1", "15,4;11,3", "-12,-5;-7,-3", "1,0;0,1", "-1,0;0,-1", "0,-1;1,0", "1,-4;0,1",
     "2,1;1,2", "-",
     # near the 4,300-digit limit: a 20,000-run cycle, a 2,141-digit
-    # exponent, and the oracle's near-singular minor; then past it
+    # exponent, and a conjugator search on a huge entry; then past it
     *(
         f"{m.a},{m.b};{m.c},{m.d}"
         for m in (Mat2(2, 1, 1, 1) ** 10_000, word_matrix((10**2140, 1, 3, 10**2140)))

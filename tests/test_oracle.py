@@ -1,15 +1,11 @@
-"""Brute-force cross-checks and the conjugation lattice."""
+"""Brute-force cross-checks."""
 
 import ast
 import importlib
-import random
-from fractions import Fraction
 from itertools import product
-from operator import mul
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
 
 from sl2real import (
     IDENTITY,
@@ -22,14 +18,13 @@ from sl2real import (
     brute_force_factor,
     enumerate_involutions,
     factor_real,
-    integer_kernel,
     is_real,
     is_real_structure,
 )
 
 import sl2real.oracle
 
-from conftest import budget, random_odd_bipalindromic_cycle, random_unimodular, word_matrix
+from conftest import budget
 
 
 def _package_imports(module):
@@ -141,123 +136,11 @@ def test_brute_force_factor_checks_its_witness(monkeypatch):
         brute_force_factor(ROT_PI, 1)
 
 
-# ------------------------------------------------------------ lattice
-
-
-def test_integer_kernel_quarter_turn():
-    basis = integer_kernel(ROT_PI)
-    assert len(basis) == 2
-    assert set(basis) == {(0, 1, 1, 0), (1, 0, 0, -1)}
-
-
-def test_integer_kernel_central():
-    assert len(integer_kernel(IDENTITY)) == 4
-
-
-def _as_mat(vec):
-    return Mat2(vec[0], vec[1], vec[2], vec[3])
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_integer_kernel_solves_the_commutation_system(seed):
-    rng = random.Random(seed)
-    m = random_unimodular(rng, steps=6)
-    if m in (IDENTITY, NEG_IDENTITY):
-        return
-    basis = integer_kernel(m)
-    assert len(basis) == 2
-    inv = m.inverse()
-    for vec in basis:
-        q = _as_mat(vec)
-        assert q @ m == inv @ q
-    # random integer combinations stay in the kernel
-    for _ in range(5):
-        s, t = rng.randint(-4, 4), rng.randint(-4, 4)
-        combo = tuple(s * a + t * b for a, b in zip(*basis))
-        q = _as_mat(combo)
-        assert q @ m == inv @ q
-
-
-def test_lattice_membership():
-    basis = integer_kernel(ROT_PI)
-    assert _coefficients_of_reference(basis, (0, -1, -1, 0)) is not None
-    assert _coefficients_of_reference(basis, (2, 3, 3, -2)) is not None
-    assert _coefficients_of_reference(basis, (1, 1, 0, 0)) is None
-
-
-def _coefficients_of_reference(vectors, vec):
-    # integer coordinates of vec in the basis, or None: Gauss-Jordan
-    # elimination on the 4 x (k + 1) system (vectors | vec); the zero
-    # vec gets None exactly when the vectors are dependent
-    k = len(vectors)
-    if k == 0:
-        return () if not any(vec) else None
-    rows = [[Fraction(v[i]) for v in vectors] + [Fraction(vec[i])] for i in range(4)]
-    for col in range(k):
-        pivot = next((i for i in range(col, 4) if rows[i][col] != 0), None)
-        if pivot is None:
-            return None
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        pv = rows[col][col]
-        rows[col] = [x / pv for x in rows[col]]
-        for i in range(4):
-            if i != col and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    if any(rows[i][k] != 0 for i in range(k, 4)):
-        return None
-    coeffs = [rows[j][k] for j in range(k)]
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return tuple(int(c) for c in coeffs)
-
-
-_SMALL = st.integers(-3, 3)
-
-
-@st.composite
-def _basis(draw):
-    """0 to 4 small vectors, sometimes made dependent."""
-    vectors = draw(st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), max_size=4))
-    if len(vectors) >= 2 and draw(st.booleans()):
-        s, t = draw(_SMALL), draw(_SMALL)
-        vectors[-1] = tuple(s * x + t * y for x, y in zip(vectors[0], vectors[1]))
-    return tuple(vectors)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_basis())
-def test_lattice_coordinates_match_the_elimination_reference(vectors):
-    # the minor whose inverse reads off lattice coordinates (in
-    # _coefficient_box) exists exactly when the elimination finds the
-    # vectors independent, and its inverse is one
-    minor = sl2real.oracle._invertible_minor(vectors)
-    assert (minor is None) == (_coefficients_of_reference(vectors, (0, 0, 0, 0)) is None)
-    if minor is not None:
-        rows, inv = minor
-        square = [[v[r] for v in vectors] for r in rows]
-        k = len(vectors)
-        product_ = [[sum(map(mul, row, col)) for col in zip(*square)] for row in inv]
-        assert product_ == [[int(i == j) for j in range(k)] for i in range(k)]
-
-
-def test_lattice_contains_the_constructed_conjugator():
-    rng = random.Random(11)
-    for _ in range(20):
-        exps = random_odd_bipalindromic_cycle(rng, max_len=6, max_exp=4)
-        g = random_unimodular(rng)
-        m = g @ word_matrix(exps) @ g.inverse()
-        f = factor_real(m)
-        q = f.c_plus
-        assert _coefficients_of_reference(integer_kernel(m), (q.a, q.b, q.c, q.d)) is not None
-
-
 # -------------------------------------------------------- conjugators
 
 
 def test_brute_force_conjugator_pinned():
-    assert brute_force_conjugator(ROT_PI, 2) == Mat2(0, -1, -1, 0)
+    assert brute_force_conjugator(ROT_PI, 2) == Mat2(-1, 0, 0, 1)
     assert brute_force_conjugator(Mat2(12, 5, 7, 3), 25) is None
     assert brute_force_conjugator(Mat2(7, -18, -5, 13), 3) is None
     assert brute_force_conjugator(Mat2(2, 1, 1, 1), 5) is not None
@@ -274,32 +157,53 @@ def test_brute_force_conjugator_verifies():
 
 
 def test_brute_force_conjugator_near_singular_minor():
-    # the first invertible minor of (0 -1; 1 t)'s lattice has an inverse
-    # of size t, so its box alone walked 6t + 3 rows of coefficients
+    # (0 -1; 1 t) with a huge t: the scan walks the same involutions for
+    # every t, and only its products grow with t
     for t in (10**3, 10**50, 10**4000):
         with budget(1):
             assert brute_force_conjugator(Mat2(0, -1, 1, t), 3) == Mat2(0, -1, -1, 0)
 
 
-def test_coefficient_box_refuses_dependent_vectors():
-    # integer_kernel's basis is independent by construction; a dependent
-    # one has no invertible minor to bound the search with
-    with pytest.raises(RuntimeError, match="lattice basis vectors are not independent"):
-        sl2real.oracle._coefficient_box(((1, 0, 0, 0), (2, 0, 0, 0)), 5)
+def _raw_reversers(m, bound):
+    """Every (x, y, z, w) with |entries| <= bound, det -1 and
+    Q m = m^-1 Q, found with no assumption on Q's shape."""
+    inv = m.inverse()
+    span = range(-bound, bound + 1)
+    found = []
+    for x, y, z, w in product(span, repeat=4):
+        if x * w - y * z != -1:
+            continue
+        q = Mat2(x, y, z, w)
+        if q @ m == inv @ q:
+            found.append(q)
+    return found
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(_SMALL, _SMALL, _SMALL, _SMALL), min_size=2, max_size=2), st.integers(0, 3))
-def test_coefficient_box_keeps_every_point_in_bound(vectors, bound):
-    # the minor's box holds every lattice point within the bound; the
-    # Gram cut must keep each of them
-    minor = sl2real.oracle._invertible_minor(vectors)
-    assume(minor is not None)
-    box = sl2real.oracle._coefficient_box(vectors, bound)
-    wide = [int(bound * sum(map(abs, row))) for row in minor[1]]
-    for coeffs in product(*(range(-r, r + 1) for r in wide)):
-        if all(abs(sum(c * v[i] for c, v in zip(coeffs, vectors))) <= bound for i in range(4)):
-            assert all(abs(c) <= r for c, r in zip(coeffs, box))
+def test_brute_force_conjugator_matches_the_raw_box():
+    # the reference scans all of 4-entry space; the oracle scans only the
+    # involutions, which its docstring proves are every det -1 reverser
+    small = [Mat2(*e) for e in product(range(-3, 4), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1]
+    assert IDENTITY in small and NEG_IDENTITY in small
+    for m in small:
+        raw = _raw_reversers(m, 3)
+        involutions = [q for q in raw if q @ q == IDENTITY]
+        # +-I is reversed by every det -1 matrix, the involutions too
+        assert involutions == raw or m in (IDENTITY, NEG_IDENTITY)
+        for bound in range(4):
+            q = brute_force_conjugator(m, bound)
+            assert (q is None) == all(j.max_abs_entry() > bound for j in raw), (m, bound)
+            if q is not None:
+                first = next(j for j in enumerate_involutions(bound) if j @ m == m.inverse() @ j)
+                in_bound = (j for j in involutions if j.max_abs_entry() <= bound)
+                least = min(in_bound, key=lambda j: (j.a, j.b, j.c))
+                assert q == first == least, (m, bound)
+
+
+def test_skewed_conjugator_search_answers_in_budget():
+    # no det -1 reverser within the bound, so the scan walks every
+    # involution at the bound's cap
+    with budget(5):
+        assert brute_force_conjugator(Mat2(2, 39, -33, -643), 1000) is None
 
 
 def test_conjugator_presence_matches_realness_on_small_family():

@@ -34,7 +34,6 @@ from sl2real.cli import _factorization_text, _real_view
 from sl2real.errors import NotARealStructure, NotUnimodular
 from sl2real.farey import _times_word
 from sl2real.mat2 import real_structure_kind
-from sl2real.oracle import _coefficient_box, _commutation_rows, integer_column_kernel
 
 from conftest import (
     random_hyperbolic,
@@ -667,21 +666,6 @@ def test_conjugacy_sl_inverse_verdict_matches_brute_force():
     assert not found
 
 
-def _sl_witness(x, y, bound):
-    """Some Q with det 1, |entries| <= bound and Q x == y Q, or None,
-    searched on the oracle's integer lattice of Q x == y Q."""
-    basis = integer_column_kernel(_commutation_rows(x, y))
-    if not basis:
-        return None
-    box = _coefficient_box(basis, bound)
-    for coeffs in product(*(range(-r, r + 1) for r in box)):
-        q = Mat2(*(sum(c * v[i] for c, v in zip(coeffs, basis)) for i in range(4)))
-        if q.max_abs_entry() <= bound and q.det == 1:
-            assert q @ x == y @ q
-            return q
-    return None
-
-
 def test_conjugacy_sl_matches_witness_search_exhaustively():
     # every elliptic and parabolic matrix with entries in [-2, 2]; an SL
     # verdict must agree with a det +1 witness of entries at most 6
@@ -693,10 +677,12 @@ def test_conjugacy_sl_matches_witness_search_exhaustively():
     assert len(small) == 42
     pairs = [(x, y) for x in small for y in small if conjugacy_test(x, y, "gl")]
     assert len(pairs) == 292
+    witnesses = [Mat2(*e) for e in product(range(-6, 7), repeat=4) if e[0] * e[3] - e[1] * e[2] == 1]
+    assert len(witnesses) == 372
     sl = 0
     for x, y in pairs:
         verdict = conjugacy_test(x, y, "sl")
-        assert verdict == (_sl_witness(x, y, 6) is not None), (x, y)
+        assert verdict == any(q @ x == y @ q for q in witnesses), (x, y)
         sl += verdict
     assert sl == 146
 
