@@ -3,8 +3,9 @@
 JSON on stdout, one object per input; diagnostics on stderr.  Exit
 status 0 on success (including negative verdicts like a non-real
 matrix), 2 on argument or matrix syntax errors (a capped flag past its
-cap among them), 3 on domain errors (wrong determinant, wrong trace
-kind, too deep a figure).
+cap among them) and on a standard stream that is closed or cannot be
+written, 3 on domain errors (wrong determinant, wrong trace kind, too
+deep a figure).
 
 Matrix arguments use the compact "a,b;c,d" grammar.  The subcommands
 classify, cycle, and real also accept "-" to stream JSONL matrices
@@ -22,6 +23,7 @@ imported by their own commands alone.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import re
@@ -49,6 +51,8 @@ def _input_matrices(arg: str) -> Iterator[Mat2]:
     if arg == "-":
         import json
 
+        if sys.stdin is None:  # descriptor 0 was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "standard input")
         if isinstance(sys.stdin, io.TextIOWrapper):
             # a byte stdin's encoding cannot decode becomes a lone
             # surrogate, as under the C locale, so it fails its own line
@@ -273,7 +277,8 @@ def _cmd_svg(args) -> int:
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(doc + "\n")
+                fh.write(doc)  # doc + "\n" would copy the figure once more
+                fh.write("\n")
         except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
             reason = exc.strerror if isinstance(exc, OSError) else exc
             print(f"error: cannot write {_quote(args.output)}: {reason}", file=sys.stderr)
@@ -391,6 +396,14 @@ def _given(arg: str) -> str:
     return arg[1:] if arg[:1] == " " else arg
 
 
+def _discard_stdout() -> None:
+    """Point descriptor 1 at the null device, so the interpreter's final
+    flush of stdout writes what is left there instead of failing again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     if argv is None:
@@ -408,16 +421,24 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if sys.stdout is None and not getattr(args, "output", None):
+            # descriptor 1 was closed at start: print would drop every record
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "standard output")
         code = args.func(args)
-        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+        if sys.stdout is not None:
+            sys.stdout.flush()  # a reader that closed early shows here, not at exit
         return code
     except BrokenPipeError:
-        # nothing more can reach the reader; the interpreter's final flush
-        # of stdout goes to the null device instead of failing again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()  # nothing more can reach the reader
         return 0
+    except OSError as exc:
+        # a failed write (a full device) names no stream; a closed
+        # standard input or output is named where it is found
+        if exc.filename is None:
+            _discard_stdout()
+        stream = exc.filename or "standard output"
+        print(f"error: cannot use {stream}: {exc.strerror}", file=sys.stderr)
+        return 2
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -123,62 +123,33 @@ def _geodesic(f1: Frac, f2: Frac, end: str) -> str:
     return f"A {r} {r} 0 0 {int(det * k < 0)} {end}"
 
 
-class _Radii(dict):
-    """`_geodesic`'s arc command up to its sweep flag, for Farey
-    neighbours with k = m1*m2 + n1*n2 > 0, formatted once per k."""
+def _points(ms: list[int], ns: list[int]) -> tuple[list[str], list[str]]:
+    """`_point` of each mediant m/n of a round, and of its mirror image
+    -m/n, for mediants symmetric under x -> 1/x, as every round's are.
 
-    def __missing__(self, k: int) -> str:
-        r = f"{1 / k:.6f}"
-        text = self[k] = f"A {r} {r} 0 0 "
-        return text
-
-
-Vertex = tuple[int, int, str, str]
-
-
-def _next_row(row: list[Vertex], radius: _Radii, arcs: list[str]) -> list[Vertex]:
-    """One mediant round of the right half: the row after `row`, with
-    each insertion's two arcs and their mirror images appended to `arcs`.
-
-    A row entry (m, n, "x y", "mirror_x y") carries the SVG coordinates
-    of m/n and of its image -m/n, so an insertion formats only its
-    mediant.  Right-half Farey neighbours u < w have det -1 and
-    k = u.w > 0, so `_geodesic` draws (u, w) as an arc of radius 1/k with
-    sweep 1, and its mirror image with sweep 0.
-
-    A row is symmetric under x -> 1/x, which negates the SVG y, so a
-    mediant m/n > 1 comes after n/m in its round and takes n/m's point
+    x -> 1/x negates the SVG y, so only the first half, with
+    0 < m <= n, is formatted, by `_point`'s own expressions, and a
+    mediant m/n > 1 takes the point of n/m, made earlier in its round,
     with the y negated.  Int true division rounds symmetrically, so that
     is `_point`'s string, 0.000000 against -0.000000 included: the y of
     n/m < 1 is positive and carries no sign.  x -> -x negates the SVG x,
-    positive between 0 and infinity, so a mirror point is the point with
-    a "-" before it.
+    positive for m, n > 0, so a mirror point is the point with a "-"
+    before it.
     """
-    nxt = [row[0]]
-    last = 2 * len(row) - 2  # n/m's index in nxt is last - (m/n's)
-    for (mu, nu, pu, qu), v in zip(row, row[1:]):
-        mv, nv, pv, qv = v
-        m = mu + mv
-        n = nu + nv
-        if m > n:
-            pw = nxt[last - len(nxt)][2].replace(" ", " -")
-        else:
-            pw = _point((m, n))
-        qw = "-" + pw
-        r1 = radius[mu * m + nu * n]
-        r2 = radius[m * mv + n * nv]
-        arcs.append(
-            f'<path class="arc" d="M {pu} {r1}1 {pw}" '
-            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
-            f'<path class="arc" d="M {pw} {r2}1 {pv}" '
-            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
-            f'<path class="arc" d="M {qu} {r1}0 {qw}" '
-            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
-            f'<path class="arc" d="M {qw} {r2}0 {qv}" '
-            'fill="none" stroke="#404040" stroke-width="0.004"/>'
-        )
-        nxt += ((m, n, pw, qw), v)
-    return nxt
+    points = [
+        f"{2 * m * n / s:.6f} {-((m * m - n * n) / s):.6f}"
+        for m, n in zip(ms[: (len(ms) + 1) // 2], ns)
+        for s in (m * m + n * n,)
+    ]
+    points += [p.replace(" ", " -") for p in reversed(points[: len(ms) // 2])]
+    return points, ["-" + p for p in points]
+
+
+def _interleave(column: list, mediants: list) -> list:
+    """A column of the next row: each mediant between its two parents."""
+    row = column + mediants  # of the next row's length
+    row[::2], row[1::2] = column, mediants
+    return row
 
 
 def _arc_paths(depth: int) -> list[str]:
@@ -187,17 +158,55 @@ def _arc_paths(depth: int) -> list[str]:
     round and from 0 to infinity within a round.
 
     The base diameter from 0 to infinity is the chord.  0 and infinity
-    are their own mirror images.
+    are their own mirror images.  The rest is one loop over the mediant
+    rounds of the right half.  Its row is held as four columns: m, n,
+    and the points of m/n and of its mirror image -m/n (`_points`).  A
+    round builds each column of its mediants by one comprehension,
+    writes each insertion's four paths as one string, and builds the
+    next row, except after the last round.
+
+    Right-half Farey neighbours u < w have det -1 and k = u.w > 0, so
+    `_geodesic` draws (u, w) as an arc of radius 1/k with sweep 1, and
+    its mirror image with sweep 0.  Each k is formatted once within a
+    figure, by one float format.  The right arcs' k are the left arcs'
+    reversed.  Let a row be e_0 = 0/1, ..., e_N = 1/0, symmetric under
+    x -> 1/x, which swaps m and n: e_(N-j) is e_j swapped.  Then the
+    mediant w_i = e_i + e_(i+1) swapped is e_(N-i) + e_(N-1-i) =
+    w_(N-1-i), so the next row is symmetric too, and the first one is.
+    k = m1*m2 + n1*n2 does not change when both ends swap m and n, so
+    the right arc of insertion i has k = w_i.e_(i+1) =
+    w_(N-1-i).e_(N-1-i), that of insertion N-1-i's left arc.
     """
     zero, infinity = _point((0, 1)), _point((1, 0))
     arcs = [
         f'<path class="arc" d="M {zero} L {infinity}" '
         'fill="none" stroke="#404040" stroke-width="0.004"/>'
     ]
-    radius = _Radii()
-    row = [(0, 1, zero, zero), (1, 0, infinity, infinity)]
-    for _ in range(depth):
-        row = _next_row(row, radius, arcs)
+    ms, ns, ps, qs = [0, 1], [1, 0], [zero, infinity], [zero, infinity]
+    radius: dict[int, str] = {}  # k -> `_geodesic`'s arc command up to its sweep flag
+    for r in range(depth):
+        wm = [a + b for a, b in zip(ms, ms[1:])]
+        wn = [a + b for a, b in zip(ns, ns[1:])]
+        pw, qw = _points(wm, wn)
+        ks = [mu * m + nu * n for mu, nu, m, n in zip(ms, ns, wm, wn)]
+        for k in ks:
+            if k not in radius:
+                t = f"{1 / k:.6f}"
+                radius[k] = f"A {t} {t} 0 0 "
+        rs = [radius[k] for k in ks]  # the left arcs'
+        arcs.extend(
+            f'<path class="arc" d="M {pu} {ru}1 {p}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {p} {rv}1 {pv}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {qu} {ru}0 {q}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>\n'
+            f'<path class="arc" d="M {q} {rv}0 {qv}" '
+            'fill="none" stroke="#404040" stroke-width="0.004"/>'
+            for pu, pv, qu, qv, p, q, ru, rv in zip(ps, ps[1:], qs, qs[1:], pw, qw, rs, rs[::-1])
+        )
+        if r + 1 < depth:
+            ms, ns, ps, qs = map(_interleave, (ms, ns, ps, qs), (wm, wn, pw, qw))
     return arcs
 
 
@@ -206,8 +215,8 @@ def render_farey(depth: int, axis_matrix: Mat2 | None = None) -> str:
     the triangles the axis of `axis_matrix` crosses, if given, tinted by
     label, under the arcs, and the axis on top.
 
-    The depth is checked before the axis.  The arcs come from one walk
-    over the rows of the right half (`_arc_paths`).
+    The depth is checked before the axis.  The arcs come from one loop
+    over the mediant rounds of the right half (`_arc_paths`).
     """
     if depth < 0 or depth > MAX_DEPTH:
         raise DepthTooLarge(f"depth must be within 0..{MAX_DEPTH}, got {_quote(depth)}")
@@ -218,8 +227,7 @@ def render_farey(depth: int, axis_matrix: Mat2 | None = None) -> str:
         '<circle class="boundary" cx="0" cy="0" r="1" fill="none" '
         'stroke="#202020" stroke-width="0.006"/>',
     ]
-    for tri, label in crossings:
-        a, b, c = tri
+    for (a, b, c), label in crossings:
         pa, pb, pc = _point(a), _point(b), _point(c)
         d = f"M {pa} {_geodesic(a, b, pb)} {_geodesic(b, c, pc)} {_geodesic(c, a, pa)} Z"
         parts.append(

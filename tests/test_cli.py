@@ -31,6 +31,7 @@ from sl2real import (
 )
 from sl2real.cli import main
 from sl2real.oracle import brute_force_conjugator, brute_force_factor
+from sl2real.render import render_farey
 
 classify_module = sys.modules["sl2real.classify"]  # the package binds the name to the function
 
@@ -1108,6 +1109,7 @@ def test_svg_to_file(tmp_path, capsys):
     code, out, _ = run(capsys, "svg", "--depth", "3", "--axis", "2,1;1,1", "-o", str(target))
     assert code == 0 and out == ""
     doc = target.read_text(encoding="utf-8")
+    assert doc == render_farey(3, Mat2(2, 1, 1, 1)) + "\n"  # the document, then a newline
     root = ET.fromstring(doc)
     classes = [el.get("class") for el in root.iter() if el.get("class")]
     assert classes.count("axis") == 1
@@ -1374,3 +1376,64 @@ def test_undecodable_stdin_byte_is_one_error_line(data):
     assert len(lines) == data.count(b"\n") - 1
     if lines:
         assert json.loads(lines[0])["is_real"] is True
+
+
+def _cli_process(argv, stdout, close_fd=None):
+    """The CLI in a real process, with descriptor `close_fd` closed in it
+    before it starts; stdin is empty and stderr is captured."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "sl2real.cli", *argv],
+        stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60,
+        preexec_fn=None if close_fd is None else (lambda: os.close(close_fd)),
+    )
+
+
+def _assert_one_error_line(proc, line):
+    assert proc.returncode == 2
+    assert proc.stderr.count(b"\n") == 1 and len(proc.stderr) < 300
+    assert proc.stderr.decode() == line + "\n" and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["svg", "--depth", "1"],
+        ["svg", "--depth", "12", "--axis", "5,2;2,1"],
+        ["classify", "2,1;1,1"],
+        ["atlas", "--max-entry", "2"],
+    ],
+    ids=["svg", "svg-12", "classify", "atlas"],
+)
+def test_full_stdout_is_one_error_line(argv):
+    # the write fails in print or in main's flush; the exit flush then
+    # goes to the null device, so nothing follows the line
+    with open("/dev/full", "wb") as full:
+        proc = _cli_process(argv, full)
+    _assert_one_error_line(proc, "error: cannot use standard output: No space left on device")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+@pytest.mark.parametrize(
+    "argv", [["classify", "2,1;1,1"], ["atlas", "--max-entry", "2"]], ids=["print", "write"]
+)
+def test_closed_stdout_is_one_error_line(argv):
+    proc = _cli_process(argv, None, close_fd=1)
+    _assert_one_error_line(proc, "error: cannot use standard output: Bad file descriptor")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_closed_stdin_is_one_error_line():
+    proc = _cli_process(["classify", "-"], subprocess.PIPE, close_fd=0)
+    _assert_one_error_line(proc, "error: cannot use standard input: Bad file descriptor")
+    assert proc.stdout == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes a descriptor before exec")
+def test_closed_stdout_leaves_svg_to_file(tmp_path):
+    # svg -o writes no standard output, so a closed one is no error
+    target = tmp_path / "fig.svg"
+    proc = _cli_process(["svg", "--depth", "1", "-o", str(target)], None, close_fd=1)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert target.read_text(encoding="utf-8") == render_farey(1) + "\n"

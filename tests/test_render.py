@@ -25,7 +25,7 @@ from sl2real import (
     u_pow,
 )
 
-from sl2real.render import _Radii, _axis_overlay, _geodesic, _next_row, _point
+from sl2real.render import _axis_overlay, _geodesic, _point, _points
 
 from conftest import random_hyperbolic, surd_float
 
@@ -382,52 +382,78 @@ def test_writer_matches_reference_with_axis(seed, depth):
     assert render_farey(depth, axis) == _render_svg_by_arcs(depth, axis)
 
 
-def _entry(m, n):
-    """A row entry as `_point` formats it: (m, n, "x y", "mirror_x y")."""
-    return m, n, _point((m, n)), _point((-m, n) if n else (1, 0))
+def _mediant_rounds(depth):
+    """The (m, n) columns of each round's row of the right half and of
+    its mediants."""
+    ms, ns, rounds = [0, 1], [1, 0], []
+    for _ in range(depth):
+        wm = [a + b for a, b in zip(ms, ms[1:])]
+        wn = [a + b for a, b in zip(ns, ns[1:])]
+        rounds.append(((ms, ns), (wm, wn)))
+        ms = [x for pair in zip(ms, wm) for x in pair] + ms[-1:]
+        ns = [x for pair in zip(ns, wn) for x in pair] + ns[-1:]
+    return rounds
 
 
 def test_row_entries_match_point():
-    rows = [[_entry(0, 1), _entry(1, 0)]]
-    for _ in range(MAX_DEPTH):
-        rows.append(_next_row(rows[-1], _Radii(), []))
-    # two rows symmetric under x -> 1/x whose mediants (1, 10^7), a hair
-    # east of 0, and (10^7, 10^7 + 1), a hair south of 1, print 0.000000
-    # against -0.000000: the x of (1, 10^7) and its mirror image, and the
-    # y of (10^7, 10^7 + 1) and of its reciprocal, which is not formatted
-    # but read off it
+    mediants = [wmn for _, wmn in _mediant_rounds(MAX_DEPTH)]
+    # two rounds symmetric under x -> 1/x, of rows (0/1, a/b, b/a, 1/0),
+    # whose mediants (1, 10^7), a hair east of 0, and (10^7, 10^7 + 1), a
+    # hair south of 1, print 0.000000 against -0.000000: the x of
+    # (1, 10^7) and its mirror image, and the y of (10^7, 10^7 + 1) and
+    # of its reciprocal, which is not formatted but read off it
     big = 10**7
     near_zero = {}
     for a, b in ((1, big - 1), (big, big)):
-        row = _next_row([_entry(0, 1), _entry(a, b), _entry(b, a), _entry(1, 0)], _Radii(), [])
-        rows.append(row)
-        near_zero |= {(m, n): (xy, mirror_xy) for m, n, xy, mirror_xy in row}
-    for row in rows:
-        for m, n, xy, mirror_xy in row:
-            assert xy == _point((m, n))
-            assert mirror_xy == _point((-m, n) if n else (1, 0))
+        ms, ns = [a, a + b, b + 1], [b + 1, a + b, a]
+        mediants.append((ms, ns))
+        near_zero |= {(m, n): xy for m, n, *xy in zip(ms, ns, *_points(ms, ns))}
+    for ms, ns in mediants:
+        points, mirrors = _points(ms, ns)
+        assert points == [_point((m, n)) for m, n in zip(ms, ns)]
+        assert mirrors == [_point((-m, n)) for m, n in zip(ms, ns)]
     assert [xy.split(" ")[0] for xy in near_zero[(1, big)]] == ["0.000000", "-0.000000"]
     assert near_zero[(big, big + 1)][0].split(" ")[1] == "0.000000"
     assert near_zero[(big + 1, big)][0].split(" ")[1] == "-0.000000"
 
 
+def test_right_arc_radii_are_left_ones_reversed():
+    # `_arc_paths` formats the left arcs' k and reads the right arcs' off
+    # them reversed; the rows are symmetric under x -> 1/x
+    for (ms, ns), (wm, wn) in _mediant_rounds(MAX_DEPTH):
+        assert (ms, ns) == (ns[::-1], ms[::-1])
+        left = [mu * m + nu * n for mu, nu, m, n in zip(ms, ns, wm, wn)]
+        right = [m * mv + n * nv for m, n, mv, nv in zip(wm, wn, ms[1:], ns[1:])]
+        assert right == left[::-1]
+        assert min(left) > 0
+
+
 def test_render_walks_once_and_builds_no_tessellation(monkeypatch):
-    walked, rounds = [], []
-    arc_paths, next_row = render_module._arc_paths, render_module._next_row
+    walked, rounds, built = [], [], []
+    arc_paths, points = render_module._arc_paths, render_module._points
+    interleave = render_module._interleave
 
     def counted_walk(depth):
         walked.append(depth)
         return arc_paths(depth)
 
-    def counted_round(row, radius, arcs):
-        rounds.append(len(row))
-        return next_row(row, radius, arcs)
+    def counted_round(ms, ns):
+        rounds.append(len(ms) + 1)  # the row the round walks
+        return points(ms, ns)
+
+    def counted_column(column, mediants):
+        built.append(len(column) + len(mediants))
+        return interleave(column, mediants)
 
     monkeypatch.setattr(render_module, "_arc_paths", counted_walk)
-    monkeypatch.setattr(render_module, "_next_row", counted_round)
+    monkeypatch.setattr(render_module, "_points", counted_round)
+    monkeypatch.setattr(render_module, "_interleave", counted_column)
     render_farey(MAX_DEPTH, Mat2(5, 2, 2, 1))
     assert walked == [MAX_DEPTH]
-    assert rounds == [2**r + 1 for r in range(MAX_DEPTH)]  # each row once
+    assert rounds == [2**r + 1 for r in range(MAX_DEPTH)]  # each row walked once
+    # each row after the first built once, as its four columns, and none
+    # after the last round
+    assert built == [2**r + 1 for r in range(1, MAX_DEPTH) for _ in range(4)]
 
 
 def test_svg_viewbox_and_size():
